@@ -20,7 +20,7 @@ del _os, _threads
 from .chain import ChainSpec, default_spec
 from .checks import CHECK_NAMES, CheckResult, run_checks
 from .eigenstate import (HomogFamily, HomogStudy, closed_form_two_site,
-                         f_factor, g_m_function, homogeneous_limit_study,
+                         g_m_function, homogeneous_limit_study,
                          normalize_gauge, reconstruct, scalar_F,
                          scalar_product_table)
 from .errors import (DegenerateNormalizationError, DegeneracyError,
@@ -36,7 +36,7 @@ from .rmatrix import (crossing_residual, fusion_rank, local_hamiltonian,
                       twist_invariance_residual, twist_matrix,
                       unitarity_residual)
 from .sov_basis import (BasisIndex, act_on_bra, decomposition_residual,
-                        enumerate_basis, g_factor, gram_matrix,
+                        enumerate_basis, f_factor, g_factor, gram_matrix,
                         identity_resolution_residual, left_state,
                         right_state, verify_orthogonality)
 from .spectrum import (BaeSolveResult, SpectralRecord, TQSolution,

@@ -73,7 +73,11 @@ class ChainSpec:
         return self.n ** self.N
 
 
+def default_theta(N: int) -> tuple:
+    """Generic inhomogeneities theta_j = 0.13 j + 0.07 i j, j = 1..N."""
+    return tuple(0.13 * j + 0.07j * j for j in range(1, N + 1))
+
+
 def default_spec(n: int = 3, N: int = 2, eta: complex = 0.5) -> ChainSpec:
-    """Generic desk-scale chain: theta_j = 0.13 j + 0.07 i j, j = 1..N."""
-    theta = tuple(0.13 * j + 0.07j * j for j in range(1, N + 1))
-    return ChainSpec(n=n, N=N, eta=eta, theta=theta)
+    """Generic desk-scale chain on the default inhomogeneities."""
+    return ChainSpec(n=n, N=N, eta=eta, theta=default_theta(N))

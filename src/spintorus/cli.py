@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, default_theta
 from .checks import CHECK_NAMES, run_checks
 from .eigenstate import (homogeneous_limit_study, normalize_gauge,
                          reconstruct)
 from .errors import SpinTorusError
-from .monodromy import conjugate_vacuum_bra, scalar_a, transfer
+from .monodromy import conjugate_vacuum_bra, transfer
 from .spectrum import (OMEGA, bae_residuals, brute_force_spectrum,
                        eigen_residual_at, eigenvalue_at, solve_bae)
 
@@ -89,6 +89,9 @@ def load_config(mapping) -> RunConfig:
     for label, value in (("n", n), ("N", N)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{label} must be an integer, got {value!r}")
+    if n != 3:
+        raise ConfigError(f"n = {n} is not supported: the reports cover the "
+                          "three-flavor chain, n = 3")
     eta = _as_complex(mapping.get("eta", 0.5), "eta")
     if "theta" in mapping:
         raw = mapping["theta"]
@@ -96,7 +99,7 @@ def load_config(mapping) -> RunConfig:
             raise ConfigError("theta must be a list")
         theta = tuple(_as_complex(t, f"theta[{k}]") for k, t in enumerate(raw))
     else:
-        theta = tuple(0.13 * j + 0.07j * j for j in range(1, N + 1))
+        theta = default_theta(N)
     rng_seed = mapping.get("rng_seed", 20240229)
     if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
         raise ConfigError(f"rng_seed must be an integer, got {rng_seed!r}")

@@ -18,8 +18,10 @@ from scipy.optimize import linear_sum_assignment
 from .chain import ChainSpec
 from .errors import DegenerateNormalizationError, PoleProximityError
 from .monodromy import (_blocks_raw, fd4_derivative, homogeneous_transfer,
-                        scalar_a, scalar_d_l)
-from .sov_basis import POLE_TOL, enumerate_basis, g_factor, right_state
+                        scalar_a)
+from .rmatrix import twist_matrix
+from .sov_basis import (POLE_TOL, _site_tuple, enumerate_basis, f_factor,
+                        g_factor, right_state)
 from .spectrum import U_PROBES, brute_force_spectrum
 from .tensor_core import kron_chain, simultaneous_eigen
 
@@ -35,33 +37,6 @@ def _lambda_tuple(lambda_at_theta, N: int) -> tuple:
     if len(vals) != N:
         raise ValueError(f"expected {N} eigenvalue samples, got {len(vals)}")
     return vals
-
-
-def _site_tuple(pset, N: int) -> tuple:
-    sites = tuple(sorted(int(p) for p in pset))
-    if len(set(sites)) != len(sites):
-        raise ValueError("site indices must be distinct")
-    if sites and not (1 <= sites[0] and sites[-1] <= N):
-        raise ValueError(f"site indices outside 1..{N}")
-    return sites
-
-
-def f_factor(pset, spec: ChainSpec) -> complex:
-    """Norm of a one-flavor chain of basis states over the given sites.
-
-    Product over the set of sinh(eta) d_p(theta_p) a(theta_p) dressed by the
-    pairwise ratio sinh(delta+eta)/sinh(delta); the empty set gives 1.
-    """
-    sites = _site_tuple(pset, spec.N)
-    eta = spec.eta
-    th = lambda p: spec.theta[p - 1]
-    val = 1.0 + 0.0j
-    for l in sites:
-        val *= np.sinh(eta) * scalar_d_l(th(l), l, spec) * scalar_a(th(l), spec)
-        for k in sites:
-            if k != l:
-                val *= np.sinh(th(l) - th(k) + eta) / np.sinh(th(l) - th(k))
-    return complex(val)
 
 
 def g_m_function(vset, uset, spec: ChainSpec) -> complex:
@@ -202,11 +177,12 @@ def normalize_gauge(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     v = np.asarray(vec, dtype=complex)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
+        raise DegenerateNormalizationError("cannot normalize the zero vector")
     v = v / norm
     lead = np.flatnonzero(np.abs(v) > tol)
     if len(lead) == 0:
-        raise ValueError("no component above the gauge threshold")
+        raise DegenerateNormalizationError(
+            "no component above the gauge threshold")
     return v * np.exp(-1j * np.angle(v[lead[0]]))
 
 
@@ -306,10 +282,7 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
 
     # homogeneous reference spectrum
     t_hom = lambda u: homogeneous_transfer(u, n, N, eta)
-    g = np.zeros((n, n))
-    for k in range(n):
-        g[(k + 1) % n, k] = 1.0
-    u_op = kron_chain([g] * N)
+    u_op = kron_chain([twist_matrix(n)] * N)
     hom_records, _, _ = simultaneous_eigen(
         [t_hom(U_PROBES[0]), t_hom(U_PROBES[1]), u_op])
 
@@ -345,7 +318,7 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
             try:
                 psi = reconstruct(rec.lambda_theta, 1.0, spec)
                 tracked[i].append(normalize_gauge(psi))
-            except (DegenerateNormalizationError, ValueError):
+            except (DegenerateNormalizationError, PoleProximityError):
                 families[i].degenerate = True
                 tracked[i].append(None)
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import ChainSpec
-from .rmatrix import local_hamiltonian, r_element, r_matrix, twist_matrix
-from .tensor_core import kron_chain, site_matrix_unit
+from .rmatrix import local_hamiltonian, r_matrix, twist_matrix
+from .tensor_core import embed_two_site, kron_chain
 
 __all__ = [
     "scalar_a", "scalar_d", "scalar_d_l", "monodromy_blocks", "monodromy_entry",
@@ -115,16 +115,18 @@ def op_D(u: complex, i: int, j: int, spec: ChainSpec) -> np.ndarray:
     return monodromy_entry(u, i, j, spec)
 
 
+def _twisted_trace(blocks, n: int) -> np.ndarray:
+    """sum_{i,k} g[i, k] T[k][i] over the monodromy blocks T, g the cyclic twist."""
+    g = twist_matrix(n)
+    t = np.zeros_like(blocks[0][0])
+    for i, k in zip(*np.nonzero(g)):
+        t += g[i, k] * blocks[k][i]
+    return t
+
+
 def transfer(u: complex, spec: ChainSpec) -> np.ndarray:
     """Antiperiodic transfer matrix: twisted trace of the monodromy blocks."""
-    g = twist_matrix(spec.n)
-    blocks = monodromy_blocks(u, spec)
-    t = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for i in range(spec.n):
-        for k in range(spec.n):
-            if g[i, k] != 0:
-                t += g[i, k] * blocks[k][i]
-    return t
+    return _twisted_trace(monodromy_blocks(u, spec), spec.n)
 
 
 def twist_operator(spec: ChainSpec) -> np.ndarray:
@@ -169,32 +171,6 @@ def product_identity_residual(spec: ChainSpec) -> float:
 # Hamiltonian at the homogeneous point
 # ---------------------------------------------------------------------------
 
-def _two_site_twisted(h4: np.ndarray, n: int, N: int) -> np.ndarray:
-    """sum_{abcd} h4[a,b,c,d] E^{ac}_N E^{bd}_1 on an N-site chain."""
-    if N == 1:
-        out = np.zeros((n, n), dtype=complex)
-        for a in range(1, n + 1):
-            for c in range(1, n + 1):
-                for b in range(1, n + 1):
-                    for d in range(1, n + 1):
-                        w = h4[a - 1, b - 1, c - 1, d - 1]
-                        if w != 0:
-                            out += w * (site_matrix_unit(n, a, c)
-                                        @ site_matrix_unit(n, b, d))
-        return out
-    mid = np.eye(n ** (N - 2), dtype=complex)
-    out = np.zeros((n ** N, n ** N), dtype=complex)
-    for a in range(1, n + 1):
-        for c in range(1, n + 1):
-            for b in range(1, n + 1):
-                for d in range(1, n + 1):
-                    w = h4[a - 1, b - 1, c - 1, d - 1]
-                    if w != 0:
-                        out += w * kron_chain([site_matrix_unit(n, b, d), mid,
-                                               site_matrix_unit(n, a, c)])
-    return out
-
-
 def global_hamiltonian(n: int, N: int, eta: complex) -> np.ndarray:
     """Nearest-neighbour Hamiltonian with the twisted closure bond.
 
@@ -204,16 +180,13 @@ def global_hamiltonian(n: int, N: int, eta: complex) -> np.ndarray:
     log-derivative reproduces it.
     """
     h2 = local_hamiltonian(n, eta)
-    dim = n ** N
-    ham = np.zeros((dim, dim), dtype=complex)
+    ham = np.zeros((n ** N, n ** N), dtype=complex)
     for j in range(1, N):
-        ham += kron_chain([np.eye(n ** (j - 1), dtype=complex), h2,
-                           np.eye(n ** (N - j - 1), dtype=complex)])
+        ham += embed_two_site(h2, j, j + 1, n, N)
     g = twist_matrix(n)
     h_twisted = kron_chain([np.eye(n, dtype=complex), g]) @ h2 @ \
         kron_chain([np.eye(n, dtype=complex), np.linalg.inv(g)])
-    ham += _two_site_twisted(h_twisted.reshape(n, n, n, n), n, N)
-    return ham
+    return ham + embed_two_site(h_twisted, N, 1, n, N)
 
 
 def fd4_derivative(f, u0: complex, h: float = 1e-4):
@@ -223,14 +196,7 @@ def fd4_derivative(f, u0: complex, h: float = 1e-4):
 
 def homogeneous_transfer(u: complex, n: int, N: int, eta: complex) -> np.ndarray:
     """Transfer matrix of the homogeneous chain (all theta = 0)."""
-    g = twist_matrix(n)
-    blocks = _blocks_raw(complex(u), n, eta, (0.0,) * N)
-    t = np.zeros((n ** N, n ** N), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            if g[i, k] != 0:
-                t += g[i, k] * blocks[k][i]
-    return t
+    return _twisted_trace(_blocks_raw(complex(u), n, eta, (0.0,) * N), n)
 
 
 def transfer_log_derivative_residual(n: int, N: int, eta: complex) -> float:
@@ -268,8 +234,11 @@ def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict
     def T(at, i, j):
         return (Tu if at == "u" else Tv)[i - 1][j - 1]
 
-    def R(arg, a, b, c, d):
-        return r_element(arg, n, eta, a, b, c, d)
+    # R(x) and R(-x) as (a, b, c, d) arrays; R(r, a, b, c, d) = <a b|r|c d>
+    rx, rmx = (r_matrix(s, n, eta).reshape(n, n, n, n) for s in (x, -x))
+
+    def R(r, a, b, c, d):
+        return r[a - 1, b - 1, c - 1, d - 1]
 
     out: dict = {}
 
@@ -285,26 +254,26 @@ def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict
         for k in rng2:
             for i in rng2:
                 lhs = T("v", l, 1) @ T("u", k, i)
-                rhs = sum(R(x, k, l, al, be) / shx * (T("u", al, i) @ T("v", be, 1))
+                rhs = sum(R(rx, k, l, al, be) / shx * (T("u", al, i) @ T("v", be, 1))
                           for al in rng2 for be in rng2)
-                rhs = rhs - R(x, 1, i, i, 1) / shx * (T("v", l, i) @ T("u", k, 1))
+                rhs = rhs - R(rx, 1, i, i, 1) / shx * (T("v", l, i) @ T("u", k, 1))
                 record("CD", lhs, rhs)
 
     # C A
     for k in rng2:
         lhs = T("v", k, 1) @ T("u", 1, 1)
         rhs = (np.sinh(x - eta) / shx * (T("u", 1, 1) @ T("v", k, 1))
-               + R(-x, k, 1, 1, k) / shx * (T("v", 1, 1) @ T("u", k, 1)))
+               + R(rmx, k, 1, 1, k) / shx * (T("v", 1, 1) @ T("u", k, 1)))
         record("CA", lhs, rhs)
 
     # [C, B], both printed forms
     for i in rng2:
         for l in rng2:
             lhs = T("u", i, 1) @ T("v", 1, l) - T("v", 1, l) @ T("u", i, 1)
-            rhs1 = (R(x, l, 1, 1, l) * (T("v", 1, 1) @ T("u", i, l))
-                    - R(x, i, 1, 1, i) * (T("u", 1, 1) @ T("v", i, l))) / shx
-            rhs2 = (R(-x, 1, l, l, 1) * (T("u", i, l) @ T("v", 1, 1))
-                    - R(-x, 1, i, i, 1) * (T("v", i, l) @ T("u", 1, 1))) / shx
+            rhs1 = (R(rx, l, 1, 1, l) * (T("v", 1, 1) @ T("u", i, l))
+                    - R(rx, i, 1, 1, i) * (T("u", 1, 1) @ T("v", i, l))) / shx
+            rhs2 = (R(rmx, 1, l, l, 1) * (T("u", i, l) @ T("v", 1, 1))
+                    - R(rmx, 1, i, i, 1) * (T("v", i, l) @ T("u", 1, 1))) / shx
             record("CB-a", lhs, rhs1)
             record("CB-b", lhs, rhs2)
 
@@ -312,7 +281,7 @@ def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict
     for i in rng2:
         lhs = T("u", 1, 1) @ T("v", 1, i)
         rhs = (np.sinh(x - eta) / shx * (T("v", 1, i) @ T("u", 1, 1))
-               + R(-x, 1, i, i, 1) / shx * (T("u", 1, i) @ T("v", 1, 1)))
+               + R(rmx, 1, i, i, 1) / shx * (T("u", 1, i) @ T("v", 1, 1)))
         record("AB", lhs, rhs)
 
     # D B
@@ -320,16 +289,16 @@ def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict
         for i in rng2:
             for l in rng2:
                 lhs = T("u", j, i) @ T("v", 1, l)
-                rhs = sum(R(x, al, be, i, l) / shx * (T("v", 1, be) @ T("u", j, al))
+                rhs = sum(R(rx, al, be, i, l) / shx * (T("v", 1, be) @ T("u", j, al))
                           for al in rng2 for be in rng2)
-                rhs = rhs - R(x, j, 1, 1, j) / shx * (T("u", 1, i) @ T("v", j, l))
+                rhs = rhs - R(rx, j, 1, 1, j) / shx * (T("u", 1, i) @ T("v", j, l))
                 record("DB", lhs, rhs)
 
     # B B
     for i in rng2:
         for j in rng2:
             lhs = T("u", 1, i) @ T("v", 1, j)
-            rhs = sum(R(x, al, be, i, j) / shxe * (T("v", 1, be) @ T("u", 1, al))
+            rhs = sum(R(rx, al, be, i, j) / shxe * (T("v", 1, be) @ T("u", 1, al))
                       for al in rng2 for be in rng2)
             record("BB", lhs, rhs)
 
@@ -337,7 +306,7 @@ def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict
     for i in rng2:
         for j in rng2:
             lhs = T("v", j, 1) @ T("u", i, 1)
-            rhs = sum(R(x, i, j, al, be) / shxe * (T("u", al, 1) @ T("v", be, 1))
+            rhs = sum(R(rx, i, j, al, be) / shxe * (T("u", al, 1) @ T("v", be, 1))
                       for al in rng2 for be in rng2)
             record("CC", lhs, rhs)
 
@@ -349,11 +318,11 @@ def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict
             if al == be:
                 continue
             lhs = T("u", al, al) @ T("v", be, be) - T("v", be, be) @ T("u", al, al)
-            rhs = (R(x, be, al, al, be) * (T("v", be, al) @ T("u", al, be))
-                   - R(x, al, be, be, al) * (T("u", be, al) @ T("v", al, be))) / shx
+            rhs = (R(rx, be, al, al, be) * (T("v", be, al) @ T("u", al, be))
+                   - R(rx, al, be, be, al) * (T("u", be, al) @ T("v", al, be))) / shx
             record("TT2", lhs, rhs)
             lhs = T("u", al, be) @ T("v", be, al) - T("v", be, al) @ T("u", al, be)
-            rhs = R(x, al, be, be, al) / shx * (
+            rhs = R(rx, al, be, be, al) / shx * (
                 T("v", be, be) @ T("u", al, al) - T("u", be, be) @ T("v", al, al))
             record("TT3", lhs, rhs)
 

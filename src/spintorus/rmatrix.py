@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import kron_chain
+from .tensor_core import embed_two_site
 
 
 def r_matrix(u: complex, n: int, eta: complex) -> np.ndarray:
@@ -122,32 +122,9 @@ def _rel_resid(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 def qybe_residual(n: int, eta: complex, u1: complex, u2: complex, u3: complex) -> float:
     """Yang-Baxter residual on V x V x V at spectral points u1, u2, u3."""
-    dim = n ** 3
-    eye = np.eye(n, dtype=complex)
-
-    def lift(r, spaces):
-        # embed an n^2 x n^2 matrix into factors (i, j) of a 3-fold product
-        r4 = r.reshape(n, n, n, n)
-        out = np.zeros((dim, dim), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        if r4[a, b, c, d] == 0:
-                            continue
-                        mats = [eye, eye, eye]
-                        ea = np.zeros((n, n), dtype=complex)
-                        ea[a, c] = 1.0
-                        eb = np.zeros((n, n), dtype=complex)
-                        eb[b, d] = 1.0
-                        mats[spaces[0]] = ea
-                        mats[spaces[1]] = eb
-                        out += r4[a, b, c, d] * kron_chain(mats)
-        return out
-
-    r12 = lift(r_matrix(u1 - u2, n, eta), (0, 1))
-    r13 = lift(r_matrix(u1 - u3, n, eta), (0, 2))
-    r23 = lift(r_matrix(u2 - u3, n, eta), (1, 2))
+    r12 = embed_two_site(r_matrix(u1 - u2, n, eta), 1, 2, n, 3)
+    r13 = embed_two_site(r_matrix(u1 - u3, n, eta), 1, 3, n, 3)
+    r23 = embed_two_site(r_matrix(u2 - u3, n, eta), 2, 3, n, 3)
     return _rel_resid(r12 @ r13 @ r23, r23 @ r13 @ r12)
 
 

@@ -1,10 +1,11 @@
 """Nested separation-of-variables basis built on the inhomogeneity points.
 
-A basis label is a pair of disjoint sorted site blocks: the flavor-2 block
-(sites whose theta feeds a C^2 factor in the left state) and the flavor-3
-block (C^3 factors).  Left states are bra vectors grown from the vacuum,
-right states are kets grown from the mirrored product, and the two families
-are bi-orthogonal with an explicit closed-form normalization.
+A basis label holds one disjoint sorted site block per flavor 2..n: the
+flavor-f block lists the sites whose theta feeds a C^f factor in the left
+state.  Left states are bra vectors grown from the vacuum, right states are
+kets grown from the mirrored product, and the two families are
+bi-orthogonal; for three flavors the normalization is an explicit product of
+one-flavor norms.
 
 The action of the relevant monodromy entries on a left state is a finite
 combination of neighbouring labels whose coefficients are products of sinh
@@ -22,111 +23,137 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import PoleProximityError
-from .monodromy import (conjugate_vacuum_bra, monodromy_blocks, scalar_a,
-                        scalar_d, scalar_d_l, vacuum_bra, vacuum_ket)
+from .monodromy import (monodromy_blocks, scalar_a, scalar_d, scalar_d_l,
+                        vacuum_bra, vacuum_ket)
 
 POLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BasisIndex:
-    """Sorted disjoint site blocks (1-indexed) for flavors 2 and 3."""
+    """Sorted disjoint site blocks (1-indexed), one per flavor 2..n.
 
-    block2: tuple
-    block3: tuple
+    Built from the blocks in flavor order, ``BasisIndex(b2, b3, ...)``; a
+    three-flavor label may name them, ``BasisIndex(block2=..., block3=...)``.
+    """
 
-    def __post_init__(self):
-        b2 = tuple(int(p) for p in self.block2)
-        b3 = tuple(int(p) for p in self.block3)
-        if list(b2) != sorted(b2) or list(b3) != sorted(b3):
+    blocks: tuple
+
+    def __init__(self, *blocks, block2=(), block3=()):
+        if not blocks:
+            blocks = (block2, block3)
+        elif block2 or block3:
+            raise TypeError("give the blocks either in flavor order or by name")
+        blocks = tuple(tuple(int(p) for p in b) for b in blocks)
+        if any(list(b) != sorted(b) for b in blocks):
             raise ValueError("blocks must be sorted ascending")
-        if len(set(b2) | set(b3)) != len(b2) + len(b3):
+        sites = [p for b in blocks for p in b]
+        if len(set(sites)) != len(sites):
             raise ValueError("blocks must be disjoint with distinct entries")
-        object.__setattr__(self, "block2", b2)
-        object.__setattr__(self, "block3", b3)
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def block2(self) -> tuple:
+        return self.blocks[0]
+
+    @property
+    def block3(self) -> tuple:
+        return self.blocks[1]
 
     @property
     def m2(self) -> int:
-        return len(self.block2)
+        return len(self.blocks[0])
 
     @property
     def m(self) -> int:
-        return len(self.block2) + len(self.block3)
+        return sum(len(b) for b in self.blocks)
 
     @property
     def sites(self) -> tuple:
-        """Canonical P tuple: flavor-2 block then flavor-3 block."""
-        return self.block2 + self.block3
+        """Canonical P tuple: the flavor blocks in flavor order."""
+        return sum(self.blocks, ())
 
     def complement(self, N: int) -> tuple:
         used = set(self.sites)
         return tuple(q for q in range(1, N + 1) if q not in used)
 
     def sort_key(self):
-        return (self.m, self.m2, self.sites)
+        return (self.m, tuple(len(b) for b in self.blocks), self.sites)
 
 
 def enumerate_basis(spec: ChainSpec):
-    """All 3^N labels, ordered by (m, m2, P) lexicographically."""
-    out = []
-    sites = range(1, spec.N + 1)
-    for m in range(spec.N + 1):
-        for m2 in range(m + 1):
-            labels = []
-            for b2 in combinations(sites, m2):
-                rest = [q for q in sites if q not in b2]
-                for b3 in combinations(rest, m - m2):
-                    labels.append(BasisIndex(b2, b3))
-            labels.sort(key=lambda ix: ix.sites)
-            out.extend(labels)
-    return out
+    """All n^N labels, ordered by size m, then the block sizes, then P."""
 
+    def extend(blocks, free):
+        if len(blocks) == spec.n - 1:
+            yield BasisIndex(*blocks)
+            return
+        for m in range(len(free) + 1):
+            for chosen in combinations(free, m):
+                yield from extend(blocks + (chosen,),
+                                  [q for q in free if q not in chosen])
 
-def index_positions(spec: ChainSpec) -> dict:
-    return {ix: k for k, ix in enumerate(enumerate_basis(spec))}
+    return sorted(extend((), range(1, spec.N + 1)), key=BasisIndex.sort_key)
 
 
 def left_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
-    """Bra <0| C^2(theta_{p_1}) ... C^2(theta_{p_m2}) C^3(...) ... as a row."""
-    blocks_at = lambda p: monodromy_blocks(spec.theta[p - 1], spec)
+    """Bra <0| C^2(theta_p) ... (flavor-2 block) C^3(...) ... C^n(...) as a row."""
     bra = vacuum_bra(spec)
-    for p in idx.block2:
-        bra = bra @ blocks_at(p)[1][0]
-    for p in idx.block3:
-        bra = bra @ blocks_at(p)[2][0]
+    for f, block in enumerate(idx.blocks, start=1):
+        for p in block:
+            bra = bra @ monodromy_blocks(spec.theta[p - 1], spec)[f][0]
     return bra
 
 
 def right_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
-    """Ket B_3(theta_{p_m}) ... B_3(theta_{p_{m2+1}}) B_2(...) ... |0>."""
-    blocks_at = lambda p: monodromy_blocks(spec.theta[p - 1], spec)
+    """Ket B_n(...) ... B_3(...) B_2(theta_p) ... |0>, the mirrored product."""
     ket = vacuum_ket(spec)
-    for p in idx.block2:
-        ket = blocks_at(p)[0][1] @ ket
-    for p in idx.block3:
-        ket = blocks_at(p)[0][2] @ ket
+    for f, block in enumerate(idx.blocks, start=1):
+        for p in block:
+            ket = monodromy_blocks(spec.theta[p - 1], spec)[0][f] @ ket
     return ket
 
 
-def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
-    """Closed-form bi-orthogonal normalization <idx|idx>."""
+def _site_tuple(pset, N: int) -> tuple:
+    sites = tuple(sorted(int(p) for p in pset))
+    if len(set(sites)) != len(sites):
+        raise ValueError("site indices must be distinct")
+    if sites and not (1 <= sites[0] and sites[-1] <= N):
+        raise ValueError(f"site indices outside 1..{N}")
+    return sites
+
+
+def f_factor(pset, spec: ChainSpec) -> complex:
+    """Norm of a one-flavor chain of basis states over the given sites.
+
+    Product over the set of sinh(eta) d_p(theta_p) a(theta_p) dressed by the
+    pairwise ratio sinh(delta+eta)/sinh(delta); the empty set gives 1.
+    """
+    sites = _site_tuple(pset, spec.N)
     eta = spec.eta
     th = lambda p: spec.theta[p - 1]
-    sh = np.sinh
     val = 1.0 + 0.0j
-    for k in idx.block2:
-        val *= sh(eta) * scalar_d_l(th(k), k, spec) * scalar_a(th(k), spec)
-        for l in idx.block2:
-            if l != k:
-                val *= sh(th(k) - th(l) + eta) / sh(th(k) - th(l))
-    for k in idx.block3:
-        val *= sh(eta) * scalar_d_l(th(k), k, spec) * scalar_a(th(k), spec)
-        for l in idx.block3:
-            if l != k:
-                val *= sh(th(k) - th(l) + eta) / sh(th(k) - th(l))
-        for l in idx.block2:
-            val *= sh(th(k) - th(l) - eta) / sh(th(k) - th(l))
+    for l in sites:
+        val *= np.sinh(eta) * scalar_d_l(th(l), l, spec) * scalar_a(th(l), spec)
+        for k in sites:
+            if k != l:
+                val *= np.sinh(th(l) - th(k) + eta) / np.sinh(th(l) - th(k))
     return complex(val)
+
+
+def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
+    """Closed-form bi-orthogonal normalization <idx|idx> of a three-flavor
+    label: the one-flavor norms of both blocks times the cross term
+    sinh(theta_k - theta_l - eta) / sinh(theta_k - theta_l), k in block3,
+    l in block2."""
+    if len(idx.blocks) != 2:
+        raise ValueError("the closed-form norm covers three-flavor labels only")
+    th = lambda p: spec.theta[p - 1]
+    cross = 1.0 + 0.0j
+    for k in idx.block3:
+        for l in idx.block2:
+            cross *= np.sinh(th(k) - th(l) - spec.eta) / np.sinh(th(k) - th(l))
+    return complex(f_factor(idx.block2, spec) * f_factor(idx.block3, spec) * cross)
 
 
 def gram_matrix(spec: ChainSpec) -> np.ndarray:
@@ -313,56 +340,11 @@ def decomposition_residual(op: str, u: complex, idx: BasisIndex, spec: ChainSpec
     return float(np.abs(dense - rebuilt).max()) / scale
 
 
-# ---------------------------------------------------------------------------
-# Rank-n generalization of the basis states
-# ---------------------------------------------------------------------------
-
-def enumerate_sun_basis(spec: ChainSpec):
-    """All n^N labels: tuples of n-1 disjoint sorted blocks (flavors 2..n)."""
-    out = []
-    n, N = spec.n, spec.N
-
-    def extend(blocks, available):
-        flavor = len(blocks) + 2
-        if flavor > n:
-            out.append(tuple(blocks))
-            return
-        for m in range(len(available) + 1):
-            for chosen in combinations(available, m):
-                rest = [q for q in available if q not in chosen]
-                extend(blocks + [tuple(chosen)], rest)
-
-    extend([], list(range(1, N + 1)))
-    out.sort(key=lambda blocks: (sum(len(b) for b in blocks),
-                                 tuple(len(b) for b in blocks),
-                                 tuple(q for b in blocks for q in b)))
-    return out
-
-
-def sun_left_state(blocks, spec: ChainSpec) -> np.ndarray:
-    """<0| prod_flavors prod_{p in block} C^flavor(theta_p) for rank n."""
-    bra = vacuum_bra(spec)
-    for flavor, block in enumerate(blocks, start=2):
-        for p in block:
-            bra = bra @ monodromy_blocks(spec.theta[p - 1], spec)[flavor - 1][0]
-    return bra
-
-
-def sun_right_state(blocks, spec: ChainSpec) -> np.ndarray:
-    """Mirrored product of B-entries on the vacuum for rank n."""
-    ket = vacuum_ket(spec)
-    for flavor, block in enumerate(blocks, start=2):
-        for p in block:
-            ket = monodromy_blocks(spec.theta[p - 1], spec)[0][flavor - 1] @ ket
-    return ket
-
-
-def sun_dnn_residual(u: complex, blocks, spec: ChainSpec) -> float:
+def sun_dnn_residual(u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
     """Eigen-relation of the corner entry D^n_n on a rank-n left state."""
-    bra = sun_left_state(blocks, spec)
-    top = blocks[-1]
+    bra = left_state(idx, spec)
     coeff = scalar_d(u, spec)
-    for k in top:
+    for k in idx.blocks[-1]:
         coeff *= np.sinh(u - spec.theta[k - 1] + spec.eta) / np.sinh(u - spec.theta[k - 1])
     acted = bra @ monodromy_blocks(u, spec)[spec.n - 1][spec.n - 1]
     scale = max(float(np.abs(acted).max()), 1.0)

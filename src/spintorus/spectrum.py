@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import InconsistencyError, PoleProximityError
-from .monodromy import scalar_a, scalar_d, transfer, twist_operator
+from .monodromy import scalar_a, transfer, twist_operator
 from .tensor_core import simultaneous_eigen
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -49,95 +49,118 @@ class TQSolution:
         return complex(np.exp(self.phi1))
 
 
-def _q_eval(u: complex, fam) -> complex:
-    return complex(np.prod([np.sinh(u - lam) for lam in fam]))
+def _q(x: np.ndarray, fam: np.ndarray) -> np.ndarray:
+    """prod_k sinh(x - fam_k) at every point of x: (..., M) by (..., K) -> (..., M)."""
+    return np.prod(np.sinh(x[..., :, None] - fam[..., None, :]), axis=-1)
+
+
+def _a(x: np.ndarray, theta: np.ndarray, eta: complex) -> np.ndarray:
+    """Vacuum eigenvalue a(x) = prod_l sinh(x - theta_l + eta) at every point of x."""
+    return np.prod(np.sinh(x[..., :, None] - theta + eta), axis=-1)
 
 
 def tq_lambda(u: complex, sol: TQSolution, spec: ChainSpec) -> complex:
     """Eigenvalue candidate at spectral point u from roots and coefficients."""
     eta = spec.eta
-    l1, l2, l3, l4 = sol.lambdas
-    q1, q2, q3, q4 = (_q_eval(u, fam) for fam in sol.lambdas)
+    theta = np.asarray(spec.theta)
+    x = np.array([complex(u)])
+    l1, l2, l3, l4 = np.array(sol.lambdas)
+    q1, q2, q3, q4 = (complex(_q(x, fam)[0]) for fam in (l1, l2, l3, l4))
     for name, q in (("Q1", q1), ("Q2", q2), ("Q3", q3), ("Q4", q4)):
         if abs(q) < DENOM_TOL:
             raise PoleProximityError(f"{name}(u) ~ 0 at u = {u}; evaluation refused")
-    a = scalar_a(u, spec)
-    d = scalar_d(u, spec)
+    a = complex(_a(x, theta, eta)[0])
+    d = complex(_q(x, theta)[0])
+    qm1, qp2, qm3, qp4 = (complex(_q(x + s, fam)[0]) for s, fam in
+                          ((-eta, l1), (eta, l2), (-eta, l3), (eta, l4)))
     f1 = sol.f1_plus * np.exp(u) + sol.f1_minus * np.exp(-u)
     f2 = sol.f2_minus * np.exp(-u)
     ephi = np.exp(sol.phi1)
     terms = (
-        ephi * np.exp(u) * a * _q_eval(u - eta, l1) / q2,
-        OMEGA / ephi * np.exp(-u - 2 * eta / 3) * d
-        * _q_eval(u + eta, l2) * _q_eval(u - eta, l3) / (q1 * q4),
-        OMEGA ** 2 * np.exp(-u - 4 * eta / 3) * d * _q_eval(u + eta, l4) / q3,
-        a * d * _q_eval(u - eta, l3) * f1 / (q1 * q2),
-        a * d * _q_eval(u + eta, l2) * f2 / (q3 * q4),
+        ephi * np.exp(u) * a * qm1 / q2,
+        OMEGA / ephi * np.exp(-u - 2 * eta / 3) * d * qp2 * qm3 / (q1 * q4),
+        OMEGA ** 2 * np.exp(-u - 4 * eta / 3) * d * qp4 / q3,
+        a * d * qm3 * f1 / (q1 * q2),
+        a * d * qp2 * f2 / (q3 * q4),
     )
     return complex(np.exp(u / 3) * sum(terms))
+
+
+def _vector(sol: TQSolution) -> np.ndarray:
+    """The 4N + 4 unknowns as one complex row: roots by family, then
+    f1_plus, f1_minus, f2_minus, phi1."""
+    return np.array([x for fam in sol.lambdas for x in fam]
+                    + [sol.f1_plus, sol.f1_minus, sol.f2_minus, sol.phi1],
+                    dtype=complex)
+
+
+def _residuals(z: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """Constraint values for a batch of unknown rows laid out as ``_vector``:
+    (B, 4N + 4) complex in, (B, 4N + 4) complex out.
+
+    One array sweep per call, so the differenced Jacobian costs a single
+    call for all of its columns.
+    """
+    eta = spec.eta
+    N = spec.N
+    theta = np.asarray(spec.theta)
+    lam = z[:, :4 * N].reshape(-1, 4, N)                  # (B, 4, N)
+    f1p, f1m, f2m, phi = (z[:, 4 * N + i] for i in range(4))
+    ephi = np.exp(phi)
+    l1, l2, l3, l4 = (lam[:, i, :] for i in range(4))     # (B, N) each
+
+    def a(x):
+        return _a(x, theta, eta)
+
+    def d(x):
+        return _q(x, theta)
+
+    def f1(x):
+        return f1p[:, None] * np.exp(x) + f1m[:, None] * np.exp(-x)
+
+    def f2(x):
+        return f2m[:, None] * np.exp(-x)
+
+    out = np.empty((z.shape[0], 4 * N + 4), dtype=complex)
+    out[:, 0:N] = (OMEGA / ephi[:, None] * np.exp(-l1 - 2 * eta / 3)
+                   * _q(l1 + eta, l2) / _q(l1, l4)
+                   + a(l1) * f1(l1) / _q(l1, l2))
+    out[:, N:2 * N] = (ephi[:, None] * np.exp(l2) * _q(l2 - eta, l1)
+                       + d(l2) * _q(l2 - eta, l3) * f1(l2) / _q(l2, l1))
+    out[:, 2 * N:3 * N] = (OMEGA ** 2 * np.exp(-l3 - 4 * eta / 3)
+                           * _q(l3 + eta, l4)
+                           + a(l3) * _q(l3 + eta, l2) * f2(l3) / _q(l3, l4))
+    out[:, 3 * N:4 * N] = (OMEGA / ephi[:, None] * np.exp(-l4 - 2 * eta / 3)
+                           * _q(l4 - eta, l3) / _q(l4, l1)
+                           + a(l4) * f2(l4) / _q(l4, l3))
+    ts = np.sum(theta)
+    c1, c2, c3, c4 = (np.sum(lam[:, i, :], axis=1) for i in range(4))
+    out[:, 4 * N] = (ephi * np.exp(-ts - c1 + c2)
+                     + np.exp(-2 * ts + c1 + c2 - c3) * f1p)
+    out[:, 4 * N + 1] = (OMEGA / ephi * np.exp(-2 * eta / 3 + ts - c1 + c2 + c3 - c4)
+                         + OMEGA ** 2 * np.exp(-4 * eta / 3 + ts - c3 + c4 - N * eta)
+                         + np.exp(2 * ts - N * eta)
+                         * (np.exp(-c1 - c2 + c3 + N * eta) * f1m
+                            + np.exp(c2 - c3 - c4 - N * eta) * f2m))
+    out[:, 4 * N + 2] = (OMEGA * np.exp(-ts - c3 + c4)
+                         + OMEGA ** 2 * ephi
+                         * np.exp(-2 * eta / 3 - ts - c1 + c2 + c3 - c4 + N * eta)
+                         + np.exp(-2 * ts + N * eta)
+                         * (OMEGA ** 2 * np.exp(-2 * eta / 3 + c1 + c2 - c4) * f1p
+                            + ephi * np.exp(2 * eta / 3 - c1 + c3 + c4 + N * eta) * f2m))
+    out[:, 4 * N + 3] = (np.exp(-4 * eta / 3 + ts - c1 + c2 - N * eta) / ephi
+                         + OMEGA ** 2
+                         * np.exp(-2 * eta / 3 + 2 * ts - c1 - c2 + c4 - N * eta) * f1m)
+    return out
 
 
 def bae_residuals(sol: TQSolution, spec: ChainSpec) -> np.ndarray:
     """The 4N + 4 constraint values; all vanish on a true solution.
 
     Root-family equations come first (N per family), then the four discrete
-    constraints tying together the root sums and the coefficients.  Batched
-    over each family's points; this sits in the Newton solver's inner loop.
+    constraints tying together the root sums and the coefficients.
     """
-    eta = spec.eta
-    N = spec.N
-    lam = np.array(sol.lambdas)                       # (4, N)
-    theta = np.asarray(spec.theta)
-    l1, l2, l3, l4 = lam
-    ephi = np.exp(sol.phi1)
-
-    def q(x, fam):
-        return np.prod(np.sinh(x[:, None] - fam[None, :]), axis=1)
-
-    def f1(x):
-        return sol.f1_plus * np.exp(x) + sol.f1_minus * np.exp(-x)
-
-    def f2(x):
-        return sol.f2_minus * np.exp(-x)
-
-    def a(x):
-        return np.prod(np.sinh(x[:, None] - theta[None, :] + eta), axis=1)
-
-    def d(x):
-        return np.prod(np.sinh(x[:, None] - theta[None, :]), axis=1)
-
-    out = np.empty(4 * N + 4, dtype=complex)
-    out[0:N] = (OMEGA / ephi * np.exp(-l1 - 2 * eta / 3)
-                * q(l1 + eta, l2) / q(l1, l4)
-                + a(l1) * f1(l1) / q(l1, l2))
-    out[N:2 * N] = (ephi * np.exp(l2) * q(l2 - eta, l1)
-                    + d(l2) * q(l2 - eta, l3) * f1(l2) / q(l2, l1))
-    out[2 * N:3 * N] = (OMEGA ** 2 * np.exp(-l3 - 4 * eta / 3) * q(l3 + eta, l4)
-                        + a(l3) * q(l3 + eta, l2) * f2(l3) / q(l3, l4))
-    out[3 * N:4 * N] = (OMEGA / ephi * np.exp(-l4 - 2 * eta / 3)
-                        * q(l4 - eta, l3) / q(l4, l1)
-                        + a(l4) * f2(l4) / q(l4, l3))
-    k = 4 * N
-    theta_sum = sum(spec.theta)
-    c1, c2, c3, c4 = (sum(fam) for fam in sol.lambdas)
-    out[k] = (ephi * np.exp(-theta_sum - c1 + c2)
-              + np.exp(-2 * theta_sum + c1 + c2 - c3) * sol.f1_plus)
-    out[k + 1] = (OMEGA / ephi * np.exp(-2 * eta / 3 + theta_sum - c1 + c2 + c3 - c4)
-                  + OMEGA ** 2 * np.exp(-4 * eta / 3 + theta_sum - c3 + c4 - N * eta)
-                  + np.exp(2 * theta_sum - N * eta)
-                  * (np.exp(-c1 - c2 + c3 + N * eta) * sol.f1_minus
-                     + np.exp(c2 - c3 - c4 - N * eta) * sol.f2_minus))
-    out[k + 2] = (OMEGA * np.exp(-theta_sum - c3 + c4)
-                  + OMEGA ** 2 * ephi
-                  * np.exp(-2 * eta / 3 - theta_sum - c1 + c2 + c3 - c4 + N * eta)
-                  + np.exp(-2 * theta_sum + N * eta)
-                  * (OMEGA ** 2 * np.exp(-2 * eta / 3 + c1 + c2 - c4) * sol.f1_plus
-                     + ephi * np.exp(2 * eta / 3 - c1 + c3 + c4 + N * eta) * sol.f2_minus))
-    out[k + 3] = (np.exp(-4 * eta / 3 + theta_sum - c1 + c2 - N * eta) / ephi
-                  + OMEGA ** 2
-                  * np.exp(-2 * eta / 3 + 2 * theta_sum - c1 - c2 + c4 - N * eta)
-                  * sol.f1_minus)
-    return out
+    return _residuals(_vector(sol)[None, :], spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +247,7 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
 # ---------------------------------------------------------------------------
 
 def _pack(sol: TQSolution) -> np.ndarray:
-    z = np.concatenate([np.asarray(fam, dtype=complex) for fam in sol.lambdas]
-                       + [np.array([sol.f1_plus, sol.f1_minus, sol.f2_minus,
-                                    sol.phi1], dtype=complex)])
+    z = _vector(sol)
     return np.concatenate([z.real, z.imag])
 
 
@@ -261,11 +282,9 @@ def _same_solution(a: TQSolution, b: TQSolution, tol: float = 1e-7) -> bool:
 
 
 def _denominators_clear(sol: TQSolution, floor: float = 1e-8) -> bool:
-    l1, l2, l3, l4 = sol.lambdas
-    pairs = [(l2, x) for x in l1] + [(l4, x) for x in l1] \
-        + [(l1, x) for x in l2] + [(l4, x) for x in l3] \
-        + [(l1, x) for x in l4] + [(l3, x) for x in l4]
-    return all(abs(_q_eval(x, fam)) > floor for fam, x in pairs)
+    l1, l2, l3, l4 = np.array(sol.lambdas)
+    pairs = ((l1, l2), (l1, l4), (l2, l1), (l3, l4), (l4, l1), (l4, l3))
+    return all(np.all(np.abs(_q(x, fam)) > floor) for x, fam in pairs)
 
 
 def _roots_separated(sol: TQSolution, floor: float = 1e-6) -> bool:
@@ -284,82 +303,21 @@ def _roots_separated(sol: TQSolution, floor: float = 1e-6) -> bool:
     return True
 
 
-def _residuals_packed(xs: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    """Constraint values for a batch of packed real parameter vectors.
-
-    Mirrors ``bae_residuals`` equation for equation (cross-checked against it
-    in the test suite); exists so the differenced Jacobian costs one array
-    sweep instead of one Python call per column.  Input (B, 2(4N+4)) real,
-    output (B, 2(4N+4)) real with the imaginary halves appended.
-    """
-    eta = spec.eta
-    N = spec.N
-    theta = np.asarray(spec.theta)
-    half = xs.shape[1] // 2
-    z = xs[:, :half] + 1j * xs[:, half:]                  # (B, 4N+4)
-    lam = z[:, :4 * N].reshape(-1, 4, N)                  # (B, 4, N)
-    f1p, f1m, f2m, phi = (z[:, 4 * N + i] for i in range(4))
-    ephi = np.exp(phi)
-    l1, l2, l3, l4 = (lam[:, i, :] for i in range(4))     # (B, N) each
-
-    def q(x, fam):
-        return np.prod(np.sinh(x[:, :, None] - fam[:, None, :]), axis=2)
-
-    def a(x):
-        return np.prod(np.sinh(x[:, :, None] - theta[None, None, :] + eta), axis=2)
-
-    def d(x):
-        return np.prod(np.sinh(x[:, :, None] - theta[None, None, :]), axis=2)
-
-    def f1(x):
-        return f1p[:, None] * np.exp(x) + f1m[:, None] * np.exp(-x)
-
-    def f2(x):
-        return f2m[:, None] * np.exp(-x)
-
-    out = np.empty((xs.shape[0], 4 * N + 4), dtype=complex)
-    out[:, 0:N] = (OMEGA / ephi[:, None] * np.exp(-l1 - 2 * eta / 3)
-                   * q(l1 + eta, l2) / q(l1, l4)
-                   + a(l1) * f1(l1) / q(l1, l2))
-    out[:, N:2 * N] = (ephi[:, None] * np.exp(l2) * q(l2 - eta, l1)
-                       + d(l2) * q(l2 - eta, l3) * f1(l2) / q(l2, l1))
-    out[:, 2 * N:3 * N] = (OMEGA ** 2 * np.exp(-l3 - 4 * eta / 3)
-                           * q(l3 + eta, l4)
-                           + a(l3) * q(l3 + eta, l2) * f2(l3) / q(l3, l4))
-    out[:, 3 * N:4 * N] = (OMEGA / ephi[:, None] * np.exp(-l4 - 2 * eta / 3)
-                           * q(l4 - eta, l3) / q(l4, l1)
-                           + a(l4) * f2(l4) / q(l4, l3))
-    ts = np.sum(theta)
-    c1, c2, c3, c4 = (np.sum(lam[:, i, :], axis=1) for i in range(4))
-    out[:, 4 * N] = (ephi * np.exp(-ts - c1 + c2)
-                     + np.exp(-2 * ts + c1 + c2 - c3) * f1p)
-    out[:, 4 * N + 1] = (OMEGA / ephi * np.exp(-2 * eta / 3 + ts - c1 + c2 + c3 - c4)
-                         + OMEGA ** 2 * np.exp(-4 * eta / 3 + ts - c3 + c4 - N * eta)
-                         + np.exp(2 * ts - N * eta)
-                         * (np.exp(-c1 - c2 + c3 + N * eta) * f1m
-                            + np.exp(c2 - c3 - c4 - N * eta) * f2m))
-    out[:, 4 * N + 2] = (OMEGA * np.exp(-ts - c3 + c4)
-                         + OMEGA ** 2 * ephi
-                         * np.exp(-2 * eta / 3 - ts - c1 + c2 + c3 - c4 + N * eta)
-                         + np.exp(-2 * ts + N * eta)
-                         * (OMEGA ** 2 * np.exp(-2 * eta / 3 + c1 + c2 - c4) * f1p
-                            + ephi * np.exp(2 * eta / 3 - c1 + c3 + c4 + N * eta) * f2m))
-    out[:, 4 * N + 3] = (np.exp(-4 * eta / 3 + ts - c1 + c2 - N * eta) / ephi
-                         + OMEGA ** 2
-                         * np.exp(-2 * eta / 3 + 2 * ts - c1 - c2 + c4 - N * eta) * f1m)
-    return np.concatenate([out.real, out.imag], axis=1)
-
-
 def _newton(spec: ChainSpec, x0: np.ndarray, max_iter: int, fd_step: float):
+    """Damped Newton on packed real rows: real parts of the unknowns, then
+    their imaginary parts; the residuals are packed the same way."""
+    half = len(x0) // 2
 
-    def fval(x):
+    def fvals(xs):
         # wild trial steps overflow exp/sinh freely; non-finite output just
         # marks the step as rejected
         with np.errstate(all="ignore"):
-            r = _residuals_packed(x[None, :], spec)[0]
-        if not np.all(np.isfinite(r)):
-            return None
-        return r
+            r = _residuals(xs[:, :half] + 1j * xs[:, half:], spec)
+        return np.concatenate([r.real, r.imag], axis=1)
+
+    def fval(x):
+        r = fvals(x[None, :])[0]
+        return r if np.all(np.isfinite(r)) else None
 
     x = x0.copy()
     f = fval(x)
@@ -370,8 +328,7 @@ def _newton(spec: ChainSpec, x0: np.ndarray, max_iter: int, fd_step: float):
         fnorm = float(np.abs(f).max())
         if fnorm < 1e-13:
             break
-        with np.errstate(all="ignore"):
-            fp = _residuals_packed(x[None, :] + fd_step * np.eye(dim), spec)
+        fp = fvals(x[None, :] + fd_step * np.eye(dim))
         if not np.all(np.isfinite(fp)):
             break
         jac = (fp - f[None, :]).T / fd_step
@@ -459,17 +416,16 @@ def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
     def seed_coefficients(lams, phi1):
         # the residual system is affine in (f1+, f1-, f2-); start each run at
         # the least-squares coefficient choice for its random roots so only
-        # the root positions have to be corrected
-        def resid(fp, fm, g):
-            sol = TQSolution(lambdas=lams, f1_plus=fp, f1_minus=fm,
-                             f2_minus=g, phi1=phi1)
-            with np.errstate(all="ignore"):
-                return bae_residuals(sol, spec)
-        b = resid(0, 0, 0)
-        cols = [resid(1, 0, 0) - b, resid(0, 1, 0) - b, resid(0, 0, 1) - b]
-        if not all(np.all(np.isfinite(c)) for c in cols + [b]):
+        # the root positions have to be corrected.  Probe rows: all three
+        # coefficients zero, then each one set to 1.
+        probes = np.tile(_vector(TQSolution(lambdas=lams, f1_plus=0, f1_minus=0,
+                                            f2_minus=0, phi1=phi1)), (4, 1))
+        probes[1:, 4 * spec.N:4 * spec.N + 3] = np.eye(3)
+        with np.errstate(all="ignore"):
+            r = _residuals(probes, spec)
+        if not np.all(np.isfinite(r)):
             return None
-        f, *_ = np.linalg.lstsq(np.array(cols).T, -b, rcond=None)
+        f, *_ = np.linalg.lstsq((r[1:] - r[0]).T, -r[0], rcond=None)
         return f if np.all(np.isfinite(f)) else None
 
     # (imag half-width, phase style) triples cycled per seed

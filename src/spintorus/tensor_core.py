@@ -48,6 +48,24 @@ def embed_site_operator(a: np.ndarray, site: int, spec: ChainSpec) -> np.ndarray
     return kron_chain([left, a, right])
 
 
+def embed_two_site(op: np.ndarray, i: int, j: int, n: int, N: int) -> np.ndarray:
+    """sum_{abcd} op[ab, cd] E^{ac}_i E^{bd}_j on an N-site chain.
+
+    The first tensor factor of the n^2 x n^2 operator ``op`` acts on site i,
+    the second on site j (1-indexed); for i == j the two matrix units
+    multiply on that one site.
+    """
+    op4 = np.asarray(op, dtype=complex).reshape(n, n, n, n)
+    eye = np.eye(n, dtype=complex)
+    out = np.zeros((n ** N, n ** N), dtype=complex)
+    for a, b, c, d in zip(*np.nonzero(op4)):
+        mats = [eye] * N
+        mats[j - 1] = site_matrix_unit(n, b + 1, d + 1)
+        mats[i - 1] = site_matrix_unit(n, a + 1, c + 1) @ mats[i - 1]
+        out += op4[a, b, c, d] * kron_chain(mats)
+    return out
+
+
 def basis_vector(occupations, spec: ChainSpec) -> np.ndarray:
     """Product state |i_1, ..., i_N> as a dense vector (entries 1-indexed)."""
     if len(occupations) != spec.N:

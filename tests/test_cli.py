@@ -230,6 +230,19 @@ def test_main_config_errors_exit_2(tmp_path, mapping, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum", "bae",
+                                     "reconstruct", "homog"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_main_refuses_unsupported_rank(tmp_path, capsys, command, n):
+    cfile = _write_config(tmp_path, {"n": n})
+    assert main([command, "--config", cfile,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error" in err and f"n = {n} is not supported" in err
+    assert "n = 3" in err
+    assert not (tmp_path / f"{command}_report.json").exists()
+
+
 def test_main_missing_and_malformed_config(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["verify", "--config", missing,

@@ -204,6 +204,10 @@ def test_gauge_normalization():
     assert abs(out[1].imag) < 1e-14 and out[1].real > 0
     with pytest.raises(ValueError):
         normalize_gauge(np.zeros(3, dtype=complex))
+    with pytest.raises(DegenerateNormalizationError):
+        normalize_gauge(np.zeros(3, dtype=complex))
+    with pytest.raises(DegenerateNormalizationError, match="threshold"):
+        normalize_gauge(np.ones(3), tol=2.0)
 
 
 def test_uniform_closed_form_is_transfer_eigenvector():
@@ -245,6 +249,25 @@ def test_uniform_limit_study_converges(spec2):
         assert fam.monotone and not fam.degenerate
         assert fam.angle_eigenvector < 1e-4
         assert fam.angle_closed_form < 1e-4
+
+
+def test_uniform_limit_study_marks_only_typed_failures_degenerate(monkeypatch):
+    import spintorus.eigenstate as eigenstate
+
+    def refuse(*args):
+        raise DegenerateNormalizationError("eigenvalue vanishes")
+
+    monkeypatch.setattr(eigenstate, "reconstruct", refuse)
+    study = homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
+    assert len(study.families) == 3
+    assert all(f.degenerate and not f.distances for f in study.families)
+
+    def broken(*args):
+        raise ValueError("unrelated defect")
+
+    monkeypatch.setattr(eigenstate, "reconstruct", broken)
+    with pytest.raises(ValueError, match="unrelated defect"):
+        homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
 
 
 def test_uniform_limit_study_rejects_degenerate_direction():

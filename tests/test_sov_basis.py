@@ -8,10 +8,9 @@ from spintorus.monodromy import (monodromy_blocks, scalar_d, vacuum_bra,
                                  vacuum_ket)
 from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
                                  decomposition_residual, enumerate_basis,
-                                 enumerate_sun_basis, g_factor, gram_matrix,
+                                 g_factor, gram_matrix,
                                  identity_resolution_residual, left_state,
                                  right_state, sun_dnn_residual,
-                                 sun_left_state, sun_right_state,
                                  verify_orthogonality)
 
 SINH2_05 = 0.27154031740762189     # 50-digit sinh(0.5)^2
@@ -152,28 +151,47 @@ def test_annihilation_expansion_via_projection(spec2, rng):
             assert abs(projected - claimed) < 1e-9 * max(abs(claimed), 1.0)
 
 
-def test_rank_generalization_reduces_to_default(spec2):
-    labels = enumerate_sun_basis(spec2)
-    assert len(labels) == 9
-    by_blocks = {(ix.block2, ix.block3): ix for ix in enumerate_basis(spec2)}
-    for blocks in labels:
-        idx = by_blocks[(blocks[0], blocks[1])]
-        assert_allclose(sun_left_state(blocks, spec2),
-                        left_state(idx, spec2), atol=1e-13)
-        assert_allclose(sun_right_state(blocks, spec2),
-                        right_state(idx, spec2), atol=1e-13)
+def _check_rank_n_basis(spec, rng):
+    # n^N labels with one block per flavor 2..n, a Gram matrix of full rank,
+    # and every left state an eigenvector of the corner entry D^n_n
+    labels = enumerate_basis(spec)
+    assert len(labels) == spec.n ** spec.N
+    assert len(set(labels)) == len(labels)
+    assert all(len(ix.blocks) == spec.n - 1 for ix in labels)
+    assert labels == sorted(labels, key=BasisIndex.sort_key)
+    lmat = np.array([left_state(ix, spec) for ix in labels])
+    rmat = np.array([right_state(ix, spec) for ix in labels]).T
+    assert np.linalg.matrix_rank(lmat @ rmat) == spec.dim
+    for _ in range(2):
+        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for ix in labels:
+            assert sun_dnn_residual(u, ix, spec) < 1e-11
+
+
+def test_rank_generalization_reduces_to_default(rng):
+    # two flavors: a single block per label, the states of a one-flavor chain
+    spec = default_spec(n=2, N=3)
+    _check_rank_n_basis(spec, rng)
+    assert [ix.blocks for ix in enumerate_basis(default_spec(n=2, N=2))] == \
+        [((),), ((1,),), ((2,),), ((1, 2),)]
 
 
 def test_rank_four_basis(rng):
     spec = ChainSpec(n=4, N=2, eta=0.5,
                      theta=(0.13 + 0.07j, 0.26 + 0.14j))
-    labels = enumerate_sun_basis(spec)
-    assert len(labels) == 16
-    lmat = np.array([sun_left_state(b, spec) for b in labels])
-    rmat = np.array([sun_right_state(b, spec) for b in labels]).T
-    gram = lmat @ rmat
-    assert np.linalg.matrix_rank(gram) == 16
-    for _ in range(2):
-        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        for blocks in labels:
-            assert sun_dnn_residual(u, blocks, spec) < 1e-11
+    _check_rank_n_basis(spec, rng)
+    three = BasisIndex((1,), (), (2,))
+    assert three.sites == (1, 2) and three.sort_key() == (2, (1, 0, 1), (1, 2))
+
+
+def test_three_flavor_labels_by_name(spec2):
+    idx = BasisIndex(block2=(2,), block3=(1,))
+    assert idx == BasisIndex((2,), (1,))
+    assert (idx.block2, idx.block3, idx.m2, idx.m, idx.sites) == \
+        ((2,), (1,), 1, 2, (2, 1))
+    with pytest.raises(ValueError, match="disjoint"):
+        BasisIndex(block2=(1,), block3=(1,))
+    with pytest.raises(TypeError):
+        BasisIndex((1,), block3=(2,))
+    with pytest.raises(ValueError, match="three-flavor"):
+        g_factor(BasisIndex((1,)), default_spec(n=2, N=2))

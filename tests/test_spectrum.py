@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.monodromy import scalar_a
 from spintorus.spectrum import (OMEGA, TQSolution, _canonical, _newton,
-                                _pack, _q_eval, _residuals_packed,
-                                _roots_separated, _same_solution,
+                                _pack, _residuals, _roots_separated,
+                                _same_solution, _vector,
                                 bae_residuals, brute_force_spectrum,
                                 eigen_residual_at, eigenvalue_at, solve_bae,
                                 tq_lambda, z_charge)
@@ -54,8 +54,8 @@ def test_parametrized_eigenvalue_at_inhomogeneity_point(spec1, bae1):
     sol = bae1.solutions[0]
     t1 = spec1.theta[0]
     term1 = (np.exp(t1 / 3) * sol.exp_phi1 * np.exp(t1) * scalar_a(t1, spec1)
-             * _q_eval(t1 - spec1.eta, sol.lambdas[0])
-             / _q_eval(t1, sol.lambdas[1]))
+             * np.prod([np.sinh(t1 - spec1.eta - x) for x in sol.lambdas[0]])
+             / np.prod([np.sinh(t1 - x) for x in sol.lambdas[1]]))
     assert abs(tq_lambda(t1, sol, spec1) - term1) < 1e-12
 
 
@@ -86,22 +86,21 @@ def test_perturbed_root_breaks_first_constraint(spec1, bae1):
     assert np.abs(resid[:spec1.N]).max() > 1e-6
 
 
-def test_batched_residuals_match_reference(spec2, rng):
-    # the batched evaluator used for Jacobians must agree equation for
-    # equation with the reference implementation
-    for _ in range(5):
-        lams = tuple(tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-                     for _ in range(4))
-        sol = TQSolution(lambdas=lams,
-                         f1_plus=complex(*rng.standard_normal(2)),
-                         f1_minus=complex(*rng.standard_normal(2)),
-                         f2_minus=complex(*rng.standard_normal(2)),
-                         phi1=complex(*rng.standard_normal(2)))
-        reference = bae_residuals(sol, spec2)
-        packed = _residuals_packed(_pack(sol)[None, :], spec2)[0]
-        half = len(packed) // 2
-        assert_allclose(packed[:half] + 1j * packed[half:], reference,
-                        atol=1e-12, rtol=1e-10)
+def test_batched_residuals_match_reference(spec1, spec2, rng):
+    # one batched call (as in the Jacobian and the coefficient seeding) gives,
+    # row for row, the constraint values of the single-solution entry point
+    for spec in (spec1, spec2):
+        N = spec.N
+        sols = []
+        for _ in range(6):
+            lams = tuple(tuple(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+                         for _ in range(4))
+            coeffs = [complex(*rng.standard_normal(2)) for _ in range(4)]
+            sols.append(TQSolution(lams, *coeffs))
+        batch = _residuals(np.array([_vector(sol) for sol in sols]), spec)
+        assert batch.shape == (len(sols), 4 * N + 4)
+        for row, sol in zip(batch, sols):
+            assert_allclose(row, bae_residuals(sol, spec), rtol=1e-13, atol=1e-13)
 
 
 def test_collision_filter():
