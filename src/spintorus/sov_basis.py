@@ -17,7 +17,7 @@ inhomogeneity points themselves come out exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -82,18 +82,26 @@ class BasisIndex:
 
 
 def enumerate_basis(spec: ChainSpec):
-    """All n^N labels, ordered by size m, then the block sizes, then P."""
+    """All n^N labels, ordered by size m, then the block sizes, then P.
 
-    def extend(blocks, free):
-        if len(blocks) == spec.n - 1:
-            yield BasisIndex(*blocks)
+    Each loop below runs in that order already (lexicographic block sizes,
+    lexicographic combinations block by block), so nothing is sorted.
+    """
+
+    def fill(sizes, free):
+        if not sizes:
+            yield ()
             return
-        for m in range(len(free) + 1):
-            for chosen in combinations(free, m):
-                yield from extend(blocks + (chosen,),
-                                  [q for q in free if q not in chosen])
+        for chosen in combinations(free, sizes[0]):
+            rest = [q for q in free if q not in chosen]
+            for tail in fill(sizes[1:], rest):
+                yield (chosen,) + tail
 
-    return sorted(extend((), range(1, spec.N + 1)), key=BasisIndex.sort_key)
+    return [BasisIndex(*blocks)
+            for m in range(spec.N + 1)
+            for sizes in product(range(m + 1), repeat=spec.n - 1)
+            if sum(sizes) == m
+            for blocks in fill(sizes, range(1, spec.N + 1))]
 
 
 def left_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
@@ -129,7 +137,11 @@ def f_factor(pset, spec: ChainSpec) -> complex:
     Product over the set of sinh(eta) d_p(theta_p) a(theta_p) dressed by the
     pairwise ratio sinh(delta+eta)/sinh(delta); the empty set gives 1.
     """
-    sites = _site_tuple(pset, spec.N)
+    return _one_flavor_norm(_site_tuple(pset, spec.N), spec)
+
+
+def _one_flavor_norm(sites: tuple, spec: ChainSpec) -> complex:
+    """f_factor on sites already checked: sorted, distinct, within 1..N."""
     eta = spec.eta
     th = lambda p: spec.theta[p - 1]
     val = 1.0 + 0.0j
@@ -153,7 +165,8 @@ def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
     for k in idx.block3:
         for l in idx.block2:
             cross *= np.sinh(th(k) - th(l) - spec.eta) / np.sinh(th(k) - th(l))
-    return complex(f_factor(idx.block2, spec) * f_factor(idx.block3, spec) * cross)
+    return complex(_one_flavor_norm(idx.block2, spec)
+                   * _one_flavor_norm(idx.block3, spec) * cross)
 
 
 def gram_matrix(spec: ChainSpec) -> np.ndarray:

@@ -55,6 +55,8 @@ def embed_two_site(op: np.ndarray, i: int, j: int, n: int, N: int) -> np.ndarray
     the second on site j (1-indexed); for i == j the two matrix units
     multiply on that one site.
     """
+    if not (1 <= i <= N and 1 <= j <= N):
+        raise ValueError(f"sites ({i}, {j}) outside 1..{N}")
     op4 = np.asarray(op, dtype=complex).reshape(n, n, n, n)
     eye = np.eye(n, dtype=complex)
     out = np.zeros((n ** N, n ** N), dtype=complex)

@@ -7,8 +7,9 @@ from spintorus.chain import default_spec
 from spintorus.errors import NonGenericSpecError
 from spintorus.rmatrix import twist_matrix
 from spintorus.tensor_core import (basis_vector, bilinear_pair,
-                                   embed_site_operator, kron_chain,
-                                   simultaneous_eigen, site_matrix_unit)
+                                   embed_site_operator, embed_two_site,
+                                   kron_chain, simultaneous_eigen,
+                                   site_matrix_unit)
 
 
 def test_embed_identity_any_site():
@@ -44,6 +45,21 @@ def test_embeddings_at_distinct_sites_commute(rng):
     oa = embed_site_operator(a, 1, spec)
     ob = embed_site_operator(b, 3, spec)
     assert np.abs(oa @ ob - ob @ oa).max() < 1e-13
+
+
+def test_two_site_embedding_against_single_site_products(rng):
+    # a product operator a (x) b on sites (i, j) is embed(a, i) embed(b, j);
+    # on one site (i == j) the two factors multiply there
+    spec = default_spec(N=3)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            got = embed_two_site(np.kron(a, b), i, j, 3, 3)
+            want = embed_site_operator(a, i, spec) @ embed_site_operator(b, j, spec)
+            assert np.abs(got - want).max() < 1e-13
+    with pytest.raises(ValueError, match="outside"):
+        embed_two_site(np.kron(a, b), 0, 2, 3, 3)
 
 
 def test_bilinear_pair_basis_cases():
