@@ -44,10 +44,10 @@ class BasisIndex:
             blocks = (block2, block3)
         elif block2 or block3:
             raise TypeError("give the blocks either in flavor order or by name")
-        blocks = tuple(tuple(int(p) for p in b) for b in blocks)
+        blocks = tuple(tuple(map(int, b)) for b in blocks)
         if any(list(b) != sorted(b) for b in blocks):
             raise ValueError("blocks must be sorted ascending")
-        sites = [p for b in blocks for p in b]
+        sites = sum(blocks, ())
         if len(set(sites)) != len(sites):
             raise ValueError("blocks must be disjoint with distinct entries")
         object.__setattr__(self, "blocks", blocks)
@@ -90,12 +90,9 @@ def enumerate_basis(spec: ChainSpec):
 
     def fill(sizes, free):
         if not sizes:
-            yield ()
-            return
-        for chosen in combinations(free, sizes[0]):
-            rest = [q for q in free if q not in chosen]
-            for tail in fill(sizes[1:], rest):
-                yield (chosen,) + tail
+            return [()]
+        return [(chosen,) + tail for chosen in combinations(free, sizes[0])
+                for tail in fill(sizes[1:], [q for q in free if q not in chosen])]
 
     return [BasisIndex(*blocks)
             for m in range(spec.N + 1)
