@@ -184,7 +184,7 @@ def test_rank_four_basis(rng):
     assert three.sites == (1, 2) and three.sort_key() == (2, (1, 0, 1), (1, 2))
 
 
-def test_three_flavor_labels_by_name(spec2):
+def test_three_flavor_labels_by_name():
     idx = BasisIndex(block2=(2,), block3=(1,))
     assert idx == BasisIndex((2,), (1,))
     assert (idx.block2, idx.block3, idx.m2, idx.m, idx.sites) == \
