@@ -3,11 +3,10 @@ numerically unchanged.
 
 The files under ``tests/golden/`` were written by ``run(command,
 load_config({"N": N}))`` for ``verify``, ``spectrum`` and ``reconstruct`` at
-N = 1..3 and for ``homog`` at N = 2. A fresh report must have the same
-structure (keys in the same order, lists of the same length, equal strings,
-booleans and nulls) and every number within 1e-12 * max(1, |golden|).
-``bae`` is covered by acceptance criterion 6 instead: its two-site search
-takes about a minute.
+N = 1..3, for ``homog`` at N = 2 and for ``bae`` at N = 1, 2. A fresh report
+must have the same structure (keys in the same order, lists of the same
+length, equal strings, booleans and nulls) and every number within
+1e-12 * max(1, |golden|).
 """
 import json
 from pathlib import Path
@@ -18,7 +17,7 @@ from spintorus.cli import load_config, run
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [(cmd, N) for cmd in ("verify", "spectrum", "reconstruct")
-         for N in (1, 2, 3)] + [("homog", 2)]
+         for N in (1, 2, 3)] + [("homog", 2), ("bae", 1), ("bae", 2)]
 REL_TOL = 1e-12
 
 
