@@ -25,7 +25,8 @@ from .eigenstate import (HomogFamily, HomogStudy, closed_form_two_site,
                          scalar_product_table)
 from .errors import (DegenerateNormalizationError, DegeneracyError,
                      DenseBudgetError, InconsistencyError,
-                     NonGenericSpecError, PoleProximityError, SpinTorusError)
+                     NonGenericSpecError, PoleProximityError, SpinTorusError,
+                     UnsupportedRankError)
 from .monodromy import (exchange_relation_residuals, global_hamiltonian,
                         homogeneous_transfer, monodromy_blocks,
                         monodromy_entry, op_A, op_B, op_C, op_D,
@@ -52,8 +53,8 @@ __all__ = [
     "CHECK_NAMES", "DegenerateNormalizationError", "DegeneracyError",
     "DenseBudgetError", "HomogFamily", "HomogStudy", "InconsistencyError",
     "NonGenericSpecError", "PoleProximityError", "SpectralRecord",
-    "SpinTorusError", "TQSolution", "act_on_bra", "bae_residuals",
-    "basis_vector", "bilinear_pair", "brute_force_spectrum",
+    "SpinTorusError", "TQSolution", "UnsupportedRankError", "act_on_bra",
+    "bae_residuals", "basis_vector", "bilinear_pair", "brute_force_spectrum",
     "closed_form_two_site", "crossing_residual", "decomposition_residual",
     "default_spec", "eigen_residual_at", "eigenvalue_at",
     "embed_site_operator", "enumerate_basis", "exchange_relation_residuals",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
+from .errors import UnsupportedRankError
 from .monodromy import (exchange_relation_residuals, monodromy_blocks,
                         product_identity_residual, scalar_a, scalar_d,
                         transfer, vacuum_bra, vacuum_ket,
@@ -191,7 +192,12 @@ def run_checks(spec: ChainSpec, names=None, tolerances=None,
 
     ``names`` selects a subset (default: all, in registry order);
     ``tolerances`` maps check names to overrides of the default thresholds.
+    The checks certify the three-flavor chain; any other rank is refused
+    with ``UnsupportedRankError`` before a check runs.
     """
+    if spec.n != 3:
+        raise UnsupportedRankError(
+            f"run_checks covers the three-flavor chain only (n = 3), got n = {spec.n}")
     tolerances = dict(tolerances or {})
     if names is None:
         names = CHECK_NAMES

@@ -28,3 +28,7 @@ class DegeneracyError(SpinTorusError, RuntimeError):
 
 class InconsistencyError(SpinTorusError, RuntimeError):
     """Two independent determinations of the same quantity disagree."""
+
+
+class UnsupportedRankError(SpinTorusError, ValueError):
+    """The operation covers the three-flavor chain only."""

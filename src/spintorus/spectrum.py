@@ -25,6 +25,13 @@ U_PROBES = (0.377 + 0.511j, -0.291 + 0.173j)
 
 DENOM_TOL = 1e-12
 
+# Rows per ``_residuals`` call inside the Newton search (see _packed_residuals).
+RESIDUAL_CHUNK = 4096
+
+# Why a Newton start stopped: the keys of BaeSolveResult.newton_exits.
+NEWTON_EXITS = ("converged", "nonfinite_start", "nonfinite_jacobian",
+                "singular_jacobian", "stalled", "max_iter")
+
 
 @dataclass(frozen=True)
 class TQSolution:
@@ -179,15 +186,18 @@ class SpectralRecord:
     residual: float
 
 
+def _eigenvalue_of(record: SpectralRecord, t: np.ndarray) -> complex:
+    return complex((record.dual @ (t @ record.vector)) / (record.dual @ record.vector))
+
+
 def eigenvalue_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> complex:
     """Transfer eigenvalue of this record at any spectral point."""
-    t = transfer(u, spec)
-    return complex((record.dual @ (t @ record.vector)) / (record.dual @ record.vector))
+    return _eigenvalue_of(record, transfer(u, spec))
 
 
 def eigen_residual_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> float:
     t = transfer(u, spec)
-    lam = eigenvalue_at(record, u, spec)
+    lam = _eigenvalue_of(record, t)
     scale = max(float(np.abs(t).max()), 1.0) * float(np.abs(record.vector).max())
     return float(np.abs(t @ record.vector - lam * record.vector).max()) / scale
 
@@ -303,52 +313,102 @@ def _roots_separated(sol: TQSolution, floor: float = 1e-6) -> bool:
     return True
 
 
+def _packed_residuals(xs: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """``_residuals`` on packed real rows (real parts of the unknowns, then
+    their imaginary parts), packed the same way.
+
+    Rows go through ``_residuals`` at most ``RESIDUAL_CHUNK`` at a time: up
+    to that size every row is bit-identical to the same row evaluated alone,
+    so a start's trajectory does not depend on which other starts share its
+    batch (numpy 2.4 drifts at the last bit from 16384 rows on).
+    """
+    half = xs.shape[1] // 2
+    out = np.empty_like(xs)
+    # wild trial steps overflow exp/sinh freely; a non-finite row just marks
+    # the step as rejected
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(xs), RESIDUAL_CHUNK):
+            chunk = xs[lo:lo + RESIDUAL_CHUNK]
+            r = _residuals(chunk[:, :half] + 1j * chunk[:, half:], spec)
+            out[lo:lo + RESIDUAL_CHUNK, :half] = r.real
+            out[lo:lo + RESIDUAL_CHUNK, half:] = r.imag
+    return out
+
+
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
+    """Solve a stack of Newton systems; returns the steps and a mask of the
+    systems that were solvable.  A singular system fails only itself."""
+    try:
+        return (np.linalg.solve(jac, rhs[:, :, None])[:, :, 0],
+                np.ones(len(rhs), dtype=bool))
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(rhs)
+        solved = np.ones(len(rhs), dtype=bool)
+        for k in range(len(rhs)):
+            try:
+                steps[k] = np.linalg.solve(jac[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return steps, solved
+
+
 def _newton(spec: ChainSpec, x0: np.ndarray, max_iter: int, fd_step: float):
-    """Damped Newton on packed real rows: real parts of the unknowns, then
-    their imaginary parts; the residuals are packed the same way."""
-    half = len(x0) // 2
+    """Damped Newton on a stack of packed real rows (S, 2m), all starts in
+    lockstep; the residuals are packed the same way.
 
-    def fvals(xs):
-        # wild trial steps overflow exp/sinh freely; non-finite output just
-        # marks the step as rejected
-        with np.errstate(all="ignore"):
-            r = _residuals(xs[:, :half] + 1j * xs[:, half:], spec)
-        return np.concatenate([r.real, r.imag], axis=1)
-
-    def fval(x):
-        r = fvals(x[None, :])[0]
-        return r if np.all(np.isfinite(r)) else None
-
-    x = x0.copy()
-    f = fval(x)
-    if f is None:
-        return x, np.inf
-    dim = len(x)
+    Each start runs the arithmetic it would run alone: a forward-difference
+    Jacobian, a full step halved up to 14 times until the residual max-norm
+    drops by the factor (1 - 1e-4 t), and a stop below 1e-13.  A start leaves
+    the batch when it stops.  Returns the final rows, their residual
+    max-norms (inf for a non-finite start) and each start's exit class from
+    ``NEWTON_EXITS``.
+    """
+    x = np.array(x0, dtype=float)
+    dim = x.shape[1]
+    f = _packed_residuals(x, spec)
+    fnorm = np.abs(f).max(axis=1)
+    exits = np.full(len(x), "max_iter", dtype=object)
+    finite = np.isfinite(f).all(axis=1)
+    fnorm[~finite] = np.inf
+    exits[~finite] = "nonfinite_start"
+    active = np.flatnonzero(finite)
+    shifts = fd_step * np.eye(dim)
     for _ in range(max_iter):
-        fnorm = float(np.abs(f).max())
-        if fnorm < 1e-13:
+        done = fnorm[active] < 1e-13
+        exits[active[done]] = "converged"
+        active = active[~done]
+        if not active.size:
             break
-        fp = fvals(x[None, :] + fd_step * np.eye(dim))
-        if not np.all(np.isfinite(fp)):
-            break
-        jac = (fp - f[None, :]).T / fd_step
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-        improved = False
+        fa = f[active]
+        fp = _packed_residuals((x[active][:, None, :] + shifts).reshape(-1, dim),
+                               spec).reshape(-1, dim, dim)
+        ok = np.isfinite(fp).all(axis=(1, 2))
+        exits[active[~ok]] = "nonfinite_jacobian"
+        active, fa, fp = active[ok], fa[ok], fp[ok]
+        jac = (fp - fa[:, None, :]).transpose(0, 2, 1) / fd_step
+        step, solved = _newton_steps(jac, -fa)
+        exits[active[~solved]] = "singular_jacobian"
+        active, step = active[solved], step[solved]
+        # backtracking line search, one batched trial per halving
+        searching = np.arange(len(active))
         t = 1.0
         for _ in range(14):
-            xn = x + t * step
-            fn = fval(xn)
-            if fn is not None and np.abs(fn).max() < (1 - 1e-4 * t) * fnorm:
-                x, f = xn, fn
-                improved = True
+            rows = active[searching]
+            xn = x[rows] + t * step[searching]
+            fn = _packed_residuals(xn, spec)
+            fn_norm = np.abs(fn).max(axis=1)
+            good = np.isfinite(fn).all(axis=1)
+            good[good] = fn_norm[good] < (1 - 1e-4 * t) * fnorm[rows[good]]
+            x[rows[good]], f[rows[good]] = xn[good], fn[good]
+            fnorm[rows[good]] = fn_norm[good]
+            searching = searching[~good]
+            if not searching.size:
                 break
             t *= 0.5
-        if not improved:
-            break
-    return x, float(np.abs(f).max())
+        exits[active[searching]] = "stalled"
+        active = np.delete(active, searching)
+    exits[active[fnorm[active] < 1e-13]] = "converged"
+    return x, fnorm, exits
 
 
 @dataclass
@@ -364,6 +424,7 @@ class BaeSolveResult:
     n_seeds: int = 0
     n_converged: int = 0
     n_collided: int = 0      # converged onto a repeated-root configuration
+    newton_exits: dict = field(default_factory=dict)  # NEWTON_EXITS -> count
 
 
 def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
@@ -380,7 +441,9 @@ def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
     only if their eigenvalue function reproduces a brute-force record at
     every inhomogeneity point; the fraction of records so covered is
     reported, not asserted.  Exhaustive coverage is only attempted for
-    N <= 2.
+    N <= 2.  All starts are drawn first and then advance in lockstep; each
+    ends exactly where it would end alone.  ``newton_exits`` counts why the
+    starts stopped.
     """
     if spec.N > 2:
         raise ValueError("root search is limited to N <= 2 chains")
@@ -430,6 +493,7 @@ def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
 
     # (imag half-width, phase style) triples cycled per seed
     styles = ((1.0, 0), (np.pi, 1), (1.0, 1))
+    starts = []
     for s in range(n_seeds):
         imag_hw, style = styles[s % len(styles)]
         lams = tuple(family(imag_hw) for _ in range(4))
@@ -437,11 +501,15 @@ def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
         f = seed_coefficients(lams, phi1)
         if f is None:
             f = np.array([disk(), disk(), disk()])
-        seed = TQSolution(lambdas=lams, f1_plus=complex(f[0]),
-                          f1_minus=complex(f[1]), f2_minus=complex(f[2]),
-                          phi1=phi1)
-        x, resid = _newton(spec, _pack(seed), max_iter, fd_step)
-        result.seed_residuals.append(resid)
+        starts.append(_pack(TQSolution(lambdas=lams, f1_plus=complex(f[0]),
+                                       f1_minus=complex(f[1]),
+                                       f2_minus=complex(f[2]), phi1=phi1)))
+    x0 = np.reshape(starts, (n_seeds, 8 * spec.N + 8))
+    xs, resids, exits = _newton(spec, x0, max_iter, fd_step)
+    result.seed_residuals = [float(r) for r in resids]
+    result.newton_exits = {name: int(np.count_nonzero(exits == name))
+                           for name in NEWTON_EXITS}
+    for x, resid in zip(xs, resids):
         if not (resid < accept_tol):
             continue
         result.n_converged += 1

@@ -1,7 +1,9 @@
 """Certificate check registry: vocabulary, selection, and tolerance wiring."""
 import pytest
 
+from spintorus.chain import default_spec
 from spintorus.checks import CHECK_NAMES, run_checks
+from spintorus.errors import UnsupportedRankError
 
 EXPECTED_NAMES = (
     "QYBE",
@@ -55,3 +57,11 @@ def test_results_are_frozen(spec2):
     results = run_checks(spec2, names=("QYBE",), rng_seed=20240229)
     with pytest.raises(AttributeError):
         results[0].passed = False
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_other_ranks_refused_up_front(n):
+    # refused before any check runs, also for a subset that would pass
+    for names in (None, ("QYBE",)):
+        with pytest.raises(UnsupportedRankError, match="n = 3"):
+            run_checks(default_spec(n=n, N=2), names=names)

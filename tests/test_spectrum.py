@@ -1,13 +1,16 @@
 """Reference spectra, eigenvalue parametrization, and the root search."""
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+import spintorus.spectrum as spectrum_module
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.monodromy import scalar_a
-from spintorus.spectrum import (OMEGA, TQSolution, _canonical, _newton,
-                                _pack, _residuals, _roots_separated,
-                                _same_solution, _vector,
+from spintorus.monodromy import scalar_a, transfer
+from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
+                                TQSolution, _canonical, _newton,
+                                _newton_steps, _pack, _packed_residuals,
+                                _residuals,
+                                _roots_separated, _same_solution, _vector,
                                 bae_residuals, brute_force_spectrum,
                                 eigen_residual_at, eigenvalue_at, solve_bae,
                                 tq_lambda, z_charge)
@@ -47,6 +50,25 @@ def test_eigenvalue_functional_consistency(spec2, records2, rng):
             assert abs(eigenvalue_at(rec, t, spec2) - rec.lambda_theta[j]) < 1e-10
         u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         assert eigen_residual_at(rec, u, spec2) < 1e-11
+
+
+def test_eigen_residual_builds_transfer_once(spec2, records2, monkeypatch):
+    u = 0.31 - 0.22j
+    rec = records2[4]
+    t = transfer(u, spec2)
+    lam = complex((rec.dual @ (t @ rec.vector)) / (rec.dual @ rec.vector))
+    scale = max(float(np.abs(t).max()), 1.0) * float(np.abs(rec.vector).max())
+    resid = float(np.abs(t @ rec.vector - lam * rec.vector).max()) / scale
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return transfer(*args)
+
+    monkeypatch.setattr(spectrum_module, "transfer", counted)
+    assert eigen_residual_at(rec, u, spec2) == resid
+    assert len(builds) == 1
+    assert eigenvalue_at(rec, u, spec2) == lam
 
 
 def test_parametrized_eigenvalue_at_inhomogeneity_point(spec1, bae1):
@@ -149,9 +171,72 @@ def test_search_rejects_large_chains():
 def test_solutions_deform_with_shrinking_inhomogeneity(spec1, bae1):
     # the converged root set continues smoothly as theta -> eps * theta
     sol = bae1.solutions[0]
-    x = _pack(sol)
+    x = _pack(sol)[None, :]
     for eps in (0.5, 0.1):
         spec_eps = ChainSpec(n=3, N=1, eta=0.5,
                              theta=tuple(eps * t for t in spec1.theta))
-        x, fnorm = _newton(spec_eps, x, max_iter=60, fd_step=1e-7)
-        assert fnorm < 1e-10
+        x, fnorm, _ = _newton(spec_eps, x, max_iter=60, fd_step=1e-7)
+        assert fnorm[0] < 1e-10
+
+
+def _random_starts(spec, count, rng):
+    """Packed Newton starts: roots scattered around the inhomogeneity
+    centroid, coefficients and exponent of order one."""
+    m = 4 * spec.N + 4
+    z = (complex(np.mean(spec.theta))
+         + rng.uniform(-1, 1, (count, m)) + 1j * rng.uniform(-1, 1, (count, m)))
+    return np.concatenate([z.real, z.imag], axis=1)
+
+
+def test_chunked_residual_rows_match_single_rows(spec2, rng):
+    # one _residuals call over 16384 or more rows drifts in the last bit
+    # (numpy 2.4); the chunked evaluation keeps every row exact
+    starts = _random_starts(spec2, 20000, rng)
+    batch = _packed_residuals(starts, spec2)
+    for k in rng.choice(len(starts), 50, replace=False):
+        assert_array_equal(batch[k], _packed_residuals(starts[k:k + 1], spec2)[0])
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_lockstep_newton_is_batch_independent(N, rng):
+    # a start ends exactly where it ends when run alone, however many other
+    # starts share its batch and its residual chunks
+    spec = default_spec(N=N)
+    dim = 8 * N + 8
+    count = RESIDUAL_CHUNK // dim + 40
+    starts = _random_starts(spec, count, rng)
+    # a root of family 1 on a root of family 4 divides by Q4(l1) = 0
+    bad = 7
+    starts[bad, 3 * N] = starts[bad, 0]
+    starts[bad, 4 * N + 4 + 3 * N] = starts[bad, 4 * N + 4]
+    xs, fnorms, exits = _newton(spec, starts, max_iter=25, fd_step=1e-7)
+    assert fnorms[bad] == np.inf and exits[bad] == "nonfinite_start"
+    assert_array_equal(xs[bad], starts[bad])
+    picks = np.linspace(0, count - 1, 10).astype(int)
+    assert picks[-1] * dim >= RESIDUAL_CHUNK  # the Jacobian spans two chunks
+    for k in picks:
+        x1, fnorm1, exit1 = _newton(spec, starts[k:k + 1], max_iter=25,
+                                    fd_step=1e-7)
+        assert_array_equal(xs[k], x1[0])
+        assert_array_equal(fnorms[k], fnorm1[0])
+        assert exits[k] == exit1[0]
+
+
+def test_singular_newton_system_fails_alone(rng):
+    jac = rng.standard_normal((4, 5, 5))
+    jac[2, 3] = 0.0
+    rhs = rng.standard_normal((4, 5))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac[2], rhs[2])
+    steps, solved = _newton_steps(jac, rhs)
+    assert_array_equal(solved, [True, True, False, True])
+    for k in (0, 1, 3):
+        assert_array_equal(steps[k], np.linalg.solve(jac[k], rhs[k]))
+
+
+def test_newton_exit_counts(bae1, bae2):
+    for result in (bae1, bae2):
+        assert list(result.newton_exits) == list(NEWTON_EXITS)
+        assert sum(result.newton_exits.values()) == result.n_seeds
+        assert result.newton_exits["converged"] == sum(
+            r < 1e-13 for r in result.seed_residuals)
