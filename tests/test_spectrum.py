@@ -9,9 +9,8 @@ from spintorus.monodromy import scalar_a, transfer
 from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
                                 TQSolution, _canonical, _newton,
                                 _newton_steps, _pack, _packed_residuals,
-                                _residuals,
-                                _roots_separated, _same_solution, _vector,
-                                bae_residuals, brute_force_spectrum,
+                                _residuals, _roots_separated, _same_solution,
+                                _vector, bae_residuals, brute_force_spectrum,
                                 eigen_residual_at, eigenvalue_at, solve_bae,
                                 tq_lambda, z_charge)
 
