@@ -19,10 +19,10 @@ del _os, _threads
 
 from .chain import ChainSpec, default_spec
 from .checks import CHECK_NAMES, CheckResult, run_checks
-from .eigenstate import (HomogFamily, HomogStudy, closed_form_two_site,
-                         g_m_function, homogeneous_limit_study,
-                         normalize_gauge, reconstruct, scalar_F,
-                         scalar_product_table)
+from .eigenstate import (HomogFamily, HomogStudy, Reconstructor,
+                         closed_form_two_site, g_m_function,
+                         homogeneous_limit_study, normalize_gauge,
+                         reconstruct, scalar_F, scalar_product_table)
 from .errors import (DegenerateNormalizationError, DegeneracyError,
                      DenseBudgetError, InconsistencyError,
                      NonGenericSpecError, PoleProximityError, SpinTorusError,
@@ -52,7 +52,8 @@ __all__ = [
     "BaeSolveResult", "BasisIndex", "ChainSpec", "CheckResult",
     "CHECK_NAMES", "DegenerateNormalizationError", "DegeneracyError",
     "DenseBudgetError", "HomogFamily", "HomogStudy", "InconsistencyError",
-    "NonGenericSpecError", "PoleProximityError", "SpectralRecord",
+    "NonGenericSpecError", "PoleProximityError", "Reconstructor",
+    "SpectralRecord",
     "SpinTorusError", "TQSolution", "UnsupportedRankError", "act_on_bra",
     "bae_residuals", "basis_vector", "bilinear_pair", "brute_force_spectrum",
     "closed_form_two_site", "crossing_residual", "decomposition_residual",

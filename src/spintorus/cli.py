@@ -22,12 +22,12 @@ import numpy as np
 
 from .chain import ChainSpec, default_theta
 from .checks import CHECK_NAMES, run_checks
-from .eigenstate import (homogeneous_limit_study, normalize_gauge,
-                         reconstruct)
+from .eigenstate import (Reconstructor, homogeneous_limit_study,
+                         normalize_gauge)
 from .errors import SpinTorusError
 from .monodromy import conjugate_vacuum_bra, transfer
-from .spectrum import (OMEGA, bae_residuals, brute_force_spectrum,
-                       eigen_residual_at, eigenvalue_at, solve_bae)
+from .spectrum import (OMEGA, _eigen_residual, _eigenvalue_of, bae_residuals,
+                       brute_force_spectrum, solve_bae)
 
 SCHEMA_VERSION = "spintorus-report-1"
 
@@ -223,13 +223,14 @@ def cmd_spectrum(config: RunConfig, spec: ChainSpec):
     rng = np.random.default_rng((config.rng_seed, 101))
     probes = [complex(a, b) for a, b in
               zip(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))]
+    probe_ts = [transfer(u, spec) for u in probes]
     tol = _tol(config, "spectrum-residual")
     cf_tol = _tol(config, "spectrum-closed-form")
     failures = []
     out = []
     sh = complex(np.sinh(spec.eta))
     for i, rec in enumerate(records):
-        worst = max(eigen_residual_at(rec, u, spec) for u in probes)
+        worst = max(_eigen_residual(rec, t) for t in probe_ts)
         row = {
             "index": i,
             "z_charge": rec.z_charge,
@@ -306,6 +307,8 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
     rng = np.random.default_rng((config.rng_seed, 103))
     probes = [complex(a, b) for a, b in
               zip(rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))]
+    probe_ts = [transfer(u, spec) for u in probes]
+    rebuild = Reconstructor(spec)
     bar_bra = conjugate_vacuum_bra(spec)
     tol_resid = _tol(config, "reconstruct-residual")
     tol_cos = _tol(config, "reconstruct-cos")
@@ -317,14 +320,13 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
         if abs(psi_bar0) < 1e-12 * float(np.abs(rec.vector).max()):
             psi_bar0, gauge = 1.0, "unit"
         lam_map = {j + 1: rec.lambda_theta[j] for j in range(spec.N)}
-        state = reconstruct(lam_map, psi_bar0, spec)
+        state = rebuild.state(lam_map, psi_bar0)
         unit = normalize_gauge(state)
         overlap = abs(np.vdot(rec.vector, unit)) / np.linalg.norm(rec.vector)
         one_minus_cos = float(1.0 - min(1.0, overlap))
         worst = 0.0
-        for u in probes:
-            t = transfer(u, spec)
-            lam = eigenvalue_at(rec, u, spec)
+        for t in probe_ts:
+            lam = _eigenvalue_of(rec, t)
             scale = max(float(np.abs(t).max()), 1.0)
             worst = max(worst, float(np.abs(t @ unit - lam * unit).max()) / scale)
         out.append({

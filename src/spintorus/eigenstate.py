@@ -82,6 +82,46 @@ def g_m_function(vset, uset, spec: ChainSpec) -> complex:
     return complex(np.linalg.det(mhat) / den)
 
 
+def _kernel(sites: tuple, spec: ChainSpec) -> tuple:
+    """Chain-only half of ``scalar_F`` for the sorted unprimed set ``sites``.
+
+    Returns the complement of the set, one row per primed set of the same
+    size, (primed, determinant kernel times cross factor, one-flavor norm),
+    and prod_k a(theta_k) over all sites.
+    """
+    comp = tuple(q for q in range(1, spec.N + 1) if q not in sites)
+    eta = spec.eta
+    th = lambda p: spec.theta[p - 1]
+    rows = []
+    for primed in combinations(range(1, spec.N + 1), len(sites)):
+        kern = g_m_function([th(p) for p in sites],
+                            [th(p) for p in primed], spec)
+        cross = 1.0 + 0.0j
+        for a in primed:
+            for q in comp:
+                cross *= np.sinh(th(a) - th(q) + eta)
+        rows.append((primed, kern * cross, f_factor(primed, spec)))
+    return comp, rows, np.prod([scalar_a(t, spec) for t in spec.theta])
+
+
+def _pairing(kernel: tuple, lam: tuple, psi_bar0: complex) -> complex:
+    """Eigenvalue-dependent half of ``scalar_F``: the kernel rows weighted by
+    the eigenvalue products, times prod_k a(theta_k) and psi_bar0, over the
+    eigenvalue product on the complement."""
+    comp, rows, a_all = kernel
+    for q in comp:
+        if abs(lam[q - 1]) < 1e-12:
+            raise DegenerateNormalizationError(
+                f"eigenvalue vanishes at site {q}; the pairing formula "
+                "divides by it")
+    total = 0.0 + 0.0j
+    for primed, kern_cross, norm in rows:
+        lam_primed = np.prod([lam[p - 1] for p in primed]) if primed else 1.0
+        total += kern_cross * lam_primed / norm
+    lam_comp = np.prod([lam[q - 1] for q in comp]) if comp else 1.0
+    return complex(total * a_all / lam_comp * psi_bar0)
+
+
 def scalar_F(pset, lambda_at_theta, psi_bar0: complex, spec: ChainSpec) -> complex:
     """Pairing of the all-flavor-2 basis bra over ``pset`` with the eigenstate.
 
@@ -93,29 +133,8 @@ def scalar_F(pset, lambda_at_theta, psi_bar0: complex, spec: ChainSpec) -> compl
     denominator, and the reference pairing psi_bar0 = <bar0|Psi>.
     """
     sites = _site_tuple(pset, spec.N)
-    m = len(sites)
     lam = _lambda_tuple(lambda_at_theta, spec.N)
-    comp = tuple(q for q in range(1, spec.N + 1) if q not in sites)
-    for q in comp:
-        if abs(lam[q - 1]) < 1e-12:
-            raise DegenerateNormalizationError(
-                f"eigenvalue vanishes at site {q}; the pairing formula "
-                "divides by it")
-    eta = spec.eta
-    th = lambda p: spec.theta[p - 1]
-    total = 0.0 + 0.0j
-    for primed in combinations(range(1, spec.N + 1), m):
-        kern = g_m_function([th(p) for p in sites],
-                            [th(p) for p in primed], spec)
-        cross = 1.0 + 0.0j
-        for a in primed:
-            for q in comp:
-                cross *= np.sinh(th(a) - th(q) + eta)
-        lam_primed = np.prod([lam[p - 1] for p in primed]) if primed else 1.0
-        total += kern * cross * lam_primed / f_factor(primed, spec)
-    a_all = np.prod([scalar_a(t, spec) for t in spec.theta])
-    lam_comp = np.prod([lam[q - 1] for q in comp]) if comp else 1.0
-    return complex(total * a_all / lam_comp * psi_bar0)
+    return _pairing(_kernel(sites, spec), lam, psi_bar0)
 
 
 def scalar_product_table(lambda_at_theta, psi_bar0: complex,
@@ -133,38 +152,63 @@ def scalar_product_table(lambda_at_theta, psi_bar0: complex,
     return out
 
 
-def _tree_sum(terms: list) -> np.ndarray:
-    """Pairwise summation in a fixed bracketing; deterministic regardless of
-    how the term list was produced."""
-    items = list(terms)
-    if not items:
+def _tree_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis in a fixed pairwise bracketing: rows
+    (0, 1), (2, 3), ... are added level by level, an odd last row passing
+    up unchanged, so the result does not depend on how the rows were made."""
+    if len(rows) == 0:
         raise ValueError("nothing to sum")
-    while len(items) > 1:
-        items = [items[i] + items[i + 1] if i + 1 < len(items) else items[i]
-                 for i in range(0, len(items), 2)]
-    return items[0]
+    while len(rows) > 1:
+        even = len(rows) - len(rows) % 2
+        paired = rows[0:even:2] + rows[1:even:2]
+        rows = np.concatenate([paired, rows[even:]]) if even < len(rows) else paired
+    return rows[0]
+
+
+class Reconstructor:
+    """Eigenstate reconstruction over the separated basis of one chain.
+
+    Everything that depends on the chain alone is built once here: the basis
+    labels, their right states stacked as read-only rows, their norms, and
+    the ``scalar_F`` kernel of every flavor-2 block.  ``state`` then costs
+    only the eigenvalue-dependent sums, one record at a time.
+    """
+
+    def __init__(self, spec: ChainSpec):
+        self.spec = spec
+        self.labels = enumerate_basis(spec)
+        self.norms = [g_factor(idx, spec) for idx in self.labels]
+        self.kets = np.array([right_state(idx, spec) for idx in self.labels])
+        self.kets.setflags(write=False)
+        self.kernels = {sites: _kernel(sites, spec) for sites in
+                        dict.fromkeys(idx.block2 for idx in self.labels)}
+
+    def state(self, lambda_at_theta, psi_bar0: complex) -> np.ndarray:
+        """Rebuild the eigenvector from its eigenvalue at the inhomogeneity
+        points.
+
+        Each basis ket enters with the one-flavor pairing of its flavor-2
+        block, one eigenvalue factor per flavor-3 site, divided by the basis
+        normalization.  Output is in the site tensor basis, linear in
+        psi_bar0.
+        """
+        lam = _lambda_tuple(lambda_at_theta, self.spec.N)
+        pairings = {sites: _pairing(kernel, lam, psi_bar0)
+                    for sites, kernel in self.kernels.items()}
+        coeffs = np.empty(len(self.labels), dtype=complex)
+        for i, (idx, norm) in enumerate(zip(self.labels, self.norms)):
+            coeff = pairings[idx.block2]
+            for q in idx.block3:
+                coeff = coeff * lam[q - 1]
+            coeffs[i] = coeff / norm
+        return _tree_sum(coeffs[:, None] * self.kets)
 
 
 def reconstruct(lambda_at_theta, psi_bar0: complex, spec: ChainSpec) -> np.ndarray:
-    """Rebuild the eigenvector from its eigenvalue at the inhomogeneity points.
-
-    Expands the identity over the separated basis: each basis ket enters with
-    the one-flavor pairing of its flavor-2 block, one eigenvalue factor per
-    flavor-3 site, divided by the basis normalization.  Output is in the
-    site tensor basis, linear in psi_bar0.
-    """
-    lam = _lambda_tuple(lambda_at_theta, spec.N)
-    fcache = {}
-    terms = []
-    for idx in enumerate_basis(spec):
-        if idx.block2 not in fcache:
-            fcache[idx.block2] = scalar_F(idx.block2, lam, psi_bar0, spec)
-        coeff = fcache[idx.block2]
-        for q in idx.block3:
-            coeff = coeff * lam[q - 1]
-        coeff = coeff / g_factor(idx, spec)
-        terms.append(coeff * right_state(idx, spec))
-    return _tree_sum(terms)
+    """One eigenvector from its eigenvalue at the inhomogeneity points; see
+    ``Reconstructor.state``.  Build a ``Reconstructor`` once to rebuild many
+    eigenvectors of the same chain."""
+    return Reconstructor(spec).state(lambda_at_theta, psi_bar0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +357,11 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
             for j, rec in enumerate(records):
                 cost[i, j] = sum(abs(a - b) for a, b in zip(mus_i, rec.mu))
         rows, cols = linear_sum_assignment(cost)
+        rebuild = Reconstructor(spec)
         for i, j in zip(rows, cols):
             rec = records[j]
             try:
-                psi = reconstruct(rec.lambda_theta, 1.0, spec)
+                psi = rebuild.state(rec.lambda_theta, 1.0)
                 tracked[i].append(normalize_gauge(psi))
             except (DegenerateNormalizationError, PoleProximityError):
                 families[i].degenerate = True

@@ -76,12 +76,16 @@ _CACHE_DIM_MAX = 256
 
 
 def monodromy_blocks(u: complex, spec: ChainSpec) -> list:
-    """All n^2 auxiliary blocks at spectral point u (cached; do not mutate)."""
+    """All n^2 auxiliary blocks at spectral point u, read-only because
+    cached blocks are shared between callers."""
     key = (complex(u), spec)
     hit = _BLOCK_CACHE.get(key)
     if hit is not None:
         return hit
     blocks = _blocks_raw(complex(u), spec.n, spec.eta, spec.theta)
+    for row in blocks:
+        for block in row:
+            block.setflags(write=False)
     if spec.dim <= _CACHE_DIM_MAX:
         if len(_BLOCK_CACHE) >= _CACHE_LIMIT:
             _BLOCK_CACHE.pop(next(iter(_BLOCK_CACHE)))

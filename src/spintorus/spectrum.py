@@ -195,11 +195,14 @@ def eigenvalue_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> comple
     return _eigenvalue_of(record, transfer(u, spec))
 
 
-def eigen_residual_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> float:
-    t = transfer(u, spec)
+def _eigen_residual(record: SpectralRecord, t: np.ndarray) -> float:
     lam = _eigenvalue_of(record, t)
     scale = max(float(np.abs(t).max()), 1.0) * float(np.abs(record.vector).max())
     return float(np.abs(t @ record.vector - lam * record.vector).max()) / scale
+
+
+def eigen_residual_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> float:
+    return _eigen_residual(record, transfer(u, spec))
 
 
 def z_charge(record: SpectralRecord, spec: ChainSpec, tol: float = 1e-6) -> int:

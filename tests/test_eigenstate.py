@@ -3,18 +3,23 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import spintorus.eigenstate as eigenstate
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.eigenstate import (closed_form_two_site, f_factor,
+from spintorus.eigenstate import (Reconstructor, _tree_sum,
+                                  closed_form_two_site, f_factor,
                                   g_m_function, homogeneous_limit_study,
                                   normalize_gauge, reconstruct, scalar_F,
                                   scalar_product_table)
 from spintorus.errors import (DegenerateNormalizationError,
                               NonGenericSpecError, PoleProximityError)
 from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
-                                 homogeneous_transfer, op_C, op_D, scalar_a,
-                                 transfer, vacuum_bra)
+                                 homogeneous_transfer, monodromy_blocks, op_C,
+                                 op_D, scalar_a, transfer, vacuum_bra)
 from spintorus.sov_basis import BasisIndex, enumerate_basis, left_state
 from spintorus.spectrum import OMEGA, eigenvalue_at
 from spintorus.tensor_core import kron_chain, simultaneous_eigen
@@ -197,6 +202,71 @@ def test_reconstruction_linear_in_normalization(spec2, records2):
     assert_allclose(scaled, (2.5 - 1.5j) * base, rtol=1e-12, atol=1e-14)
 
 
+def test_reconstructor_reused_matches_fresh_reconstruct(
+        spec1, spec2, spec3, records1, records2, records3):
+    for spec, records in ((spec1, records1), (spec2, records2),
+                          (spec3, records3)):
+        rebuild = Reconstructor(spec)
+        for rec in records:
+            lam, psi0 = _lam_map(rec, spec), _psi_bar0(rec, spec)
+            assert np.array_equal(rebuild.state(lam, psi0),
+                                  reconstruct(lam, psi0, spec))
+
+
+def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
+    calls = {"right_state": 0, "g_factor": 0, "g_m_function": 0}
+
+    def counted(name):
+        original = getattr(eigenstate, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(eigenstate, name, counted(name))
+    rebuild = Reconstructor(spec3)
+    for rec in records3:
+        rebuild.state(_lam_map(rec, spec3), _psi_bar0(rec, spec3))
+    # one ket and one norm per label, one kernel per pair of equal-size sets
+    assert calls == {"right_state": 27, "g_factor": 27, "g_m_function": 20}
+
+
+def test_reconstructor_refuses_one_record_and_keeps_going(spec2, records2):
+    rebuild = Reconstructor(spec2)
+    with pytest.raises(DegenerateNormalizationError):
+        rebuild.state({1: 0.5, 2: 0.0}, 1.0)
+    rec = records2[4]
+    lam, psi0 = _lam_map(rec, spec2), _psi_bar0(rec, spec2)
+    assert np.array_equal(rebuild.state(lam, psi0), reconstruct(lam, psi0, spec2))
+
+
+def test_shared_arrays_are_read_only(spec2):
+    with pytest.raises(ValueError, match="read-only"):
+        Reconstructor(spec2).kets[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        monodromy_blocks(0.3 + 0.1j, spec2)[0][1][0, 0] = 1.0
+
+
+def _list_tree_sum(terms):
+    """The list bracketing the stacked ``_tree_sum`` replaced."""
+    items = list(terms)
+    while len(items) > 1:
+        items = [items[i] + items[i + 1] if i + 1 < len(items) else items[i]
+                 for i in range(0, len(items), 2)]
+    return items[0]
+
+
+@given(hnp.arrays(np.complex128,
+                  st.tuples(st.integers(1, 40), st.integers(1, 5)),
+                  elements=st.complex_numbers(max_magnitude=1e100,
+                                              allow_nan=False,
+                                              allow_infinity=False)))
+def test_stacked_tree_sum_matches_list_bracketing(rows):
+    assert _tree_sum(rows).tobytes() == _list_tree_sum(rows).tobytes()
+
+
 def test_gauge_normalization():
     vec = np.array([0.0, 3j, 4.0])
     out = normalize_gauge(vec)
@@ -252,12 +322,10 @@ def test_uniform_limit_study_converges(spec2):
 
 
 def test_uniform_limit_study_marks_only_typed_failures_degenerate(monkeypatch):
-    import spintorus.eigenstate as eigenstate
-
     def refuse(*args):
         raise DegenerateNormalizationError("eigenvalue vanishes")
 
-    monkeypatch.setattr(eigenstate, "reconstruct", refuse)
+    monkeypatch.setattr(eigenstate.Reconstructor, "state", refuse)
     study = homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
     assert len(study.families) == 3
     assert all(f.degenerate and not f.distances for f in study.families)
@@ -265,7 +333,7 @@ def test_uniform_limit_study_marks_only_typed_failures_degenerate(monkeypatch):
     def broken(*args):
         raise ValueError("unrelated defect")
 
-    monkeypatch.setattr(eigenstate, "reconstruct", broken)
+    monkeypatch.setattr(eigenstate.Reconstructor, "state", broken)
     with pytest.raises(ValueError, match="unrelated defect"):
         homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
 
