@@ -28,6 +28,7 @@ from .errors import SpinTorusError
 from .monodromy import conjugate_vacuum_bra, transfer
 from .spectrum import (OMEGA, _eigen_residual, _eigenvalue_of, bae_residuals,
                        brute_force_spectrum, solve_bae)
+from .tensor_core import _operator_scale
 
 SCHEMA_VERSION = "spintorus-report-1"
 
@@ -223,14 +224,14 @@ def cmd_spectrum(config: RunConfig, spec: ChainSpec):
     rng = np.random.default_rng((config.rng_seed, 101))
     probes = [complex(a, b) for a, b in
               zip(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))]
-    probe_ts = [transfer(u, spec) for u in probes]
+    probe_ts = [(t, _operator_scale(t)) for t in (transfer(u, spec) for u in probes)]
     tol = _tol(config, "spectrum-residual")
     cf_tol = _tol(config, "spectrum-closed-form")
     failures = []
     out = []
     sh = complex(np.sinh(spec.eta))
     for i, rec in enumerate(records):
-        worst = max(_eigen_residual(rec, t) for t in probe_ts)
+        worst = max(_eigen_residual(rec, t, scale) for t, scale in probe_ts)
         row = {
             "index": i,
             "z_charge": rec.z_charge,
@@ -307,7 +308,7 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
     rng = np.random.default_rng((config.rng_seed, 103))
     probes = [complex(a, b) for a, b in
               zip(rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))]
-    probe_ts = [transfer(u, spec) for u in probes]
+    probe_ts = [(t, _operator_scale(t)) for t in (transfer(u, spec) for u in probes)]
     rebuild = Reconstructor(spec)
     bar_bra = conjugate_vacuum_bra(spec)
     tol_resid = _tol(config, "reconstruct-residual")
@@ -325,9 +326,8 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
         overlap = abs(np.vdot(rec.vector, unit)) / np.linalg.norm(rec.vector)
         one_minus_cos = float(1.0 - min(1.0, overlap))
         worst = 0.0
-        for t in probe_ts:
+        for t, scale in probe_ts:
             lam = _eigenvalue_of(rec, t)
-            scale = max(float(np.abs(t).max()), 1.0)
             worst = max(worst, float(np.abs(t @ unit - lam * unit).max()) / scale)
         out.append({
             "index": i,

@@ -327,14 +327,12 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
     # homogeneous reference spectrum
     t_hom = lambda u: homogeneous_transfer(u, n, N, eta)
     u_op = kron_chain([twist_matrix(n)] * N)
-    hom_records, _, _ = simultaneous_eigen(
+    hom_records, _, hom_dual, _ = simultaneous_eigen(
         [t_hom(U_PROBES[0]), t_hom(U_PROBES[1]), u_op])
 
     def eigval(vec, dual, op):
         return complex(dual @ op @ vec / (dual @ vec))
 
-    hom_vmat = np.array([r[0] for r in hom_records]).T
-    hom_dual = np.linalg.inv(hom_vmat)
     families = []
     for k, (vec, mus) in enumerate(hom_records):
         lam0 = eigval(vec, hom_dual[k], t_hom(0.0))

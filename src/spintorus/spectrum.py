@@ -16,7 +16,7 @@ import numpy as np
 from .chain import ChainSpec
 from .errors import InconsistencyError, PoleProximityError
 from .monodromy import scalar_a, transfer, twist_operator
-from .tensor_core import simultaneous_eigen
+from .tensor_core import _operator_scale, relative_residual, simultaneous_eigen
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -195,14 +195,15 @@ def eigenvalue_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> comple
     return _eigenvalue_of(record, transfer(u, spec))
 
 
-def _eigen_residual(record: SpectralRecord, t: np.ndarray) -> float:
-    lam = _eigenvalue_of(record, t)
-    scale = max(float(np.abs(t).max()), 1.0) * float(np.abs(record.vector).max())
-    return float(np.abs(t @ record.vector - lam * record.vector).max()) / scale
+def _eigen_residual(record: SpectralRecord, t: np.ndarray, scale: float) -> float:
+    tv = t @ record.vector
+    lam = complex((record.dual @ tv) / (record.dual @ record.vector))
+    return float(relative_residual(tv, lam, record.vector, scale))
 
 
 def eigen_residual_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> float:
-    return _eigen_residual(record, transfer(u, spec))
+    t = transfer(u, spec)
+    return _eigen_residual(record, t, _operator_scale(t))
 
 
 def z_charge(record: SpectralRecord, spec: ChainSpec, tol: float = 1e-6) -> int:
@@ -235,23 +236,22 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
     eigenvector matrix, so bilinear pairings with the eigenvectors are exact
     Kronecker deltas.
     """
-    family = [transfer(U_PROBES[0], spec), transfer(U_PROBES[1], spec),
-              twist_operator(spec)]
-    records_raw, vmat, wmat = simultaneous_eigen(family, rng_seed=rng_seed)
-    t_theta = [transfer(t, spec) for t in spec.theta]
-    records = []
-    for k, (vec, mu) in enumerate(records_raw):
-        dual = wmat[k]
-        denom = complex(dual @ vec)
-        lam_theta = tuple(complex((dual @ (tt @ vec)) / denom) for tt in t_theta)
-        resid = 0.0
-        for op, mu_k in zip(family, mu):
-            scale = max(float(np.abs(op).max()), 1.0) * float(np.abs(vec).max())
-            resid = max(resid, float(np.abs(op @ vec - mu_k * vec).max()) / scale)
-        rec = SpectralRecord(vector=vec, dual=dual, mu=mu,
-                             lambda_theta=lam_theta, z_charge=-1, residual=resid)
+    records_raw, _, wmat, resid = simultaneous_eigen(
+        [transfer(U_PROBES[0], spec), transfer(U_PROBES[1], spec),
+         twist_operator(spec)], rng_seed=rng_seed)
+    denom = [complex(wmat[k] @ vec) for k, (vec, _) in enumerate(records_raw)]
+    lam_theta = [[] for _ in records_raw]
+    for theta in spec.theta:
+        tt = transfer(theta, spec)  # one dense t(theta_j) alive at a time
+        for k, (vec, _) in enumerate(records_raw):
+            lam_theta[k].append(complex((wmat[k] @ (tt @ vec)) / denom[k]))
+        del tt
+    records = [SpectralRecord(vector=vec, dual=wmat[k], mu=mu,
+                              lambda_theta=tuple(lam_theta[k]), z_charge=-1,
+                              residual=float(resid[k]))
+               for k, (vec, mu) in enumerate(records_raw)]
+    for rec in records:
         rec.z_charge = z_charge(rec, spec)
-        records.append(rec)
     return records
 
 

@@ -95,6 +95,11 @@ def _operator_scale(op: np.ndarray) -> float:
     return max(float(np.abs(op).max()), 1.0)
 
 
+def relative_residual(ov: np.ndarray, mu, v: np.ndarray, scale: float):
+    """|O v - mu v|_inf / (scale |v|_inf) per column of v, from ``ov = O @ v``."""
+    return np.abs(ov - mu * v).max(axis=0) / (scale * np.abs(v).max(axis=0))
+
+
 def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
                        commute_tol: float = 1e-10, resid_tol: float = 1e-8):
     """Joint eigenbasis of a commuting family of diagonalizable matrices.
@@ -105,11 +110,12 @@ def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
     individual members are read off through the dual (inverse-transpose) rows,
     so the pairing stays bilinear throughout.
 
-    Returns ``(records, vmat, wmat)`` where ``records`` is a list of
-    ``(eigenvector, eigenvalue_tuple)`` pairs, ``vmat`` has the eigenvectors
-    as columns and ``wmat = inv(vmat)`` holds the dual rows.  Record k
-    satisfies ``O v_k = mu_k v_k`` for every family member to ``resid_tol``
-    relative accuracy.
+    Returns ``(records, vmat, wmat, residuals)`` where ``records`` is a list
+    of ``(eigenvector, eigenvalue_tuple)`` pairs, ``vmat`` has the
+    eigenvectors as columns, ``wmat = inv(vmat)`` holds the dual rows and
+    ``residuals[k]`` is the worst ``relative_residual`` of record k over the
+    family.  Each member's eigenvalues and residuals come from one product
+    ``O @ vmat``; every residual is at most ``resid_tol``.
 
     Raises ``NonGenericSpecError`` if the family does not commute and
     ``DegeneracyError`` if no random combination yields a clean eigenbasis.
@@ -118,18 +124,17 @@ def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
     if not ops:
         raise ValueError("empty operator family")
     dim = ops[0].shape[0]
-    for o in ops:
-        if o.shape != (dim, dim):
-            raise ValueError("family members must share one square shape")
+    if any(o.shape != (dim, dim) for o in ops):
+        raise ValueError("family members must share one square shape")
+    scales = [_operator_scale(o) for o in ops]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             comm = ops[i] @ ops[j] - ops[j] @ ops[i]
-            scale = _operator_scale(ops[i]) * _operator_scale(ops[j])
+            scale = scales[i] * scales[j]
             if np.abs(comm).max() > commute_tol * scale:
                 raise NonGenericSpecError(
                     f"family members {i} and {j} do not commute: "
-                    f"max|[A,B]| = {np.abs(comm).max():.3e} vs scale {scale:.3e}"
-                )
+                    f"max|[A,B]| = {np.abs(comm).max():.3e} vs scale {scale:.3e}")
 
     rng = np.random.default_rng(rng_seed)
     last_failure = "no attempt"
@@ -147,29 +152,26 @@ def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
                 "eigenvalues may lose accuracy", RuntimeWarning, stacklevel=2)
         wmat = np.linalg.inv(vmat)
         mus = np.empty((dim, len(ops)), dtype=complex)
-        ok = True
-        for oi, o in enumerate(ops):
-            mus[:, oi] = np.einsum("kd,dc,ck->k", wmat, o, vmat)
-        for oi, o in enumerate(ops):
-            resid = np.abs(o @ vmat - vmat * mus[:, oi][None, :]).max(axis=0)
-            norms = np.abs(vmat).max(axis=0)
-            if np.any(resid > resid_tol * _operator_scale(o) * norms):
-                ok = False
-                last_failure = (
-                    f"member {oi}: worst eigen-residual {resid.max():.3e} "
-                    f"(tol {resid_tol * _operator_scale(o):.3e})")
+        resid = np.zeros(dim)
+        for oi, (o, scale) in enumerate(zip(ops, scales)):
+            ov = o @ vmat
+            mus[:, oi] = (wmat * ov.T).sum(axis=1)
+            member = relative_residual(ov, mus[:, oi], vmat, scale)
+            if np.any(member > resid_tol):
+                last_failure = (f"member {oi}: worst eigen-residual "
+                                f"{member.max():.3e} (tol {resid_tol:.3e})")
                 break
-        if not ok:
-            continue
-        order = np.lexsort(tuple(
-            key for oi in reversed(range(len(ops)))
-            for key in (mus[:, oi].imag.round(9), mus[:, oi].real.round(9))
-        ))
-        vmat = vmat[:, order]
-        wmat = np.linalg.inv(vmat)
-        mus = mus[order]
-        records = [(vmat[:, k].copy(), tuple(mus[k])) for k in range(dim)]
-        return records, vmat, wmat
+            resid = np.maximum(resid, member)
+        else:
+            order = np.lexsort(tuple(
+                key for oi in reversed(range(len(ops)))
+                for key in (mus[:, oi].imag.round(9), mus[:, oi].real.round(9))
+            ))
+            vmat = vmat[:, order]
+            wmat = np.linalg.inv(vmat)
+            mus = mus[order]
+            records = [(vmat[:, k].copy(), tuple(mus[k])) for k in range(dim)]
+            return records, vmat, wmat, resid[order]
     raise DegeneracyError(
         f"no random combination produced a clean joint eigenbasis in "
         f"{max_retries} attempts (last failure: {last_failure})")

@@ -287,7 +287,7 @@ def test_uniform_closed_form_is_transfer_eigenvector():
     t1 = homogeneous_transfer(0.377 + 0.511j, 3, 2, eta)
     t2 = homogeneous_transfer(-0.291 + 0.173j, 3, 2, eta)
     u_op = kron_chain([twist_matrix(3)] * 2)
-    records, vmat, wmat = simultaneous_eigen([t1, t2, u_op])
+    records, vmat, wmat, _ = simultaneous_eigen([t1, t2, u_op])
     t0 = homogeneous_transfer(0.0, 3, 2, eta)
     from spintorus.monodromy import fd4_derivative
     tp = fd4_derivative(lambda u: homogeneous_transfer(u, 3, 2, eta), 0.0)

@@ -5,9 +5,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import spintorus.spectrum as spectrum_module
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.monodromy import scalar_a, transfer
+from spintorus.monodromy import scalar_a, transfer, twist_operator
 from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
-                                TQSolution, _canonical, _newton,
+                                TQSolution, U_PROBES, _canonical, _newton,
                                 _newton_steps, _pack, _packed_residuals,
                                 _residuals, _roots_separated, _same_solution,
                                 _vector, bae_residuals, brute_force_spectrum,
@@ -31,6 +31,30 @@ def test_reference_spectrum_residuals(records2, records3):
     for records, count in ((records2, 9), (records3, 27)):
         assert len(records) == count
         assert max(r.residual for r in records) < 1e-9
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_spectrum_readout_matches_per_vector_formulas(N, request):
+    # the batched readout keeps lambda(theta_j) as the one-vector pairing
+    # bit for bit; mu and the residual match their one-vector formulas
+    spec = request.getfixturevalue(f"spec{N}")
+    records = request.getfixturevalue(f"records{N}")
+    t_theta = [transfer(t, spec) for t in spec.theta]
+    family = [transfer(U_PROBES[0], spec), transfer(U_PROBES[1], spec),
+              twist_operator(spec)]
+    for rec in records:
+        denom = complex(rec.dual @ rec.vector)
+        lam = [complex((rec.dual @ (tt @ rec.vector)) / denom) for tt in t_theta]
+        assert np.array_equal(rec.lambda_theta, lam)
+        resid = 0.0
+        for op, mu in zip(family, rec.mu):
+            pair = complex((rec.dual @ (op @ rec.vector)) / denom)
+            assert abs(mu - pair) <= 1e-13 * abs(pair)
+            scale = (max(float(np.abs(op).max()), 1.0)
+                     * float(np.abs(rec.vector).max()))
+            gap = float(np.abs(op @ rec.vector - mu * rec.vector).max())
+            resid = max(resid, gap / scale)
+        assert abs(rec.residual - resid) <= 1e-15
 
 
 def test_charge_sectors_partition(spec2, records2):

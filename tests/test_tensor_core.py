@@ -1,10 +1,13 @@
 """Dense tensor-product plumbing: embeddings, bilinear pairing, joint eigen."""
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+import spintorus.tensor_core as tensor_core_module
+
 from spintorus.chain import default_spec
-from spintorus.errors import NonGenericSpecError
+from spintorus.errors import DegeneracyError, NonGenericSpecError
 from spintorus.rmatrix import twist_matrix
 from spintorus.tensor_core import (basis_vector, bilinear_pair,
                                    embed_site_operator, embed_two_site,
@@ -78,14 +81,14 @@ def test_bilinear_pair_symmetric(rng):
 
 
 def test_joint_eigen_identity_family():
-    records, vmat, wmat = simultaneous_eigen([np.eye(4)])
+    records, vmat, wmat, _ = simultaneous_eigen([np.eye(4)])
     assert len(records) == 4
     for _, mus in records:
         assert_allclose(mus, (1.0,), atol=1e-12)
 
 
 def test_joint_eigen_cyclic_twist():
-    records, _, _ = simultaneous_eigen([twist_matrix(3)])
+    records, _, _, _ = simultaneous_eigen([twist_matrix(3)])
     omega = np.exp(2j * np.pi / 3)
     got = sorted(np.angle(m[0]) for _, m in records)
     want = sorted(np.angle(x) for x in (1, omega, omega ** 2))
@@ -95,13 +98,51 @@ def test_joint_eigen_cyclic_twist():
 def test_joint_eigen_reconstructs_members(rng):
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     family = [a, a @ a + 0.3 * a]
-    records, vmat, wmat = simultaneous_eigen(family, rng_seed=7)
+    records, vmat, wmat, _ = simultaneous_eigen(family, rng_seed=7)
     for oi, op in enumerate(family):
         acc = np.zeros_like(op)
         for k, (vec, mus) in enumerate(records):
             dual = wmat[k]
             acc += mus[oi] * np.outer(vec, dual) / (dual @ vec)
         assert np.linalg.norm(acc - op) / np.linalg.norm(op) < 1e-7
+
+
+def test_joint_eigen_residual_gate_fires(rng, monkeypatch):
+    # a perturbed eigenvector matrix must fail the batched residual gate on
+    # every retry; the error names the first member and its worst residual
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    family = [a, a @ a + 0.3 * a]
+    eig = scipy.linalg.eig
+    bases = []
+
+    def perturbed(mix):
+        w, vmat = eig(mix)
+        vmat = vmat + 1e-3 * rng.standard_normal(vmat.shape)
+        bases.append(vmat)
+        return w, vmat
+
+    monkeypatch.setattr(tensor_core_module.scipy.linalg, "eig", perturbed)
+    with pytest.raises(DegeneracyError) as info:
+        simultaneous_eigen(family, max_retries=3)
+    assert len(bases) == 3
+    vmat = bases[-1]
+    ov = a @ vmat
+    mu = (np.linalg.inv(vmat) * ov.T).sum(axis=1)
+    worst = (np.abs(ov - mu * vmat).max(axis=0)
+             / (max(float(np.abs(a).max()), 1.0) * np.abs(vmat).max(axis=0)))
+    assert f"member 0: worst eigen-residual {worst.max():.3e}" in str(info.value)
+
+
+def test_joint_eigen_returns_residuals(rng):
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    family = [a, a @ a + 0.3 * a]
+    records, vmat, _, resid = simultaneous_eigen(family, rng_seed=7)
+    assert resid.shape == (8,) and np.all(resid <= 1e-8)
+    for k, (vec, mus) in enumerate(records):
+        want = max(np.abs(op @ vec - mu * vec).max()
+                   / (max(float(np.abs(op).max()), 1.0) * np.abs(vec).max())
+                   for op, mu in zip(family, mus))
+        assert abs(resid[k] - want) <= 1e-15
 
 
 def test_joint_eigen_rejects_noncommuting(rng):
