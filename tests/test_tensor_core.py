@@ -98,13 +98,19 @@ def test_joint_eigen_cyclic_twist():
 def test_joint_eigen_reconstructs_members(rng):
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     family = [a, a @ a + 0.3 * a]
-    records, vmat, wmat, _ = simultaneous_eigen(family, rng_seed=7)
+    records, vmat, wmat, resid = simultaneous_eigen(family, rng_seed=7)
     for oi, op in enumerate(family):
         acc = np.zeros_like(op)
         for k, (vec, mus) in enumerate(records):
             dual = wmat[k]
             acc += mus[oi] * np.outer(vec, dual) / (dual @ vec)
         assert np.linalg.norm(acc - op) / np.linalg.norm(op) < 1e-7
+    # the returned residuals are the worst one-vector relative residuals
+    for k, (vec, mus) in enumerate(records):
+        want = max(np.abs(op @ vec - mu * vec).max()
+                   / (max(float(np.abs(op).max()), 1.0) * np.abs(vec).max())
+                   for op, mu in zip(family, mus))
+        assert resid[k] <= 1e-8 and abs(resid[k] - want) <= 1e-15
 
 
 def test_joint_eigen_residual_gate_fires(rng, monkeypatch):
@@ -131,18 +137,6 @@ def test_joint_eigen_residual_gate_fires(rng, monkeypatch):
     worst = (np.abs(ov - mu * vmat).max(axis=0)
              / (max(float(np.abs(a).max()), 1.0) * np.abs(vmat).max(axis=0)))
     assert f"member 0: worst eigen-residual {worst.max():.3e}" in str(info.value)
-
-
-def test_joint_eigen_returns_residuals(rng):
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    family = [a, a @ a + 0.3 * a]
-    records, vmat, _, resid = simultaneous_eigen(family, rng_seed=7)
-    assert resid.shape == (8,) and np.all(resid <= 1e-8)
-    for k, (vec, mus) in enumerate(records):
-        want = max(np.abs(op @ vec - mu * vec).max()
-                   / (max(float(np.abs(op).max()), 1.0) * np.abs(vec).max())
-                   for op, mu in zip(family, mus))
-        assert abs(resid[k] - want) <= 1e-15
 
 
 def test_joint_eigen_rejects_noncommuting(rng):
