@@ -22,8 +22,8 @@ import numpy as np
 
 from .chain import ChainSpec, default_theta
 from .checks import CHECK_NAMES, run_checks
-from .eigenstate import (Reconstructor, homogeneous_limit_study,
-                         normalize_gauge)
+from .eigenstate import (Reconstructor, _hermitian_angle,
+                         homogeneous_limit_study, normalize_gauge)
 from .errors import SpinTorusError
 from .monodromy import conjugate_vacuum_bra, transfer
 from .spectrum import (OMEGA, _eigen_residual, _eigenvalue_of, bae_residuals,
@@ -323,8 +323,7 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
         lam_map = {j + 1: rec.lambda_theta[j] for j in range(spec.N)}
         state = rebuild.state(lam_map, psi_bar0)
         unit = normalize_gauge(state)
-        overlap = abs(np.vdot(rec.vector, unit)) / np.linalg.norm(rec.vector)
-        one_minus_cos = float(1.0 - min(1.0, overlap))
+        one_minus_cos = 2.0 * math.sin(_hermitian_angle(rec.vector, unit) / 2) ** 2
         worst = 0.0
         for t, scale in probe_ts:
             lam = _eigenvalue_of(rec, t)

@@ -245,8 +245,17 @@ def _neville_at_zero(eps: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_angle(a: np.ndarray, b: np.ndarray) -> float:
-    overlap = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return float(np.arccos(min(1.0, overlap)))
+    """Angle between the complex lines through a and b.
+
+    Taken as 2 arcsin(|a - e^{i phi} b| / 2) on the unit vectors, phi the
+    phase that best aligns them, so it resolves angles down to rounding;
+    arccos of the overlap cannot go below arccos(1 - 2^-53) = 1.5e-8.
+    """
+    a = a / np.linalg.norm(a)
+    b = b / np.linalg.norm(b)
+    overlap = np.vdot(b, a)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(a - phase * b) / 2.0)))
 
 
 def closed_form_two_site(lam0: complex, dlam0: complex, n: int,
