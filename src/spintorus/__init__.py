@@ -27,19 +27,19 @@ from .errors import (DegenerateNormalizationError, DegeneracyError,
                      DenseBudgetError, InconsistencyError,
                      NonGenericSpecError, PoleProximityError, SpinTorusError,
                      UnsupportedRankError)
-from .monodromy import (exchange_relation_residuals, global_hamiltonian,
+from .monodromy import (apply_entry, apply_entry_bra,
+                        exchange_relation_residuals, global_hamiltonian,
                         homogeneous_transfer, monodromy_blocks,
-                        monodromy_entry, op_A, op_B, op_C, op_D,
                         product_identity_residual, scalar_a, scalar_d,
                         scalar_d_l, transfer, twist_operator)
 from .rmatrix import (crossing_residual, fusion_rank, local_hamiltonian,
                       permutation_matrix, qybe_residual, r_matrix,
                       twist_invariance_residual, twist_matrix,
                       unitarity_residual)
-from .sov_basis import (BasisIndex, act_on_bra, decomposition_residual,
-                        enumerate_basis, f_factor, g_factor, gram_matrix,
-                        identity_resolution_residual, left_state,
-                        right_state, verify_orthogonality)
+from .sov_basis import (BasisIndex, act_on_bra, basis_states,
+                        decomposition_residual, enumerate_basis, f_factor,
+                        g_factor, gram_matrix, identity_resolution_residual,
+                        left_state, right_state, verify_orthogonality)
 from .spectrum import (BaeSolveResult, SpectralRecord, TQSolution,
                        bae_residuals, brute_force_spectrum, eigen_residual_at,
                        eigenvalue_at, solve_bae, tq_lambda, z_charge)
@@ -55,19 +55,19 @@ __all__ = [
     "NonGenericSpecError", "PoleProximityError", "Reconstructor",
     "SpectralRecord",
     "SpinTorusError", "TQSolution", "UnsupportedRankError", "act_on_bra",
-    "bae_residuals", "basis_vector", "bilinear_pair", "brute_force_spectrum",
+    "apply_entry", "apply_entry_bra", "bae_residuals", "basis_states",
+    "basis_vector", "bilinear_pair", "brute_force_spectrum",
     "closed_form_two_site", "crossing_residual", "decomposition_residual",
     "default_spec", "eigen_residual_at", "eigenvalue_at",
     "embed_site_operator", "enumerate_basis", "exchange_relation_residuals",
     "f_factor", "fusion_rank", "g_factor", "g_m_function",
     "global_hamiltonian", "gram_matrix", "homogeneous_limit_study",
     "homogeneous_transfer", "identity_resolution_residual", "kron_chain",
-    "left_state", "local_hamiltonian", "monodromy_blocks", "monodromy_entry",
-    "normalize_gauge", "op_A", "op_B", "op_C", "op_D", "permutation_matrix",
-    "product_identity_residual", "qybe_residual", "r_matrix", "reconstruct",
-    "right_state", "run_checks", "scalar_F", "scalar_a", "scalar_d",
-    "scalar_d_l", "scalar_product_table", "simultaneous_eigen",
-    "site_matrix_unit", "solve_bae", "tq_lambda", "transfer",
-    "twist_invariance_residual", "twist_matrix", "twist_operator",
+    "left_state", "local_hamiltonian", "monodromy_blocks", "normalize_gauge",
+    "permutation_matrix", "product_identity_residual", "qybe_residual",
+    "r_matrix", "reconstruct", "right_state", "run_checks", "scalar_F",
+    "scalar_a", "scalar_d", "scalar_d_l", "scalar_product_table",
+    "simultaneous_eigen", "site_matrix_unit", "solve_bae", "tq_lambda",
+    "transfer", "twist_invariance_residual", "twist_matrix", "twist_operator",
     "unitarity_residual", "verify_orthogonality", "z_charge",
 ]

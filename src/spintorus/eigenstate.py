@@ -20,8 +20,7 @@ from .errors import DegenerateNormalizationError, PoleProximityError
 from .monodromy import (_blocks_raw, fd4_derivative, homogeneous_transfer,
                         scalar_a)
 from .rmatrix import twist_matrix
-from .sov_basis import (POLE_TOL, _site_tuple, enumerate_basis, f_factor,
-                        g_factor, right_state)
+from .sov_basis import POLE_TOL, _site_tuple, basis_states, f_factor, g_factor
 from .spectrum import U_PROBES, brute_force_spectrum
 from .tensor_core import kron_chain, simultaneous_eigen
 
@@ -176,9 +175,8 @@ class Reconstructor:
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
-        self.labels = enumerate_basis(spec)
+        self.labels, _, self.kets = basis_states(spec)
         self.norms = [g_factor(idx, spec) for idx in self.labels]
-        self.kets = np.array([right_state(idx, spec) for idx in self.labels])
         self.kets.setflags(write=False)
         self.kernels = {sites: _kernel(sites, spec) for sites in
                         dict.fromkeys(idx.block2 for idx in self.labels)}

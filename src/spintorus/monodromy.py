@@ -5,7 +5,9 @@ acting on auxiliary x quantum space; it is held as the n x n array of its
 auxiliary blocks, each a dense operator on the chain.  The blocks are built
 by appending one site per step: the site being appended is a fresh (fastest)
 tensor factor, so each step is a pure Kronecker extension and no
-n^(N+1)-dimensional object is ever materialized.
+n^(N+1)-dimensional object is ever materialized.  One entry applied to one
+vector never needs the blocks: the monodromy is a matrix product operator
+of bond dimension n, and ``apply_entry`` acts with it site by site.
 
 Entry naming: A = block (1,1), B_i = block (1,i), C^i = block (i,1),
 D^i_j = block (i,j) for i, j >= 2.  The antiperiodic transfer matrix is the
@@ -20,8 +22,8 @@ from .rmatrix import local_hamiltonian, r_matrix, twist_matrix
 from .tensor_core import embed_two_site, kron_chain
 
 __all__ = [
-    "scalar_a", "scalar_d", "scalar_d_l", "monodromy_blocks", "monodromy_entry",
-    "op_A", "op_B", "op_C", "op_D", "transfer", "twist_operator",
+    "scalar_a", "scalar_d", "scalar_d_l", "monodromy_blocks", "apply_entry",
+    "apply_entry_bra", "transfer", "twist_operator",
     "vacuum_ket", "vacuum_bra", "conjugate_vacuum_ket", "conjugate_vacuum_bra",
     "product_identity_residual", "global_hamiltonian", "fd4_derivative",
     "transfer_log_derivative_residual", "exchange_relation_residuals",
@@ -69,54 +71,44 @@ def _blocks_raw(u: complex, n: int, eta: complex, thetas) -> list:
     return blocks
 
 
-# Small keyed cache; the SoV layer repeatedly needs blocks at the theta points.
-_BLOCK_CACHE: dict = {}
-_CACHE_LIMIT = 64
-_CACHE_DIM_MAX = 256
-
-
 def monodromy_blocks(u: complex, spec: ChainSpec) -> list:
-    """All n^2 auxiliary blocks at spectral point u, read-only because
-    cached blocks are shared between callers."""
-    key = (complex(u), spec)
-    hit = _BLOCK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    blocks = _blocks_raw(complex(u), spec.n, spec.eta, spec.theta)
-    for row in blocks:
-        for block in row:
-            block.setflags(write=False)
-    if spec.dim <= _CACHE_DIM_MAX:
-        if len(_BLOCK_CACHE) >= _CACHE_LIMIT:
-            _BLOCK_CACHE.pop(next(iter(_BLOCK_CACHE)))
-        _BLOCK_CACHE[key] = blocks
-    return blocks
+    """All n^2 auxiliary blocks at spectral point u as dense chain operators;
+    the independent oracle for the site-by-site ``apply_entry``."""
+    return _blocks_raw(complex(u), spec.n, spec.eta, spec.theta)
 
 
-def monodromy_entry(u: complex, i: int, j: int, spec: ChainSpec) -> np.ndarray:
-    """Auxiliary-space entry (i,j), 1-indexed, as a dense chain operator."""
+def _sweep(u: complex, i: int, j: int, vec: np.ndarray, spec: ChainSpec,
+           site_transpose: bool) -> np.ndarray:
+    """Entry (i, j) of the monodromy, a matrix product operator of bond
+    dimension n, applied site by site: the auxiliary index enters as a bond
+    in state j next to site 1, each site's R-matrix acts on the (bond, site)
+    pair, the bond is swapped past the site, and after site N it is read at i.
+    """
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise ValueError(f"entry ({i},{j}) outside 1..{spec.n}")
-    return monodromy_blocks(u, spec)[i - 1][j - 1].copy()
+    n = spec.n
+    w = np.zeros((n, spec.dim), dtype=complex)
+    w[j - 1] = vec
+    for l, theta in enumerate(spec.theta):
+        r = r_matrix(u - theta, n, spec.eta)
+        if site_transpose:
+            r = r.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
+        w = r @ w.reshape(n ** l, n * n, -1)
+        w = w.reshape(n ** l, n, n, -1).swapaxes(1, 2)
+    return w.reshape(spec.dim, n)[:, i - 1]
 
 
-def op_A(u: complex, spec: ChainSpec) -> np.ndarray:
-    return monodromy_entry(u, 1, 1, spec)
+def apply_entry(u: complex, i: int, j: int, vec: np.ndarray,
+                spec: ChainSpec) -> np.ndarray:
+    """T_ij(u) @ vec for the monodromy entry (i, j), 1-indexed."""
+    return _sweep(u, i, j, vec, spec, site_transpose=False)
 
 
-def op_B(u: complex, i: int, spec: ChainSpec) -> np.ndarray:
-    """Annihilation-type row entry B_i = (1, i), i >= 2."""
-    return monodromy_entry(u, 1, i, spec)
-
-
-def op_C(u: complex, i: int, spec: ChainSpec) -> np.ndarray:
-    """Creation-type column entry C^i = (i, 1), i >= 2."""
-    return monodromy_entry(u, i, 1, spec)
-
-
-def op_D(u: complex, i: int, j: int, spec: ChainSpec) -> np.ndarray:
-    """Lower-corner entry D^i_j = (i, j), i, j >= 2."""
-    return monodromy_entry(u, i, j, spec)
+def apply_entry_bra(u: complex, i: int, j: int, vec: np.ndarray,
+                    spec: ChainSpec) -> np.ndarray:
+    """vec @ T_ij(u): T_ij(u) transposed is the same product with every
+    R-matrix transposed on its site factor."""
+    return _sweep(u, i, j, vec, spec, site_transpose=True)
 
 
 def _twisted_trace(blocks, n: int) -> np.ndarray:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import PoleProximityError
-from .monodromy import (monodromy_blocks, scalar_a, scalar_d, scalar_d_l,
-                        vacuum_bra, vacuum_ket)
+from .monodromy import (apply_entry, apply_entry_bra, scalar_a, scalar_d,
+                        scalar_d_l, vacuum_bra, vacuum_ket)
 
 POLE_TOL = 1e-12
 
@@ -101,22 +101,46 @@ def enumerate_basis(spec: ChainSpec):
             for blocks in fill(sizes, range(1, spec.N + 1))]
 
 
+def _steps(idx: BasisIndex) -> tuple:
+    """(flavor, site) of each monodromy entry a basis state applies, in order."""
+    return tuple((f, p) for f, block in enumerate(idx.blocks, start=2)
+                 for p in block)
+
+
 def left_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
     """Bra <0| C^2(theta_p) ... (flavor-2 block) C^3(...) ... C^n(...) as a row."""
     bra = vacuum_bra(spec)
-    for f, block in enumerate(idx.blocks, start=1):
-        for p in block:
-            bra = bra @ monodromy_blocks(spec.theta[p - 1], spec)[f][0]
+    for f, p in _steps(idx):
+        bra = apply_entry_bra(spec.theta[p - 1], f, 1, bra, spec)
     return bra
 
 
 def right_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
     """Ket B_n(...) ... B_3(...) B_2(theta_p) ... |0>, the mirrored product."""
     ket = vacuum_ket(spec)
-    for f, block in enumerate(idx.blocks, start=1):
-        for p in block:
-            ket = monodromy_blocks(spec.theta[p - 1], spec)[0][f] @ ket
+    for f, p in _steps(idx):
+        ket = apply_entry(spec.theta[p - 1], 1, f, ket, spec)
     return ket
+
+
+def basis_states(spec: ChainSpec):
+    """The labels of ``enumerate_basis`` with their left and right states
+    stacked as rows.  Each state extends the state of its label minus the
+    last step by one entry, so the rows equal ``left_state``/``right_state``."""
+    labels = enumerate_basis(spec)
+    bras = np.empty((len(labels), spec.dim), dtype=complex)
+    kets = np.empty_like(bras)
+    row = {}
+    for r, idx in enumerate(labels):
+        steps = _steps(idx)
+        row[steps] = r
+        if not steps:
+            bras[r], kets[r] = vacuum_bra(spec), vacuum_ket(spec)
+            continue
+        (f, p), parent = steps[-1], row[steps[:-1]]
+        bras[r] = apply_entry_bra(spec.theta[p - 1], f, 1, bras[parent], spec)
+        kets[r] = apply_entry(spec.theta[p - 1], 1, f, kets[parent], spec)
+    return labels, bras, kets
 
 
 def _site_tuple(pset, N: int) -> tuple:
@@ -167,10 +191,8 @@ def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
 
 
 def gram_matrix(spec: ChainSpec) -> np.ndarray:
-    basis = enumerate_basis(spec)
-    lmat = np.array([left_state(ix, spec) for ix in basis])
-    rmat = np.array([right_state(ix, spec) for ix in basis]).T
-    return lmat @ rmat
+    _, bras, kets = basis_states(spec)
+    return bras @ kets.T
 
 
 def verify_orthogonality(spec: ChainSpec) -> dict:
@@ -193,10 +215,9 @@ def verify_orthogonality(spec: ChainSpec) -> dict:
 
 def identity_resolution_residual(spec: ChainSpec) -> float:
     """Frobenius residual of sum_idx |idx><idx| / G_idx against the identity."""
-    basis = enumerate_basis(spec)
-    acc = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for ix in basis:
-        acc += np.outer(right_state(ix, spec), left_state(ix, spec)) / g_factor(ix, spec)
+    labels, bras, kets = basis_states(spec)
+    norms = np.array([g_factor(ix, spec) for ix in labels])
+    acc = (kets / norms[:, None]).T @ bras
     return float(np.linalg.norm(acc - np.eye(spec.dim)))
 
 
@@ -335,9 +356,9 @@ OP_ENTRY = {"D33": (3, 3), "D23": (2, 3), "D32": (3, 2), "B3": (1, 3), "C3": (3,
 
 
 def act_on_bra_dense(op: str, u: complex, idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
-    """Oracle route: <idx| Op(u) by dense matrix action."""
+    """Oracle route: <idx| Op(u) by direct action of the monodromy entry."""
     i, j = OP_ENTRY[op]
-    return left_state(idx, spec) @ monodromy_blocks(u, spec)[i - 1][j - 1]
+    return apply_entry_bra(u, i, j, left_state(idx, spec), spec)
 
 
 def decomposition_residual(op: str, u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
@@ -356,6 +377,6 @@ def sun_dnn_residual(u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
     coeff = scalar_d(u, spec)
     for k in idx.blocks[-1]:
         coeff *= np.sinh(u - spec.theta[k - 1] + spec.eta) / np.sinh(u - spec.theta[k - 1])
-    acted = bra @ monodromy_blocks(u, spec)[spec.n - 1][spec.n - 1]
+    acted = apply_entry_bra(u, spec.n, spec.n, bra, spec)
     scale = max(float(np.abs(acted).max()), 1.0)
     return float(np.abs(acted - coeff * bra).max()) / scale

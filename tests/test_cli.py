@@ -3,11 +3,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from spintorus.cli import (ConfigError, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR,
                            EXIT_OK, SCHEMA_VERSION, build_spec, load_config,
                            main, render_json, run)
+from spintorus.eigenstate import Reconstructor
 
 
 def _load_report(path):
@@ -169,13 +171,24 @@ def test_bae_rejects_large_chains(tmp_path):
         run("bae", cfg, out_dir=str(tmp_path))
 
 
-def test_strict_flag_controls_diagnostic_exit(tmp_path):
-    cfg = load_config({"tolerances": {"reconstruct-cos": 1e-30}})
+def test_strict_flag_controls_diagnostic_exit(tmp_path, monkeypatch):
+    # every reconstructed state is tilted off its eigenvector, so each record
+    # is reported misaligned; only --strict turns that into a failing exit
+    exact = Reconstructor.state
+    tilt = np.random.default_rng(0).standard_normal(9)
+
+    def tilted(self, lambda_at_theta, psi_bar0):
+        state = exact(self, lambda_at_theta, psi_bar0)
+        return state + 0.1 * np.linalg.norm(state) * tilt
+
+    monkeypatch.setattr(Reconstructor, "state", tilted)
+    cfg = load_config({})
     assert run("reconstruct", cfg, out_dir=str(tmp_path)) == EXIT_OK
     assert run("reconstruct", cfg, strict=True,
                out_dir=str(tmp_path)) == EXIT_CHECK_FAILURE
     report = _load_report(tmp_path / "reconstruct_report.json")
     assert report["failures"]
+    assert all(r["one_minus_cos"] > 1e-8 for r in report["records"])
 
 
 def test_csv_sidecar(tmp_path):

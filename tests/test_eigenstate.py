@@ -18,8 +18,8 @@ from spintorus.eigenstate import (Reconstructor, _tree_sum,
 from spintorus.errors import (DegenerateNormalizationError,
                               NonGenericSpecError, PoleProximityError)
 from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
-                                 homogeneous_transfer, monodromy_blocks, op_C,
-                                 op_D, scalar_a, transfer, vacuum_bra)
+                                 homogeneous_transfer, monodromy_blocks,
+                                 scalar_a, transfer, vacuum_bra)
 from spintorus.sov_basis import BasisIndex, enumerate_basis, left_state
 from spintorus.spectrum import OMEGA, eigenvalue_at
 from spintorus.tensor_core import kron_chain, simultaneous_eigen
@@ -48,9 +48,9 @@ def test_product_norm_values(spec1, spec2):
             for qset in combinations((1, 2), m):
                 bra = bar_bra.copy()
                 for p in pset:
-                    bra = bra @ op_D(spec2.theta[p - 1], 2, 3, spec2)
+                    bra = bra @ monodromy_blocks(spec2.theta[p - 1], spec2)[1][2]
                 for q in reversed(qset):
-                    bra = bra @ op_D(spec2.theta[q - 1], 3, 2, spec2)
+                    bra = bra @ monodromy_blocks(spec2.theta[q - 1], spec2)[2][1]
                 got = complex(bra @ bar_ket)
                 if pset == qset:
                     want = f_factor(pset, spec2)
@@ -74,18 +74,20 @@ def test_kernel_determinant_small_orders(spec1, rng):
 def test_kernel_determinant_matrix_action_oracle(spec1, spec2):
     # <0| C2(theta_P) D32(u_m) ... D32(u_1) |0bar> = g_m(theta_P|u) prod_k a(theta_k)
     u1, u2 = 0.37 - 0.41j, -0.22 + 0.18j
-    b1 = vacuum_bra(spec1) @ op_C(spec1.theta[0], 2, spec1)
-    got = complex(b1 @ op_D(u1, 3, 2, spec1) @ conjugate_vacuum_ket(spec1))
+    b1 = vacuum_bra(spec1) @ monodromy_blocks(spec1.theta[0], spec1)[1][0]
+    got = complex(b1 @ monodromy_blocks(u1, spec1)[2][1]
+                  @ conjugate_vacuum_ket(spec1))
     want = g_m_function((spec1.theta[0],), (u1,), spec1) \
         * scalar_a(spec1.theta[0], spec1)
     assert abs(got - want) / abs(want) < 1e-12
 
-    bra = vacuum_bra(spec2) @ op_C(spec2.theta[0], 2, spec2) \
-        @ op_C(spec2.theta[1], 2, spec2)
+    bra = vacuum_bra(spec2) @ monodromy_blocks(spec2.theta[0], spec2)[1][0] \
+        @ monodromy_blocks(spec2.theta[1], spec2)[1][0]
     afac = scalar_a(spec2.theta[0], spec2) * scalar_a(spec2.theta[1], spec2)
     for pts in ((u1, u2), spec2.theta):
-        got = complex(bra @ op_D(pts[1], 3, 2, spec2)
-                      @ op_D(pts[0], 3, 2, spec2) @ conjugate_vacuum_ket(spec2))
+        got = complex(bra @ monodromy_blocks(pts[1], spec2)[2][1]
+                      @ monodromy_blocks(pts[0], spec2)[2][1]
+                      @ conjugate_vacuum_ket(spec2))
         want = g_m_function(spec2.theta, pts, spec2) * afac
         assert abs(got - want) / abs(want) < 1e-8
 
@@ -149,7 +151,7 @@ def test_conjugate_chain_pairing(spec2, records2):
             for pset in combinations((1, 2), m):
                 bra = conjugate_vacuum_bra(spec2).copy()
                 for p in pset:
-                    bra = bra @ op_D(spec2.theta[p - 1], 2, 3, spec2)
+                    bra = bra @ monodromy_blocks(spec2.theta[p - 1], spec2)[1][2]
                 got = complex(bra @ rec.vector)
                 want = (lam_all / afac) \
                     * np.prod([rec.lambda_theta[p - 1] for p in pset]) * psi0
@@ -214,7 +216,7 @@ def test_reconstructor_reused_matches_fresh_reconstruct(
 
 
 def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
-    calls = {"right_state": 0, "g_factor": 0, "g_m_function": 0}
+    calls = {"basis_states": 0, "g_factor": 0, "g_m_function": 0}
 
     def counted(name):
         original = getattr(eigenstate, name)
@@ -229,8 +231,8 @@ def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
     rebuild = Reconstructor(spec3)
     for rec in records3:
         rebuild.state(_lam_map(rec, spec3), _psi_bar0(rec, spec3))
-    # one ket and one norm per label, one kernel per pair of equal-size sets
-    assert calls == {"right_state": 27, "g_factor": 27, "g_m_function": 20}
+    # one ket stack, one norm per label, one kernel per pair of equal-size sets
+    assert calls == {"basis_states": 1, "g_factor": 27, "g_m_function": 20}
 
 
 def test_reconstructor_refuses_one_record_and_keeps_going(spec2, records2):
@@ -245,8 +247,6 @@ def test_reconstructor_refuses_one_record_and_keeps_going(spec2, records2):
 def test_shared_arrays_are_read_only(spec2):
     with pytest.raises(ValueError, match="read-only"):
         Reconstructor(spec2).kets[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        monodromy_blocks(0.3 + 0.1j, spec2)[0][1][0, 0] = 1.0
 
 
 def _list_tree_sum(terms):

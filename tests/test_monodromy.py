@@ -4,11 +4,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
+from spintorus.monodromy import (apply_entry, apply_entry_bra,
+                                 conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  exchange_relation_residuals, fd4_derivative,
                                  global_hamiltonian, homogeneous_transfer,
-                                 monodromy_blocks, monodromy_entry, op_B,
-                                 op_C, op_D, product_identity_residual,
+                                 monodromy_blocks, product_identity_residual,
                                  scalar_a, scalar_d, scalar_d_l, transfer,
                                  transfer_log_derivative_residual,
                                  twist_operator, vacuum_bra, vacuum_ket)
@@ -35,18 +35,43 @@ def test_scalar_functions(spec2, rng):
 def test_single_site_operators_close_form():
     spec = ChainSpec(n=3, N=1, eta=0.5, theta=(0.2,))
     sh = np.sinh(0.5)
-    assert_allclose(op_C(0.2, 2, spec), sh * site_matrix_unit(3, 1, 2), atol=1e-15)
-    assert_allclose(op_B(0.2, 2, spec), sh * site_matrix_unit(3, 2, 1), atol=1e-15)
+    blocks = monodromy_blocks(0.2, spec)
+    assert_allclose(blocks[1][0], sh * site_matrix_unit(3, 1, 2), atol=1e-15)
+    assert_allclose(blocks[0][1], sh * site_matrix_unit(3, 2, 1), atol=1e-15)
     assert_allclose(transfer(0.2, spec), sh * twist_matrix(3), atol=1e-15)
 
 
-def test_entry_indexing_contract(spec2):
+def test_entry_indexing_contract(spec2, rng):
     u = 0.41 - 0.17j
     blocks = monodromy_blocks(u, spec2)
-    assert_allclose(monodromy_entry(u, 1, 1, spec2), blocks[0][0], atol=0)
-    assert_allclose(op_B(u, 3, spec2), blocks[0][2], atol=0)
-    assert_allclose(op_C(u, 2, spec2), blocks[1][0], atol=0)
-    assert_allclose(op_D(u, 3, 2, spec2), blocks[2][1], atol=0)
+    vec = rng.standard_normal(spec2.dim) + 1j * rng.standard_normal(spec2.dim)
+    for i, j in ((1, 1), (1, 3), (2, 1), (3, 2)):
+        assert_allclose(apply_entry(u, i, j, vec, spec2),
+                        blocks[i - 1][j - 1] @ vec, rtol=1e-14)
+        assert_allclose(apply_entry_bra(u, i, j, vec, spec2),
+                        vec @ blocks[i - 1][j - 1], rtol=1e-14)
+    for i, j in ((0, 1), (1, 4)):
+        with pytest.raises(ValueError, match="outside"):
+            apply_entry(u, i, j, vec, spec2)
+
+
+@pytest.mark.parametrize("n, N", [(3, 1), (3, 2), (3, 3), (3, 4),
+                                  (2, 3), (4, 2)])
+def test_entry_action_matches_dense_blocks(n, N, rng):
+    """Every entry, applied site by site to a ket or a bra, agrees with the
+    dense block at a random point and at every inhomogeneity point."""
+    spec = default_spec(n=n, N=N)
+    u_rand = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for u in (u_rand,) + spec.theta:
+        blocks = monodromy_blocks(u, spec)
+        vec = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                block = blocks[i - 1][j - 1]
+                for got, want in ((apply_entry(u, i, j, vec, spec), block @ vec),
+                                  (apply_entry_bra(u, i, j, vec, spec), vec @ block)):
+                    scale = max(float(np.abs(want).max()), 1e-300)
+                    assert np.abs(got - want).max() / scale < 1e-14
 
 
 def test_vacuum_actions(spec2, rng):
@@ -75,7 +100,8 @@ def test_vacuum_actions(spec2, rng):
 
 def test_transfer_is_block_sum(spec2):
     u = 0.29 + 0.33j
-    total = op_B(u, 2, spec2) + op_D(u, 2, 3, spec2) + op_C(u, 3, spec2)
+    blocks = monodromy_blocks(u, spec2)
+    total = blocks[0][1] + blocks[1][2] + blocks[2][0]
     assert np.abs(transfer(u, spec2) - total).max() < 1e-13
 
 
@@ -97,8 +123,9 @@ def test_twist_operator_properties(rng):
     spec = default_spec(N=2)
     u_op = twist_operator(spec)
     u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    conj = np.linalg.inv(u_op) @ op_C(u, 3, spec) @ u_op
-    assert np.abs(conj - op_D(u, 2, 3, spec)).max() < 1e-13
+    blocks = monodromy_blocks(u, spec)
+    conj = np.linalg.inv(u_op) @ blocks[2][0] @ u_op
+    assert np.abs(conj - blocks[1][2]).max() < 1e-13
     t = transfer(u, spec)
     assert np.abs(t @ u_op - u_op @ t).max() < 1e-13
 
@@ -123,7 +150,7 @@ def test_conjugate_pairing_product(spec1, spec2, spec3):
     for spec in (spec1, spec2, spec3):
         bra = vacuum_bra(spec)
         for t in spec.theta:
-            bra = bra @ op_C(t, 3, spec)
+            bra = bra @ monodromy_blocks(t, spec)[2][0]
         got = complex(bra @ conjugate_vacuum_ket(spec))
         want = complex(np.prod([scalar_a(t, spec) for t in spec.theta]))
         assert abs(got - want) / abs(want) < 1e-13

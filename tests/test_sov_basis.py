@@ -7,7 +7,8 @@ from spintorus.chain import ChainSpec, default_spec
 from spintorus.monodromy import (monodromy_blocks, scalar_d, vacuum_bra,
                                  vacuum_ket)
 from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
-                                 decomposition_residual, enumerate_basis,
+                                 basis_states, decomposition_residual,
+                                 enumerate_basis,
                                  g_factor, gram_matrix,
                                  identity_resolution_residual, left_state,
                                  right_state, sun_dnn_residual,
@@ -38,6 +39,20 @@ def test_empty_label_gives_reference_states(spec2):
     empty = BasisIndex(block2=(), block3=())
     assert_allclose(left_state(empty, spec2), vacuum_bra(spec2), atol=0)
     assert_allclose(right_state(empty, spec2), vacuum_ket(spec2), atol=0)
+
+
+@pytest.mark.parametrize("n, N", [(3, 1), (3, 2), (3, 3), (3, 4),
+                                  (2, 4), (4, 3)])
+def test_basis_states_match_per_label_states(n, N):
+    # the prefix-built stacks repeat the per-label products operation by
+    # operation, so the rows are bit-identical to them
+    spec = default_spec(n=n, N=N)
+    labels, bras, kets = basis_states(spec)
+    assert labels == enumerate_basis(spec)
+    assert bras.shape == kets.shape == (spec.dim, spec.dim)
+    for row, idx in enumerate(labels):
+        assert np.array_equal(bras[row], left_state(idx, spec))
+        assert np.array_equal(kets[row], right_state(idx, spec))
 
 
 def test_single_site_states_closed_form():
