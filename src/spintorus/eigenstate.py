@@ -331,20 +331,23 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
     if len(eps_desc) < 2:
         raise ValueError("need at least two shrink factors")
 
-    # homogeneous reference spectrum
+    # homogeneous reference spectrum; the transfer at the origin and at the
+    # four difference points is built once for all families
     t_hom = lambda u: homogeneous_transfer(u, n, N, eta)
     u_op = kron_chain([twist_matrix(n)] * N)
     hom_records, _, hom_dual, _ = simultaneous_eigen(
         [t_hom(U_PROBES[0]), t_hom(U_PROBES[1]), u_op])
+    h = 1e-4
+    t_at = {u: t_hom(u) for u in (0.0, 2 * h, h, -h, -2 * h)}
 
     def eigval(vec, dual, op):
         return complex(dual @ op @ vec / (dual @ vec))
 
     families = []
     for k, (vec, mus) in enumerate(hom_records):
-        lam0 = eigval(vec, hom_dual[k], t_hom(0.0))
+        lam0 = eigval(vec, hom_dual[k], t_at[0.0])
         dlam0 = fd4_derivative(
-            lambda u: eigval(vec, hom_dual[k], t_hom(u)), 0.0)
+            lambda u: eigval(vec, hom_dual[k], t_at[u]), 0.0, h)
         z = int(np.round(np.angle(mus[2]) / (2 * np.pi / 3))) % 3
         families.append(HomogFamily(hom_index=k, z_charge=z,
                                     lam0=lam0, dlam0=dlam0))
