@@ -53,10 +53,9 @@ __all__ = [
     "CHECK_NAMES", "DegenerateNormalizationError", "DegeneracyError",
     "DenseBudgetError", "HomogFamily", "HomogStudy", "InconsistencyError",
     "NonGenericSpecError", "PoleProximityError", "Reconstructor",
-    "SpectralRecord",
-    "SpinTorusError", "TQSolution", "UnsupportedRankError", "act_on_bra",
-    "apply_entry", "apply_entry_bra", "bae_residuals", "basis_states",
-    "basis_vector", "bilinear_pair", "brute_force_spectrum",
+    "SpectralRecord", "SpinTorusError", "TQSolution", "UnsupportedRankError",
+    "act_on_bra", "apply_entry", "apply_entry_bra", "bae_residuals",
+    "basis_states", "basis_vector", "bilinear_pair", "brute_force_spectrum",
     "closed_form_two_site", "crossing_residual", "decomposition_residual",
     "default_spec", "eigen_residual_at", "eigenvalue_at",
     "embed_site_operator", "enumerate_basis", "exchange_relation_residuals",

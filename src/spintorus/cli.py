@@ -320,8 +320,7 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
         gauge = "matched"
         if abs(psi_bar0) < 1e-12 * float(np.abs(rec.vector).max()):
             psi_bar0, gauge = 1.0, "unit"
-        lam_map = {j + 1: rec.lambda_theta[j] for j in range(spec.N)}
-        state = rebuild.state(lam_map, psi_bar0)
+        state = rebuild.state(rec.lambda_theta, psi_bar0)
         unit = normalize_gauge(state)
         one_minus_cos = 2.0 * math.sin(_hermitian_angle(rec.vector, unit) / 2) ** 2
         worst = 0.0

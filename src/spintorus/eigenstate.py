@@ -243,12 +243,9 @@ def _neville_at_zero(eps: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle between the complex lines through a and b.
-
-    Taken as 2 arcsin(|a - e^{i phi} b| / 2) on the unit vectors, phi the
-    phase that best aligns them, so it resolves angles down to rounding;
-    arccos of the overlap cannot go below arccos(1 - 2^-53) = 1.5e-8.
-    """
+    """Angle between the lines through a and b: 2 arcsin(|a - e^{i phi} b| / 2)
+    on unit vectors, phi the best-aligning phase.  arccos of the overlap
+    cannot resolve angles below arccos(1 - 2^-53) = 1.5e-8."""
     a = a / np.linalg.norm(a)
     b = b / np.linalg.norm(b)
     overlap = np.vdot(b, a)
@@ -262,9 +259,7 @@ def closed_form_two_site(lam0: complex, dlam0: complex, n: int,
     its derivative at the origin."""
     if n != 3:
         raise ValueError("closed form is specific to three flavors")
-    blocks0 = _blocks_raw(0.0, n, eta, (0.0, 0.0))
-    b2 = blocks0[0][1]
-    b3 = blocks0[0][2]
+    _, b2, b3 = _blocks_raw(0.0, n, eta, (0.0, 0.0))[0]
     db2 = fd4_derivative(lambda u: _blocks_raw(u, n, eta, (0.0, 0.0))[0][1], 0.0)
     db3 = fd4_derivative(lambda u: _blocks_raw(u, n, eta, (0.0, 0.0))[0][2], 0.0)
     vac = np.zeros(n ** 2, dtype=complex)
@@ -331,8 +326,7 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
     if len(eps_desc) < 2:
         raise ValueError("need at least two shrink factors")
 
-    # homogeneous reference spectrum; the transfer at the origin and at the
-    # four difference points is built once for all families
+    # homogeneous reference spectrum, and t(u) at the points fd4 samples
     t_hom = lambda u: homogeneous_transfer(u, n, N, eta)
     u_op = kron_chain([twist_matrix(n)] * N)
     hom_records, _, hom_dual, _ = simultaneous_eigen(
@@ -346,8 +340,7 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
     families = []
     for k, (vec, mus) in enumerate(hom_records):
         lam0 = eigval(vec, hom_dual[k], t_at[0.0])
-        dlam0 = fd4_derivative(
-            lambda u: eigval(vec, hom_dual[k], t_at[u]), 0.0, h)
+        dlam0 = fd4_derivative(lambda u: eigval(vec, hom_dual[k], t_at[u]), 0.0, h)
         z = int(np.round(np.angle(mus[2]) / (2 * np.pi / 3))) % 3
         families.append(HomogFamily(hom_index=k, z_charge=z,
                                     lam0=lam0, dlam0=dlam0))

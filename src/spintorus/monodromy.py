@@ -5,9 +5,8 @@ acting on auxiliary x quantum space; it is held as the n x n array of its
 auxiliary blocks, each a dense operator on the chain.  The blocks are built
 by appending one site per step: the site being appended is a fresh (fastest)
 tensor factor, so each step is a pure Kronecker extension and no
-n^(N+1)-dimensional object is ever materialized.  One entry applied to one
-vector never needs the blocks: the monodromy is a matrix product operator
-of bond dimension n, and ``apply_entry`` acts with it site by site.
+n^(N+1)-dimensional object is ever materialized.  ``apply_entry`` acts with
+one entry on a vector site by site, as a matrix product operator, unbuilt.
 
 Entry naming: A = block (1,1), B_i = block (1,i), C^i = block (i,1),
 D^i_j = block (i,j) for i, j >= 2.  The antiperiodic transfer matrix is the
@@ -72,8 +71,7 @@ def _blocks_raw(u: complex, n: int, eta: complex, thetas) -> list:
 
 
 def monodromy_blocks(u: complex, spec: ChainSpec) -> list:
-    """All n^2 auxiliary blocks at spectral point u as dense chain operators;
-    the independent oracle for the site-by-site ``apply_entry``."""
+    """All n^2 auxiliary blocks at u: the dense oracle for ``apply_entry``."""
     return _blocks_raw(complex(u), spec.n, spec.eta, spec.theta)
 
 
@@ -82,8 +80,7 @@ def _sweep(u: complex, i: int, j: int, vec: np.ndarray, spec: ChainSpec,
     """Entry (i, j) of the monodromy, a matrix product operator of bond
     dimension n, applied site by site: the auxiliary index enters as a bond
     in state j next to site 1, each site's R-matrix acts on the (bond, site)
-    pair, the bond is swapped past the site, and after site N it is read at i.
-    """
+    pair, the bond is swapped past the site, and after site N it is read at i."""
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise ValueError(f"entry ({i},{j}) outside 1..{spec.n}")
     n = spec.n
@@ -106,8 +103,7 @@ def apply_entry(u: complex, i: int, j: int, vec: np.ndarray,
 
 def apply_entry_bra(u: complex, i: int, j: int, vec: np.ndarray,
                     spec: ChainSpec) -> np.ndarray:
-    """vec @ T_ij(u): T_ij(u) transposed is the same product with every
-    R-matrix transposed on its site factor."""
+    """vec @ T_ij(u); the transpose transposes each R-matrix on its site."""
     return _sweep(u, i, j, vec, spec, site_transpose=True)
 
 
@@ -137,10 +133,6 @@ def vacuum_ket(spec: ChainSpec) -> np.ndarray:
     return v
 
 
-def vacuum_bra(spec: ChainSpec) -> np.ndarray:
-    return vacuum_ket(spec)
-
-
 def conjugate_vacuum_ket(spec: ChainSpec) -> np.ndarray:
     """All-sites-highest state; the image of the vacuum under the twist."""
     v = np.zeros(spec.dim, dtype=complex)
@@ -148,14 +140,13 @@ def conjugate_vacuum_ket(spec: ChainSpec) -> np.ndarray:
     return v
 
 
-def conjugate_vacuum_bra(spec: ChainSpec) -> np.ndarray:
-    return conjugate_vacuum_ket(spec)
+# Pairings are bilinear, so each reference bra has the entries of its ket.
+vacuum_bra, conjugate_vacuum_bra = vacuum_ket, conjugate_vacuum_ket
 
 
 def product_identity_residual(spec: ChainSpec) -> float:
     """prod_j t(theta_j) = prod_j scalar_a(theta_j) * twist_operator."""
-    dim = spec.dim
-    prod = np.eye(dim, dtype=complex)
+    prod = np.eye(spec.dim, dtype=complex)
     for t in spec.theta:
         prod = prod @ transfer(t, spec)
     rhs = complex(np.prod([scalar_a(t, spec) for t in spec.theta])) * twist_operator(spec)

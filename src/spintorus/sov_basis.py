@@ -130,13 +130,9 @@ def basis_states(spec: ChainSpec):
     labels = enumerate_basis(spec)
     bras = np.empty((len(labels), spec.dim), dtype=complex)
     kets = np.empty_like(bras)
-    row = {}
-    for r, idx in enumerate(labels):
-        steps = _steps(idx)
-        row[steps] = r
-        if not steps:
-            bras[r], kets[r] = vacuum_bra(spec), vacuum_ket(spec)
-            continue
+    bras[0], kets[0] = vacuum_bra(spec), vacuum_ket(spec)
+    row = {_steps(idx): r for r, idx in enumerate(labels)}
+    for steps, r in list(row.items())[1:]:
         (f, p), parent = steps[-1], row[steps[:-1]]
         bras[r] = apply_entry_bra(spec.theta[p - 1], f, 1, bras[parent], spec)
         kets[r] = apply_entry(spec.theta[p - 1], 1, f, kets[parent], spec)
@@ -217,8 +213,7 @@ def identity_resolution_residual(spec: ChainSpec) -> float:
     """Frobenius residual of sum_idx |idx><idx| / G_idx against the identity."""
     labels, bras, kets = basis_states(spec)
     norms = np.array([g_factor(ix, spec) for ix in labels])
-    acc = (kets / norms[:, None]).T @ bras
-    return float(np.linalg.norm(acc - np.eye(spec.dim)))
+    return float(np.linalg.norm((kets / norms[:, None]).T @ bras - np.eye(spec.dim)))
 
 
 # ---------------------------------------------------------------------------
