@@ -22,7 +22,7 @@ from .checks import CHECK_NAMES, CheckResult, run_checks
 from .eigenstate import (HomogFamily, HomogStudy, Reconstructor,
                          closed_form_two_site, g_m_function,
                          homogeneous_limit_study, normalize_gauge,
-                         reconstruct, scalar_F, scalar_product_table)
+                         reconstruct, scalar_F)
 from .errors import (DegenerateNormalizationError, DegeneracyError,
                      DenseBudgetError, InconsistencyError,
                      NonGenericSpecError, PoleProximityError, SpinTorusError,
@@ -65,7 +65,7 @@ __all__ = [
     "left_state", "local_hamiltonian", "monodromy_blocks", "normalize_gauge",
     "permutation_matrix", "product_identity_residual", "qybe_residual",
     "r_matrix", "reconstruct", "right_state", "run_checks", "scalar_F",
-    "scalar_a", "scalar_d", "scalar_d_l", "scalar_product_table",
+    "scalar_a", "scalar_d", "scalar_d_l",
     "simultaneous_eigen", "site_matrix_unit", "solve_bae", "tq_lambda",
     "transfer", "twist_invariance_residual", "twist_matrix", "twist_operator",
     "unitarity_residual", "verify_orthogonality", "z_charge",

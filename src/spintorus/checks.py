@@ -145,8 +145,6 @@ def _check_identity_resolution(spec: ChainSpec, rng: np.random.Generator):
 
 
 def _check_decompositions(spec: ChainSpec, rng: np.random.Generator):
-    if spec.n != 3:
-        raise ValueError("operator decompositions are implemented for n = 3 only")
     basis = enumerate_basis(spec)
     if spec.N > 3:
         picks = sorted(rng.choice(len(basis), size=12, replace=False))

@@ -103,22 +103,31 @@ def _kernel(sites: tuple, spec: ChainSpec) -> tuple:
     return comp, rows, np.prod([scalar_a(t, spec) for t in spec.theta])
 
 
-def _pairing(kernel: tuple, lam: tuple, psi_bar0: complex) -> complex:
-    """Eigenvalue-dependent half of ``scalar_F``: the kernel rows weighted by
-    the eigenvalue products, times prod_k a(theta_k) and psi_bar0, over the
-    eigenvalue product on the complement."""
-    comp, rows, a_all = kernel
-    for q in comp:
-        if abs(lam[q - 1]) < 1e-12:
-            raise DegenerateNormalizationError(
-                f"eigenvalue vanishes at site {q}; the pairing formula "
-                "divides by it")
-    total = 0.0 + 0.0j
-    for primed, kern_cross, norm in rows:
-        lam_primed = np.prod([lam[p - 1] for p in primed]) if primed else 1.0
-        total += kern_cross * lam_primed / norm
-    lam_comp = np.prod([lam[q - 1] for q in comp]) if comp else 1.0
-    return complex(total * a_all / lam_comp * psi_bar0)
+def _pairings(kernels, lam: tuple, psi_bar0: complex) -> list:
+    """Eigenvalue-dependent half of ``scalar_F``, one pairing per kernel: the
+    kernel rows weighted by the eigenvalue products, times prod_k a(theta_k)
+    and psi_bar0, over the eigenvalue product on the complement.
+
+    The eigenvalue product over every sorted site set is taken once, as its
+    prefix's product times one more eigenvalue: the order and operand types
+    of ``np.prod``, with the empty product the float 1.0.
+    """
+    prods = {(): 1.0}
+    for q, lam_q in enumerate(np.array(lam, dtype=complex), start=1):
+        for sites, prod in list(prods.items()):
+            prods[sites + (q,)] = prod * lam_q if sites else lam_q
+    out = []
+    for comp, rows, a_all in kernels:
+        for q in comp:
+            if abs(lam[q - 1]) < 1e-12:
+                raise DegenerateNormalizationError(
+                    f"eigenvalue vanishes at site {q}; the pairing formula "
+                    "divides by it")
+        total = 0.0 + 0.0j
+        for primed, kern_cross, norm in rows:
+            total += kern_cross * prods[primed] / norm
+        out.append(complex(total * a_all / prods[comp] * psi_bar0))
+    return out
 
 
 def scalar_F(pset, lambda_at_theta, psi_bar0: complex, spec: ChainSpec) -> complex:
@@ -129,26 +138,12 @@ def scalar_F(pset, lambda_at_theta, psi_bar0: complex, spec: ChainSpec) -> compl
     UNPRIMED set, times the eigenvalue product over the primed set divided by
     its one-flavor norm; the whole sum carries prod_k a(theta_k) over all
     sites, the eigenvalue product over the unprimed complement in the
-    denominator, and the reference pairing psi_bar0 = <bar0|Psi>.
+    denominator, and the reference pairing psi_bar0 = <bar0|Psi>.  The
+    empty-set pairing is <0|Psi> in the same gauge as psi_bar0.
     """
     sites = _site_tuple(pset, spec.N)
     lam = _lambda_tuple(lambda_at_theta, spec.N)
-    return _pairing(_kernel(sites, spec), lam, psi_bar0)
-
-
-def scalar_product_table(lambda_at_theta, psi_bar0: complex,
-                         spec: ChainSpec) -> dict:
-    """All one-flavor pairings, keyed by the sorted site tuple.
-
-    The empty-set entry is the reference-vacuum pairing <0|Psi> in the same
-    gauge as psi_bar0.
-    """
-    lam = _lambda_tuple(lambda_at_theta, spec.N)
-    out = {}
-    for m in range(spec.N + 1):
-        for pset in combinations(range(1, spec.N + 1), m):
-            out[pset] = scalar_F(pset, lam, psi_bar0, spec)
-    return out
+    return _pairings([_kernel(sites, spec)], lam, psi_bar0)[0]
 
 
 def _tree_sum(rows: np.ndarray) -> np.ndarray:
@@ -191,8 +186,8 @@ class Reconstructor:
         psi_bar0.
         """
         lam = _lambda_tuple(lambda_at_theta, self.spec.N)
-        pairings = {sites: _pairing(kernel, lam, psi_bar0)
-                    for sites, kernel in self.kernels.items()}
+        pairings = dict(zip(self.kernels, _pairings(self.kernels.values(),
+                                                     lam, psi_bar0)))
         coeffs = np.empty(len(self.labels), dtype=complex)
         for i, (idx, norm) in enumerate(zip(self.labels, self.norms)):
             coeff = pairings[idx.block2]
@@ -325,6 +320,10 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
     eps_desc = tuple(sorted((float(e) for e in eps_sequence), reverse=True))
     if len(eps_desc) < 2:
         raise ValueError("need at least two shrink factors")
+    for hi, lo in zip(eps_desc, eps_desc[1:]):
+        if hi == lo:
+            raise ValueError(f"repeated shrink factor {hi}: the extrapolation "
+                             "to eps = 0 needs distinct factors")
 
     # homogeneous reference spectrum, and t(u) at the points fd4 samples
     t_hom = lambda u: homogeneous_transfer(u, n, N, eta)
@@ -348,15 +347,13 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
     # reconstructed, gauge-fixed states per eps, matched to the homogeneous
     # families through the probe eigenvalues
     tracked = {k: [] for k in range(len(families))}
+    hom_mus = np.array([mus for _, mus in hom_records])
     for eps in eps_desc:
         spec = ChainSpec(n=n, N=N, eta=eta,
                          theta=tuple(eps * x for x in direction))
         records = brute_force_spectrum(spec)
-        cost = np.empty((len(families), len(records)))
-        for i, fam in enumerate(families):
-            mus_i = hom_records[fam.hom_index][1]
-            for j, rec in enumerate(records):
-                cost[i, j] = sum(abs(a - b) for a, b in zip(mus_i, rec.mu))
+        mus = np.array([rec.mu for rec in records])
+        cost = np.abs(hom_mus[:, None] - mus[None]).sum(axis=2)
         rows, cols = linear_sum_assignment(cost)
         rebuild = Reconstructor(spec)
         for i, j in zip(rows, cols):

@@ -193,9 +193,9 @@ def gram_matrix(spec: ChainSpec) -> np.ndarray:
 
 def verify_orthogonality(spec: ChainSpec) -> dict:
     """Gram diagnostics: diagonal vs closed form, off-diagonal leakage."""
-    basis = enumerate_basis(spec)
-    gram = gram_matrix(spec)
-    expected = np.array([g_factor(ix, spec) for ix in basis])
+    labels, bras, kets = basis_states(spec)
+    gram = bras @ kets.T
+    expected = np.array([g_factor(ix, spec) for ix in labels])
     diag = np.diagonal(gram)
     diag_rel_err = float(np.max(np.abs(diag - expected) / np.abs(expected)))
     off = gram - np.diag(diag)

@@ -1,4 +1,5 @@
 """Scalar products of transfer eigenstates and state reconstruction."""
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -10,18 +11,17 @@ from numpy.testing import assert_allclose
 
 import spintorus.eigenstate as eigenstate
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.eigenstate import (Reconstructor, _tree_sum,
-                                  closed_form_two_site, f_factor,
+from spintorus.eigenstate import (Reconstructor, _kernel, _pairings,
+                                  _tree_sum, closed_form_two_site, f_factor,
                                   g_m_function, homogeneous_limit_study,
-                                  normalize_gauge, reconstruct, scalar_F,
-                                  scalar_product_table)
+                                  normalize_gauge, reconstruct, scalar_F)
 from spintorus.errors import (DegenerateNormalizationError,
                               NonGenericSpecError, PoleProximityError)
 from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  homogeneous_transfer, monodromy_blocks,
                                  scalar_a, transfer, vacuum_bra)
 from spintorus.sov_basis import BasisIndex, enumerate_basis, left_state
-from spintorus.spectrum import OMEGA, eigenvalue_at
+from spintorus.spectrum import OMEGA, brute_force_spectrum, eigenvalue_at
 from spintorus.tensor_core import kron_chain, simultaneous_eigen
 from spintorus.rmatrix import twist_matrix
 
@@ -120,11 +120,57 @@ def test_scalar_products_match_direct_pairings(spec2, records2):
                 assert abs(got - direct) < 1e-7 * max(abs(direct), 1.0)
 
 
-def test_scalar_product_table_covers_all_subsets(spec2, records2):
-    rec = records2[0]
-    table = scalar_product_table(_lam_map(rec, spec2), _psi_bar0(rec, spec2),
-                                 spec2)
-    assert set(table) == {(), (1,), (2,), (1, 2)}
+def _pairing_oracle(kernel, lam, psi_bar0):
+    """The per-set pairing ``_pairings`` replaced: one ``np.prod`` of the
+    eigenvalue per primed set and per complement."""
+    comp, rows, a_all = kernel
+    for q in comp:
+        if abs(lam[q - 1]) < 1e-12:
+            raise DegenerateNormalizationError(
+                f"eigenvalue vanishes at site {q}; the pairing formula "
+                "divides by it")
+    total = 0.0 + 0.0j
+    for primed, kern_cross, norm in rows:
+        lam_primed = np.prod([lam[p - 1] for p in primed]) if primed else 1.0
+        total += kern_cross * lam_primed / norm
+    lam_comp = np.prod([lam[q - 1] for q in comp]) if comp else 1.0
+    return complex(total * a_all / lam_comp * psi_bar0)
+
+
+@lru_cache(maxsize=None)
+def _all_kernels(N):
+    spec = default_spec(N=N)
+    return [_kernel(sites, spec) for m in range(N + 1)
+            for sites in combinations(range(1, N + 1), m)]
+
+
+def _assert_pairings_match_oracle(N, lam, psi_bar0):
+    kernels = _all_kernels(N)
+    want = [_pairing_oracle(kernel, lam, psi_bar0) for kernel in kernels]
+    got = _pairings(kernels, lam, psi_bar0)
+    alone = [_pairings([kernel], lam, psi_bar0)[0] for kernel in kernels]
+    assert got == want and alone == want
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_pairings_equal_per_set_products_on_records(N):
+    spec = default_spec(N=N)
+    for rec in brute_force_spectrum(spec):
+        lam = tuple(complex(v) for v in rec.lambda_theta)
+        _assert_pairings_match_oracle(N, lam, _psi_bar0(rec, spec))
+
+
+_complex = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
+                              allow_nan=False, allow_infinity=False)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda N: st.tuples(st.lists(_complex, min_size=N, max_size=N),
+                        _complex)))
+def test_pairings_equal_per_set_products_on_drawn_eigenvalues(draw):
+    lam, psi_bar0 = draw
+    _assert_pairings_match_oracle(len(lam), tuple(lam), psi_bar0)
 
 
 def test_full_pairing_factorizes_over_second_block(spec2, records2):
@@ -159,7 +205,7 @@ def test_conjugate_chain_pairing(spec2, records2):
 
 
 def test_scalar_products_refuse_vanishing_eigenvalue(spec2):
-    with pytest.raises(DegenerateNormalizationError):
+    with pytest.raises(DegenerateNormalizationError, match="site 2"):
         scalar_F((1,), {1: 0.5, 2: 0.0}, 1.0, spec2)
 
 
@@ -336,6 +382,18 @@ def test_uniform_limit_study_marks_only_typed_failures_degenerate(monkeypatch):
     monkeypatch.setattr(eigenstate.Reconstructor, "state", broken)
     with pytest.raises(ValueError, match="unrelated defect"):
         homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
+
+
+def test_uniform_limit_study_refuses_repeated_factor_up_front(monkeypatch):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was built")
+
+    monkeypatch.setattr(eigenstate, "brute_force_spectrum", no_spectrum)
+    monkeypatch.setattr(eigenstate, "simultaneous_eigen", no_spectrum)
+    with pytest.raises(ValueError, match="repeated shrink factor 0.1"):
+        homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.1), 0.5)
+    with pytest.raises(ValueError, match="repeated shrink factor 0.05"):
+        homogeneous_limit_study((0.13 + 0.07j,), (0.05, 0.1, 0.05), 0.5)
 
 
 def test_uniform_limit_study_rejects_degenerate_direction():
