@@ -20,7 +20,8 @@ from .errors import DegenerateNormalizationError, PoleProximityError
 from .monodromy import (_blocks_raw, fd4_derivative, homogeneous_transfer,
                         scalar_a)
 from .rmatrix import twist_matrix
-from .sov_basis import POLE_TOL, _site_tuple, basis_states, f_factor, g_factor
+from .sov_basis import (POLE_TOL, _grown_rows, _site_tuple, enumerate_basis,
+                        f_factor, g_factor)
 from .spectrum import U_PROBES, brute_force_spectrum
 from .tensor_core import kron_chain, simultaneous_eigen
 
@@ -170,7 +171,8 @@ class Reconstructor:
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
-        self.labels, _, self.kets = basis_states(spec)
+        self.labels = enumerate_basis(spec)
+        self.kets = _grown_rows(self.labels, spec, bra=False)
         self.norms = [g_factor(idx, spec) for idx in self.labels]
         self.kets.setflags(write=False)
         self.kernels = {sites: _kernel(sites, spec) for sites in

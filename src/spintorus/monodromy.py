@@ -4,9 +4,12 @@ The monodromy matrix is the ordered product of R-matrices over sites N..1
 acting on auxiliary x quantum space; it is held as the n x n array of its
 auxiliary blocks, each a dense operator on the chain.  The blocks are built
 by appending one site per step: the site being appended is a fresh (fastest)
-tensor factor, so each step is a pure Kronecker extension and no
-n^(N+1)-dimensional object is ever materialized.  ``apply_entry`` acts with
-one entry on a vector site by site, as a matrix product operator, unbuilt.
+tensor factor, and each new block is assembled from the old blocks times
+the R-matrix's nonzero weights only, so no Kronecker product and no
+n^(N+1)-dimensional object is ever materialized.  A transfer matrix builds
+on its last site only the blocks its twisted trace reads.  ``apply_entry``
+acts with one entry on a vector site by site, as a matrix product operator,
+unbuilt.
 
 Entry naming: A = block (1,1), B_i = block (1,i), C^i = block (i,1),
 D^i_j = block (i,j) for i, j >= 2.  The antiperiodic transfer matrix is the
@@ -47,25 +50,34 @@ def scalar_d_l(u: complex, l: int, spec: ChainSpec) -> complex:
                             for j, t in enumerate(spec.theta, start=1) if j != l]))
 
 
-def _blocks_raw(u: complex, n: int, eta: complex, thetas) -> list:
-    """Auxiliary blocks of R_{0N}(u - theta_N) ... R_{01}(u - theta_1)."""
+def _blocks_raw(u: complex, n: int, eta: complex, thetas,
+                last_step=None) -> list:
+    """Auxiliary blocks of R_{0N}(u - theta_N) ... R_{01}(u - theta_1).
+
+    Appending a site to block T_kj gives the block of T_kj (x) <i c|R|k d>
+    over the new site's (c, d).  The R-matrix obeys the ice rule, so each
+    (i, c, d) has at most one nonzero weight: each new block is written as
+    an (m, n, m, n) array, one slab T_kj * weight per nonzero weight, with
+    the operands in ``np.kron``'s order.  ``last_step`` names the (i, j)
+    blocks the final site builds; the other blocks of that step are None.
+    """
     blocks = None
-    for theta in thetas:  # site 1 first; appended site is the fastest factor
+    for step, theta in enumerate(thetas, start=1):  # site 1 first, fastest
         rb = r_matrix(u - theta, n, eta).reshape(n, n, n, n)
-        site = [[np.ascontiguousarray(rb[i, :, j, :]) for j in range(n)]
-                for i in range(n)]
         if blocks is None:
-            blocks = site
+            blocks = [[np.ascontiguousarray(rb[i, :, j, :]) for j in range(n)]
+                      for i in range(n)]
             continue
-        new = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = np.kron(blocks[0][j], site[i][0])
-                for k in range(1, n):
-                    acc += np.kron(blocks[k][j], site[i][k])
-                row.append(acc)
-            new.append(row)
+        m = blocks[0][0].shape[0]
+        wanted = (last_step if last_step is not None and step == len(thetas)
+                  else [(i, j) for i in range(n) for j in range(n)])
+        new = [[None] * n for _ in range(n)]
+        for i, j in wanted:
+            acc = np.zeros((m, n, m, n), dtype=complex)
+            for k in range(n):
+                for c, d in zip(*np.nonzero(rb[i, :, k, :])):
+                    acc[:, c, :, d] += blocks[k][j] * rb[i, c, k, d]
+            new[i][j] = acc.reshape(m * n, m * n)
         blocks = new
     return blocks
 
@@ -107,18 +119,21 @@ def apply_entry_bra(u: complex, i: int, j: int, vec: np.ndarray,
     return _sweep(u, i, j, vec, spec, site_transpose=True)
 
 
-def _twisted_trace(blocks, n: int) -> np.ndarray:
-    """sum_{i,k} g[i, k] T[k][i] over the monodromy blocks T, g the cyclic twist."""
+def _twisted_trace(u: complex, n: int, eta: complex, thetas) -> np.ndarray:
+    """sum_{i,k} g[i, k] T[k][i] over the monodromy blocks T, g the cyclic
+    twist; the last site builds only the blocks T[k][i] that the sum reads."""
     g = twist_matrix(n)
-    t = np.zeros_like(blocks[0][0])
-    for i, k in zip(*np.nonzero(g)):
-        t += g[i, k] * blocks[k][i]
+    terms = [(k, i, g[i, k]) for i, k in zip(*np.nonzero(g))]
+    blocks = _blocks_raw(u, n, eta, thetas, [(k, i) for k, i, _ in terms])
+    t = np.zeros((n ** len(thetas),) * 2, dtype=complex)
+    for k, i, weight in terms:
+        t += weight * blocks[k][i]
     return t
 
 
 def transfer(u: complex, spec: ChainSpec) -> np.ndarray:
     """Antiperiodic transfer matrix: twisted trace of the monodromy blocks."""
-    return _twisted_trace(monodromy_blocks(u, spec), spec.n)
+    return _twisted_trace(complex(u), spec.n, spec.eta, spec.theta)
 
 
 def twist_operator(spec: ChainSpec) -> np.ndarray:
@@ -183,7 +198,7 @@ def fd4_derivative(f, u0: complex, h: float = 1e-4):
 
 def homogeneous_transfer(u: complex, n: int, N: int, eta: complex) -> np.ndarray:
     """Transfer matrix of the homogeneous chain (all theta = 0)."""
-    return _twisted_trace(_blocks_raw(complex(u), n, eta, (0.0,) * N), n)
+    return _twisted_trace(complex(u), n, eta, (0.0,) * N)
 
 
 def transfer_log_derivative_residual(n: int, N: int, eta: complex) -> float:

@@ -123,20 +123,27 @@ def right_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
     return ket
 
 
-def basis_states(spec: ChainSpec):
-    """The labels of ``enumerate_basis`` with their left and right states
-    stacked as rows.  Each state extends the state of its label minus the
-    last step by one entry, so the rows equal ``left_state``/``right_state``."""
-    labels = enumerate_basis(spec)
-    bras = np.empty((len(labels), spec.dim), dtype=complex)
-    kets = np.empty_like(bras)
-    bras[0], kets[0] = vacuum_bra(spec), vacuum_ket(spec)
+def _grown_rows(labels, spec: ChainSpec, bra: bool) -> np.ndarray:
+    """Left (``bra``) or right states of ``enumerate_basis`` labels stacked
+    as rows: each extends the row of its label minus the last step by one
+    entry."""
+    rows = np.empty((len(labels), spec.dim), dtype=complex)
+    rows[0] = vacuum_bra(spec) if bra else vacuum_ket(spec)
     row = {_steps(idx): r for r, idx in enumerate(labels)}
     for steps, r in list(row.items())[1:]:
         (f, p), parent = steps[-1], row[steps[:-1]]
-        bras[r] = apply_entry_bra(spec.theta[p - 1], f, 1, bras[parent], spec)
-        kets[r] = apply_entry(spec.theta[p - 1], 1, f, kets[parent], spec)
-    return labels, bras, kets
+        u = spec.theta[p - 1]
+        rows[r] = (apply_entry_bra(u, f, 1, rows[parent], spec) if bra
+                   else apply_entry(u, 1, f, rows[parent], spec))
+    return rows
+
+
+def basis_states(spec: ChainSpec):
+    """The labels of ``enumerate_basis`` with their left and right states
+    stacked as rows, equal to ``left_state``/``right_state``."""
+    labels = enumerate_basis(spec)
+    return (labels, _grown_rows(labels, spec, bra=True),
+            _grown_rows(labels, spec, bra=False))
 
 
 def _site_tuple(pset, N: int) -> tuple:

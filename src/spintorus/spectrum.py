@@ -25,6 +25,9 @@ U_PROBES = (0.377 + 0.511j, -0.291 + 0.173j)
 
 DENOM_TOL = 1e-12
 
+# Distance from a cube root of unity within which a Z3 charge is read.
+Z_CHARGE_TOL = 1e-6
+
 # Rows per ``_residuals`` call inside the Newton search (see _packed_residuals).
 RESIDUAL_CHUNK = 4096
 
@@ -206,16 +209,20 @@ def eigen_residual_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> fl
     return _eigen_residual(record, t, _operator_scale(t))
 
 
-def z_charge(record: SpectralRecord, spec: ChainSpec, tol: float = 1e-6) -> int:
+def z_charge(record: SpectralRecord, spec: ChainSpec, tol: float = Z_CHARGE_TOL) -> int:
     """Cyclic charge: twist eigenvalue exponent, cross-checked against the
     product of transfer eigenvalues over the inhomogeneity points."""
+    return _z_charge(record, np.prod([scalar_a(t, spec) for t in spec.theta]), tol)
+
+
+def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
+    """``z_charge`` given a_prod = prod_j a(theta_j), a function of the chain."""
     mu_u = record.mu[-1]
     z_twist = int(np.round(np.angle(mu_u) / (2 * np.pi / 3))) % 3
     if abs(mu_u - OMEGA ** z_twist) > tol:
         raise InconsistencyError(
             f"twist eigenvalue {mu_u} is not a cube root of unity within {tol}")
-    ratio = complex(np.prod([lam for lam in record.lambda_theta])
-                    / np.prod([scalar_a(t, spec) for t in spec.theta]))
+    ratio = complex(np.prod([lam for lam in record.lambda_theta]) / a_prod)
     z_prod = int(np.round(np.angle(ratio) / (2 * np.pi / 3))) % 3
     if abs(ratio - OMEGA ** z_prod) > tol:
         raise InconsistencyError(
@@ -250,8 +257,9 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
                               lambda_theta=tuple(lam_theta[k]), z_charge=-1,
                               residual=float(resid[k]))
                for k, (vec, mu) in enumerate(records_raw)]
+    a_prod = np.prod([scalar_a(t, spec) for t in spec.theta])
     for rec in records:
-        rec.z_charge = z_charge(rec, spec)
+        rec.z_charge = _z_charge(rec, a_prod)
     return records
 
 

@@ -20,7 +20,8 @@ from spintorus.errors import (DegenerateNormalizationError,
 from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  homogeneous_transfer, monodromy_blocks,
                                  scalar_a, transfer, vacuum_bra)
-from spintorus.sov_basis import BasisIndex, enumerate_basis, left_state
+from spintorus.sov_basis import (BasisIndex, basis_states, enumerate_basis,
+                                 left_state)
 from spintorus.spectrum import OMEGA, brute_force_spectrum, eigenvalue_at
 from spintorus.tensor_core import kron_chain, simultaneous_eigen
 from spintorus.rmatrix import twist_matrix
@@ -262,14 +263,14 @@ def test_reconstructor_reused_matches_fresh_reconstruct(
 
 
 def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
-    calls = {"basis_states": 0, "g_factor": 0, "g_m_function": 0}
+    calls = {"_grown_rows": 0, "g_factor": 0, "g_m_function": 0}
 
     def counted(name):
         original = getattr(eigenstate, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         return wrapper
 
     for name in calls:
@@ -277,8 +278,10 @@ def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
     rebuild = Reconstructor(spec3)
     for rec in records3:
         rebuild.state(_lam_map(rec, spec3), _psi_bar0(rec, spec3))
-    # one ket stack, one norm per label, one kernel per pair of equal-size sets
-    assert calls == {"basis_states": 1, "g_factor": 27, "g_m_function": 20}
+    # one ket stack and no bras, one norm per label, one kernel per pair of
+    # equal-size sets
+    assert calls == {"_grown_rows": 1, "g_factor": 27, "g_m_function": 20}
+    assert np.array_equal(rebuild.kets, basis_states(spec3)[2])
 
 
 def test_reconstructor_refuses_one_record_and_keeps_going(spec2, records2):

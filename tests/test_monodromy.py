@@ -12,7 +12,8 @@ from spintorus.monodromy import (apply_entry, apply_entry_bra,
                                  scalar_a, scalar_d, scalar_d_l, transfer,
                                  transfer_log_derivative_residual,
                                  twist_operator, vacuum_bra, vacuum_ket)
-from spintorus.rmatrix import local_hamiltonian, permutation_matrix, twist_matrix
+from spintorus.rmatrix import (local_hamiltonian, permutation_matrix, r_matrix,
+                               twist_matrix)
 from spintorus.tensor_core import kron_chain, site_matrix_unit
 
 SINH_05 = 0.52109530549374736      # 50-digit sinh(0.5)
@@ -98,11 +99,55 @@ def test_vacuum_actions(spec2, rng):
         assert np.abs(bc @ blocks[2][0]).max() < 1e-13
 
 
-def test_transfer_is_block_sum(spec2):
-    u = 0.29 + 0.33j
-    blocks = monodromy_blocks(u, spec2)
-    total = blocks[0][1] + blocks[1][2] + blocks[2][0]
-    assert np.abs(transfer(u, spec2) - total).max() < 1e-13
+def _monodromy_by_definition(u, spec):
+    """R_{0N}(u - theta_N) ... R_{01}(u - theta_1) on auxiliary x chain, the
+    auxiliary space slowest, each R_{0l} summed from matrix units."""
+    n, N = spec.n, spec.N
+    eye = np.eye(n, dtype=complex)
+    total = np.eye(n ** (N + 1), dtype=complex)
+    for l, theta in enumerate(spec.theta, start=1):
+        r4 = r_matrix(u - theta, n, spec.eta).reshape(n, n, n, n)
+        r0l = np.zeros_like(total)
+        for a, b, c, d in zip(*np.nonzero(r4)):
+            mats = [eye] * (N + 1)
+            mats[0] = site_matrix_unit(n, a + 1, c + 1)
+            mats[l] = site_matrix_unit(n, b + 1, d + 1)
+            r0l += r4[a, b, c, d] * kron_chain(mats)
+        total = r0l @ total
+    return total.reshape(n, spec.dim, n, spec.dim)
+
+
+@pytest.mark.parametrize("n, N", [(2, 3), (3, 1), (3, 2), (3, 3), (4, 2)])
+def test_blocks_match_ordered_r_matrix_product(n, N, rng):
+    """Every block equals the auxiliary block of the ordered R-matrix product
+    on the full n^(N+1)-dimensional space, at a random point and at every
+    inhomogeneity point."""
+    spec = default_spec(n=n, N=N)
+    u_rand = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for u in (u_rand,) + spec.theta:
+        full = _monodromy_by_definition(u, spec)
+        blocks = monodromy_blocks(u, spec)
+        for i in range(n):
+            for j in range(n):
+                want = full[i, :, j, :]
+                scale = max(float(np.abs(want).max()), 1e-300)
+                assert np.abs(blocks[i][j] - want).max() / scale < 1e-14
+
+
+@pytest.mark.parametrize("n, N", [(2, 3), (3, 1), (3, 2), (3, 3), (3, 4),
+                                  (4, 2)])
+def test_transfer_is_block_sum(n, N, rng):
+    """The transfer equals, bit for bit, the twisted sum of the full blocks
+    taken in the trace's order, though it builds only the blocks it reads."""
+    spec = default_spec(n=n, N=N)
+    g = twist_matrix(n)
+    u_rand = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for u in (u_rand,) + spec.theta:
+        blocks = monodromy_blocks(u, spec)
+        total = np.zeros_like(blocks[0][0])
+        for i, k in zip(*np.nonzero(g)):
+            total += g[i, k] * blocks[k][i]
+        assert np.array_equal(transfer(u, spec), total)
 
 
 def test_transfer_family_commutes(spec3, rng):
