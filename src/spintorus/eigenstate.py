@@ -29,9 +29,9 @@ from .tensor_core import kron_chain, simultaneous_eigen
 def _lambda_tuple(lambda_at_theta, N: int) -> tuple:
     """Accept a 1-indexed site map or a length-N sequence of eigenvalues."""
     if isinstance(lambda_at_theta, dict):
-        missing = [j for j in range(1, N + 1) if j not in lambda_at_theta]
-        if missing:
-            raise ValueError(f"eigenvalue map lacks sites {missing}")
+        if set(lambda_at_theta) != set(range(1, N + 1)):
+            raise ValueError(f"eigenvalue map must name sites 1..{N} exactly, "
+                             f"got {list(lambda_at_theta)}")
         return tuple(complex(lambda_at_theta[j]) for j in range(1, N + 1))
     vals = tuple(complex(v) for v in lambda_at_theta)
     if len(vals) != N:
@@ -147,36 +147,29 @@ def scalar_F(pset, lambda_at_theta, psi_bar0: complex, spec: ChainSpec) -> compl
     return _pairings([_kernel(sites, spec)], lam, psi_bar0)[0]
 
 
-def _tree_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis in a fixed pairwise bracketing: rows
-    (0, 1), (2, 3), ... are added level by level, an odd last row passing
-    up unchanged, so the result does not depend on how the rows were made."""
-    if len(rows) == 0:
-        raise ValueError("nothing to sum")
-    while len(rows) > 1:
-        even = len(rows) - len(rows) % 2
-        paired = rows[0:even:2] + rows[1:even:2]
-        rows = np.concatenate([paired, rows[even:]]) if even < len(rows) else paired
-    return rows[0]
-
-
 class Reconstructor:
     """Eigenstate reconstruction over the separated basis of one chain.
 
     Everything that depends on the chain alone is built once here: the basis
-    labels, their right states stacked as read-only rows, their norms, and
-    the ``scalar_F`` kernel of every flavor-2 block.  ``state`` then costs
-    only the eigenvalue-dependent sums, one record at a time.
+    labels, their right states stacked as read-only rows, their norms, the
+    ``scalar_F`` kernel of every flavor-2 block, the index of each label's
+    kernel and a (label x site) mask of its flavor-3 sites.  ``state`` then
+    costs only the eigenvalue-dependent sums, one record at a time.
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
         self.labels = enumerate_basis(spec)
         self.kets = _grown_rows(self.labels, spec, bra=False)
-        self.norms = [g_factor(idx, spec) for idx in self.labels]
-        self.kets.setflags(write=False)
+        self.norms = np.array([g_factor(idx, spec) for idx in self.labels])
         self.kernels = {sites: _kernel(sites, spec) for sites in
                         dict.fromkeys(idx.block2 for idx in self.labels)}
+        position = {sites: k for k, sites in enumerate(self.kernels)}
+        self.kernel_of = np.array([position[idx.block2] for idx in self.labels])
+        self.in_block3 = np.array([[q in idx.block3 for q in range(1, spec.N + 1)]
+                                   for idx in self.labels], dtype=bool)
+        for shared in (self.kets, self.norms, self.kernel_of, self.in_block3):
+            shared.setflags(write=False)
 
     def state(self, lambda_at_theta, psi_bar0: complex) -> np.ndarray:
         """Rebuild the eigenvector from its eigenvalue at the inhomogeneity
@@ -188,15 +181,9 @@ class Reconstructor:
         psi_bar0.
         """
         lam = _lambda_tuple(lambda_at_theta, self.spec.N)
-        pairings = dict(zip(self.kernels, _pairings(self.kernels.values(),
-                                                     lam, psi_bar0)))
-        coeffs = np.empty(len(self.labels), dtype=complex)
-        for i, (idx, norm) in enumerate(zip(self.labels, self.norms)):
-            coeff = pairings[idx.block2]
-            for q in idx.block3:
-                coeff = coeff * lam[q - 1]
-            coeffs[i] = coeff / norm
-        return _tree_sum(coeffs[:, None] * self.kets)
+        pairings = np.array(_pairings(self.kernels.values(), lam, psi_bar0))
+        lam3 = np.prod(np.where(self.in_block3, np.array(lam), 1.0), axis=1)
+        return (pairings[self.kernel_of] * lam3 / self.norms) @ self.kets
 
 
 def reconstruct(lambda_at_theta, psi_bar0: complex, spec: ChainSpec) -> np.ndarray:

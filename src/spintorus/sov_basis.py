@@ -22,7 +22,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import PoleProximityError
+from .errors import PoleProximityError, UnsupportedRankError
 from .monodromy import (apply_entry, apply_entry_bra, scalar_a, scalar_d,
                         scalar_d_l, vacuum_bra, vacuum_ket)
 
@@ -177,13 +177,19 @@ def _one_flavor_norm(sites: tuple, spec: ChainSpec) -> complex:
     return complex(val)
 
 
+def _require_three_flavors(what: str, idx: BasisIndex, spec: ChainSpec) -> None:
+    """Refuse other ranks: the closed forms read the flavor-2 and 3 blocks."""
+    if spec.n != 3 or len(idx.blocks) != 2:
+        raise UnsupportedRankError(f"{what} covers the three-flavor chain only "
+                                   f"(n = 3), got n = {spec.n}, blocks {idx.blocks}")
+
+
 def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
     """Closed-form bi-orthogonal normalization <idx|idx> of a three-flavor
     label: the one-flavor norms of both blocks times the cross term
     sinh(theta_k - theta_l - eta) / sinh(theta_k - theta_l), k in block3,
     l in block2."""
-    if len(idx.blocks) != 2:
-        raise ValueError("the closed-form norm covers three-flavor labels only")
+    _require_three_flavors("the closed-form norm", idx, spec)
     th = lambda p: spec.theta[p - 1]
     cross = 1.0 + 0.0j
     for k in idx.block3:
@@ -255,8 +261,9 @@ def act_on_bra(op: str, u: complex, idx: BasisIndex, spec: ChainSpec):
     Supported ops: D33, D23, D32, B3, C3 (monodromy entries (3,3), (2,3),
     (3,2), (1,3), (3,1)).  Returns a list of (BasisIndex, coefficient) with
     pairwise distinct target labels; exact zeros are dropped, so a vanishing
-    action returns the empty list.
+    action returns the empty list.  Ranks other than three are refused.
     """
+    _require_three_flavors("act_on_bra", idx, spec)
     eta = spec.eta
     th = lambda p: spec.theta[p - 1]
     sh = np.sinh
@@ -365,6 +372,7 @@ def act_on_bra_dense(op: str, u: complex, idx: BasisIndex, spec: ChainSpec) -> n
 
 def decomposition_residual(op: str, u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
     """Worst relative deviation between act_on_bra and the dense action."""
+    _require_three_flavors("decomposition_residual", idx, spec)
     dense = act_on_bra_dense(op, u, idx, spec)
     rebuilt = np.zeros(spec.dim, dtype=complex)
     for target, coeff in act_on_bra(op, u, idx, spec):

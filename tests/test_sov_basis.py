@@ -4,6 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spintorus.chain import ChainSpec, default_spec
+from spintorus.errors import UnsupportedRankError
 from spintorus.monodromy import (monodromy_blocks, scalar_d, vacuum_bra,
                                  vacuum_ket)
 from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
@@ -210,3 +211,19 @@ def test_three_flavor_labels_by_name():
         BasisIndex((1,), block3=(2,))
     with pytest.raises(ValueError, match="three-flavor"):
         g_factor(BasisIndex((1,)), default_spec(n=2, N=2))
+
+
+@pytest.mark.parametrize("spec", [
+    default_spec(n=2, N=2),
+    ChainSpec(n=4, N=2, eta=0.5, theta=(0.13 + 0.07j, 0.26 + 0.14j))],
+    ids=["n2", "n4"])
+def test_closed_forms_refuse_other_ranks(spec):
+    # at n = 4 act_on_bra would read only two of the three flavor blocks and
+    # return a wrong decomposition; at n = 2 it would fail on a missing block
+    for idx in enumerate_basis(spec):
+        with pytest.raises(UnsupportedRankError, match="n = 3"):
+            act_on_bra("D33", 0.37 - 0.41j, idx, spec)
+        with pytest.raises(UnsupportedRankError, match="n = 3"):
+            decomposition_residual("D33", 0.37 - 0.41j, idx, spec)
+        with pytest.raises(UnsupportedRankError, match="n = 3"):
+            g_factor(idx, spec)
