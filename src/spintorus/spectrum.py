@@ -28,7 +28,7 @@ DENOM_TOL = 1e-12
 # Distance from a cube root of unity within which a Z3 charge is read.
 Z_CHARGE_TOL = 1e-6
 
-# Rows per ``_residuals`` call inside the Newton search (see _packed_residuals).
+# Rows per ``_residuals`` call inside the Newton search (see _chunked_residuals).
 RESIDUAL_CHUNK = 4096
 
 # Why a Newton start stopped: the keys of BaeSolveResult.newton_exits.
@@ -267,14 +267,8 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
 # Newton solver
 # ---------------------------------------------------------------------------
 
-def _pack(sol: TQSolution) -> np.ndarray:
-    z = _vector(sol)
-    return np.concatenate([z.real, z.imag])
-
-
-def _unpack(x: np.ndarray, N: int) -> TQSolution:
-    half = len(x) // 2
-    z = x[:half] + 1j * x[half:]
+def _unpack(z: np.ndarray, N: int) -> TQSolution:
+    """Inverse of ``_vector``."""
     lams = tuple(tuple(z[i * N:(i + 1) * N]) for i in range(4))
     return TQSolution(lambdas=lams, f1_plus=z[4 * N], f1_minus=z[4 * N + 1],
                       f2_minus=z[4 * N + 2], phi1=z[4 * N + 3])
@@ -293,13 +287,7 @@ def _canonical(sol: TQSolution) -> TQSolution:
 
 
 def _same_solution(a: TQSolution, b: TQSolution, tol: float = 1e-7) -> bool:
-    for fa, fb in zip(a.lambdas, b.lambdas):
-        if max(abs(x - y) for x, y in zip(fa, fb)) > tol:
-            return False
-    return (abs(a.f1_plus - b.f1_plus) <= tol
-            and abs(a.f1_minus - b.f1_minus) <= tol
-            and abs(a.f2_minus - b.f2_minus) <= tol
-            and abs(a.exp_phi1 - b.exp_phi1) <= tol)
+    return bool(np.abs(_vector(a) - _vector(b)).max() <= tol)
 
 
 def _denominators_clear(sol: TQSolution, floor: float = 1e-8) -> bool:
@@ -324,26 +312,23 @@ def _roots_separated(sol: TQSolution, floor: float = 1e-6) -> bool:
     return True
 
 
-def _packed_residuals(xs: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    """``_residuals`` on packed real rows (real parts of the unknowns, then
-    their imaginary parts), packed the same way.
-
-    Rows go through ``_residuals`` at most ``RESIDUAL_CHUNK`` at a time: up
-    to that size every row is bit-identical to the same row evaluated alone,
-    so a start's trajectory does not depend on which other starts share its
-    batch (numpy 2.4 drifts at the last bit from 16384 rows on).
+def _chunked_residuals(z: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """``_residuals`` on rows laid out as ``_vector``, at most
+    ``RESIDUAL_CHUNK`` rows per call: up to that size every row is
+    bit-identical to the same row evaluated alone, so a start's trajectory
+    does not depend on which other starts share its batch (numpy 2.4 drifts
+    at the last bit from 16384 rows on).
     """
-    half = xs.shape[1] // 2
-    out = np.empty_like(xs)
     # wild trial steps overflow exp/sinh freely; a non-finite row just marks
     # the step as rejected
     with np.errstate(all="ignore"):
-        for lo in range(0, len(xs), RESIDUAL_CHUNK):
-            chunk = xs[lo:lo + RESIDUAL_CHUNK]
-            r = _residuals(chunk[:, :half] + 1j * chunk[:, half:], spec)
-            out[lo:lo + RESIDUAL_CHUNK, :half] = r.real
-            out[lo:lo + RESIDUAL_CHUNK, half:] = r.imag
-    return out
+        return np.concatenate([_residuals(z[lo:lo + RESIDUAL_CHUNK], spec)
+                               for lo in range(0, len(z), RESIDUAL_CHUNK)])
+
+
+def _max_norm(f: np.ndarray) -> np.ndarray:
+    """Largest |Re| or |Im| over each row of a complex stack."""
+    return np.maximum(np.abs(f.real), np.abs(f.imag)).max(axis=1)
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
@@ -363,22 +348,24 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
         return steps, solved
 
 
-def _newton(spec: ChainSpec, x0: np.ndarray, max_iter: int, fd_step: float):
-    """Damped Newton on a stack of packed real rows (S, 2m), all starts in
-    lockstep; the residuals are packed the same way.
+def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int, fd_step: float):
+    """Damped Newton on a stack of complex rows (S, 4N + 4) laid out as
+    ``_vector``, all starts in lockstep.
 
     Each start runs the arithmetic it would run alone: a forward-difference
-    Jacobian, a full step halved up to 14 times until the residual max-norm
-    drops by the factor (1 - 1e-4 t), and a stop below 1e-13.  A start leaves
-    the batch when it stops.  Returns the final rows, their residual
-    max-norms (inf for a non-finite start) and each start's exit class from
-    ``NEWTON_EXITS``.
+    Jacobian with one column per unknown (the residuals are holomorphic, so
+    a step of ``fd_step`` along the real axis gives dF/dz), a full step
+    halved up to 14 times until the residual max-norm drops by the factor
+    (1 - 1e-4 t), and a stop below 1e-13.  The max-norm is the largest |Re|
+    or |Im| of any component.  A start leaves the batch when it stops.
+    Returns the final rows, their residual max-norms (inf for a non-finite
+    start) and each start's exit class from ``NEWTON_EXITS``.
     """
-    x = np.array(x0, dtype=float)
-    dim = x.shape[1]
-    f = _packed_residuals(x, spec)
-    fnorm = np.abs(f).max(axis=1)
-    exits = np.full(len(x), "max_iter", dtype=object)
+    z = np.array(z0, dtype=complex)
+    dim = z.shape[1]
+    f = _chunked_residuals(z, spec)
+    fnorm = _max_norm(f)
+    exits = np.full(len(z), "max_iter", dtype=object)
     finite = np.isfinite(f).all(axis=1)
     fnorm[~finite] = np.inf
     exits[~finite] = "nonfinite_start"
@@ -391,8 +378,8 @@ def _newton(spec: ChainSpec, x0: np.ndarray, max_iter: int, fd_step: float):
         if not active.size:
             break
         fa = f[active]
-        fp = _packed_residuals((x[active][:, None, :] + shifts).reshape(-1, dim),
-                               spec).reshape(-1, dim, dim)
+        fp = _chunked_residuals((z[active][:, None, :] + shifts).reshape(-1, dim),
+                                spec).reshape(-1, dim, dim)
         ok = np.isfinite(fp).all(axis=(1, 2))
         exits[active[~ok]] = "nonfinite_jacobian"
         active, fa, fp = active[ok], fa[ok], fp[ok]
@@ -405,12 +392,12 @@ def _newton(spec: ChainSpec, x0: np.ndarray, max_iter: int, fd_step: float):
         t = 1.0
         for _ in range(14):
             rows = active[searching]
-            xn = x[rows] + t * step[searching]
-            fn = _packed_residuals(xn, spec)
-            fn_norm = np.abs(fn).max(axis=1)
+            zn = z[rows] + t * step[searching]
+            fn = _chunked_residuals(zn, spec)
+            fn_norm = _max_norm(fn)
             good = np.isfinite(fn).all(axis=1)
             good[good] = fn_norm[good] < (1 - 1e-4 * t) * fnorm[rows[good]]
-            x[rows[good]], f[rows[good]] = xn[good], fn[good]
+            z[rows[good]], f[rows[good]] = zn[good], fn[good]
             fnorm[rows[good]] = fn_norm[good]
             searching = searching[~good]
             if not searching.size:
@@ -419,7 +406,7 @@ def _newton(spec: ChainSpec, x0: np.ndarray, max_iter: int, fd_step: float):
         exits[active[searching]] = "stalled"
         active = np.delete(active, searching)
     exits[active[fnorm[active] < 1e-13]] = "converged"
-    return x, fnorm, exits
+    return z, fnorm, exits
 
 
 @dataclass
@@ -512,19 +499,18 @@ def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
         f = seed_coefficients(lams, phi1)
         if f is None:
             f = np.array([disk(), disk(), disk()])
-        starts.append(_pack(TQSolution(lambdas=lams, f1_plus=complex(f[0]),
-                                       f1_minus=complex(f[1]),
-                                       f2_minus=complex(f[2]), phi1=phi1)))
-    x0 = np.reshape(starts, (n_seeds, 8 * spec.N + 8))
-    xs, resids, exits = _newton(spec, x0, max_iter, fd_step)
+        starts.append(_vector(TQSolution(lambdas=lams, f1_plus=complex(f[0]),
+                                         f1_minus=complex(f[1]),
+                                         f2_minus=complex(f[2]), phi1=phi1)))
+    zs, resids, exits = _newton(spec, np.array(starts), max_iter, fd_step)
     result.seed_residuals = [float(r) for r in resids]
     result.newton_exits = {name: int(np.count_nonzero(exits == name))
                            for name in NEWTON_EXITS}
-    for x, resid in zip(xs, resids):
+    for z, resid in zip(zs, resids):
         if not (resid < accept_tol):
             continue
         result.n_converged += 1
-        sol = _canonical(_unpack(x, spec.N))
+        sol = _canonical(_unpack(z, spec.N))
         if not _roots_separated(sol):
             result.n_collided += 1
             continue

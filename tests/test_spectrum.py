@@ -7,8 +7,8 @@ import spintorus.spectrum as spectrum_module
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.monodromy import scalar_a, transfer, twist_operator
 from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
-                                TQSolution, U_PROBES, _canonical, _newton,
-                                _newton_steps, _pack, _packed_residuals,
+                                TQSolution, U_PROBES, _canonical,
+                                _chunked_residuals, _newton, _newton_steps,
                                 _residuals, _roots_separated, _same_solution,
                                 _vector, bae_residuals, brute_force_spectrum,
                                 eigen_residual_at, eigenvalue_at, solve_bae,
@@ -191,33 +191,70 @@ def test_search_rejects_large_chains():
         solve_bae(default_spec(N=3), n_seeds=1)
 
 
+
 def test_solutions_deform_with_shrinking_inhomogeneity(spec1, bae1):
     # the converged root set continues smoothly as theta -> eps * theta
     sol = bae1.solutions[0]
-    x = _pack(sol)[None, :]
+    z = _vector(sol)[None, :]
     for eps in (0.5, 0.1):
         spec_eps = ChainSpec(n=3, N=1, eta=0.5,
                              theta=tuple(eps * t for t in spec1.theta))
-        x, fnorm, _ = _newton(spec_eps, x, max_iter=60, fd_step=1e-7)
+        z, fnorm, _ = _newton(spec_eps, z, max_iter=60, fd_step=1e-7)
         assert fnorm[0] < 1e-10
 
 
 def _random_starts(spec, count, rng):
-    """Packed Newton starts: roots scattered around the inhomogeneity
-    centroid, coefficients and exponent of order one."""
+    """Newton starts laid out as ``_vector``: roots scattered around the
+    inhomogeneity centroid, coefficients and exponent of order one."""
     m = 4 * spec.N + 4
-    z = (complex(np.mean(spec.theta))
-         + rng.uniform(-1, 1, (count, m)) + 1j * rng.uniform(-1, 1, (count, m)))
-    return np.concatenate([z.real, z.imag], axis=1)
+    return (complex(np.mean(spec.theta))
+            + rng.uniform(-1, 1, (count, m)) + 1j * rng.uniform(-1, 1, (count, m)))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_residuals_are_holomorphic(N, rng):
+    # the premise of the complex Jacobian: a difference along i*h is i times
+    # the difference along h, up to the O(h) truncation of the forward
+    # difference (at most 1.1e-5 of the largest column over 500 rows each
+    # at N = 1, 2); a non-holomorphic residual would miss by O(1)
+    spec = default_spec(N=N)
+    h = 1e-7
+    eye = np.eye(4 * N + 4)
+    for z in _random_starts(spec, 50, rng):
+        f0 = _residuals(z[None, :], spec)[0]
+        along_real = _residuals(z + h * eye, spec) - f0
+        along_imag = _residuals(z + 1j * h * eye, spec) - f0
+        assert (np.abs(along_imag - 1j * along_real).max()
+                <= 1e-4 * np.abs(along_real).max())
+
+
+def test_seed_residuals_are_the_component_max_norm(spec1, records1, bae1,
+                                                   monkeypatch):
+    # the line search, the stop and seed_residuals read the largest |Re| or
+    # |Im| of any constraint at a start's final row, not the modulus
+    finals = []
+
+    def recorded(*args):
+        out = _newton(*args)
+        finals.append(out[0])
+        return out
+
+    monkeypatch.setattr(spectrum_module, "_newton", recorded)
+    again = solve_bae(spec1, n_seeds=bae1.n_seeds, rng_seed=bae1.rng_seed,
+                      records=records1)
+    assert again.seed_residuals == bae1.seed_residuals
+    r = _residuals(finals[0], spec1)
+    want = np.abs(r.view(float)).max(axis=1)
+    assert_array_equal(bae1.seed_residuals, want)
 
 
 def test_chunked_residual_rows_match_single_rows(spec2, rng):
     # one _residuals call over 16384 or more rows drifts in the last bit
     # (numpy 2.4); the chunked evaluation keeps every row exact
     starts = _random_starts(spec2, 20000, rng)
-    batch = _packed_residuals(starts, spec2)
+    batch = _chunked_residuals(starts, spec2)
     for k in rng.choice(len(starts), 50, replace=False):
-        assert_array_equal(batch[k], _packed_residuals(starts[k:k + 1], spec2)[0])
+        assert_array_equal(batch[k], _residuals(starts[k:k + 1], spec2)[0])
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -225,13 +262,12 @@ def test_lockstep_newton_is_batch_independent(N, rng):
     # a start ends exactly where it ends when run alone, however many other
     # starts share its batch and its residual chunks
     spec = default_spec(N=N)
-    dim = 8 * N + 8
+    dim = 4 * N + 4
     count = RESIDUAL_CHUNK // dim + 40
     starts = _random_starts(spec, count, rng)
     # a root of family 1 on a root of family 4 divides by Q4(l1) = 0
     bad = 7
     starts[bad, 3 * N] = starts[bad, 0]
-    starts[bad, 4 * N + 4 + 3 * N] = starts[bad, 4 * N + 4]
     xs, fnorms, exits = _newton(spec, starts, max_iter=25, fd_step=1e-7)
     assert fnorms[bad] == np.inf and exits[bad] == "nonfinite_start"
     assert_array_equal(xs[bad], starts[bad])
@@ -246,9 +282,9 @@ def test_lockstep_newton_is_batch_independent(N, rng):
 
 
 def test_singular_newton_system_fails_alone(rng):
-    jac = rng.standard_normal((4, 5, 5))
+    jac = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
     jac[2, 3] = 0.0
-    rhs = rng.standard_normal((4, 5))
+    rhs = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jac[2], rhs[2])
     steps, solved = _newton_steps(jac, rhs)
