@@ -350,8 +350,7 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
 
 
 def cmd_homog(config: RunConfig, spec: ChainSpec):
-    study = homogeneous_limit_study(spec.theta, DEFAULT_EPS_SEQUENCE,
-                                    spec.eta, n=spec.n)
+    study = homogeneous_limit_study(spec.theta, DEFAULT_EPS_SEQUENCE, spec.eta)
     angle_tol = _tol(config, "homog-angle")
     failures = []
     fams = []

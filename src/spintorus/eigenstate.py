@@ -22,7 +22,7 @@ from .monodromy import (_blocks_raw, fd4_derivative, homogeneous_transfer,
 from .rmatrix import twist_matrix
 from .sov_basis import (POLE_TOL, _grown_rows, _site_tuple, enumerate_basis,
                         f_factor, g_factor)
-from .spectrum import U_PROBES, brute_force_spectrum
+from .spectrum import U_PROBES, _twist_charge, brute_force_spectrum
 from .tensor_core import kron_chain, simultaneous_eigen
 
 
@@ -291,9 +291,9 @@ class HomogStudy:
         return sum(1 for f in self.families if f.monotone)
 
 
-def homogeneous_limit_study(direction, eps_sequence, eta: complex,
-                            n: int = 3) -> HomogStudy:
-    """Track every eigenstate as the inhomogeneities shrink to zero.
+def homogeneous_limit_study(direction, eps_sequence, eta: complex) -> HomogStudy:
+    """Track every eigenstate of the three-flavor chain as the
+    inhomogeneities shrink to zero.
 
     For each eps the chain theta = eps * direction is diagonalized and each
     eigenstate reconstructed from its eigenvalue data alone; families are
@@ -315,8 +315,8 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
                              "to eps = 0 needs distinct factors")
 
     # homogeneous reference spectrum, and t(u) at the points fd4 samples
-    t_hom = lambda u: homogeneous_transfer(u, n, N, eta)
-    u_op = kron_chain([twist_matrix(n)] * N)
+    t_hom = lambda u: homogeneous_transfer(u, 3, N, eta)
+    u_op = kron_chain([twist_matrix(3)] * N)
     hom_records, _, hom_dual, _ = simultaneous_eigen(
         [t_hom(U_PROBES[0]), t_hom(U_PROBES[1]), u_op])
     h = 1e-4
@@ -329,8 +329,7 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
     for k, (vec, mus) in enumerate(hom_records):
         lam0 = eigval(vec, hom_dual[k], t_at[0.0])
         dlam0 = fd4_derivative(lambda u: eigval(vec, hom_dual[k], t_at[u]), 0.0, h)
-        z = int(np.round(np.angle(mus[2]) / (2 * np.pi / 3))) % 3
-        families.append(HomogFamily(hom_index=k, z_charge=z,
+        families.append(HomogFamily(hom_index=k, z_charge=_twist_charge(mus[2]),
                                     lam0=lam0, dlam0=dlam0))
 
     # reconstructed, gauge-fixed states per eps, matched to the homogeneous
@@ -338,7 +337,7 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
     tracked = {k: [] for k in range(len(families))}
     hom_mus = np.array([mus for _, mus in hom_records])
     for eps in eps_desc:
-        spec = ChainSpec(n=n, N=N, eta=eta,
+        spec = ChainSpec(n=3, N=N, eta=eta,
                          theta=tuple(eps * x for x in direction))
         records = brute_force_spectrum(spec)
         mus = np.array([rec.mu for rec in records])
@@ -366,8 +365,8 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex,
             _neville_at_zero(np.array(eps_desc), np.array(states)))
         hom_vec = normalize_gauge(hom_records[fam.hom_index][0])
         fam.angle_eigenvector = _hermitian_angle(extrapolated, hom_vec)
-        if N == 2 and n == 3 and abs(fam.lam0) > 1e-12:
-            ref = closed_form_two_site(fam.lam0, fam.dlam0, n, eta)
+        if N == 2 and abs(fam.lam0) > 1e-12:
+            ref = closed_form_two_site(fam.lam0, fam.dlam0, 3, eta)
             fam.angle_closed_form = _hermitian_angle(
                 extrapolated, normalize_gauge(ref))
     return HomogStudy(eps=eps_desc, eta=complex(eta), families=families)

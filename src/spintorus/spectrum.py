@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import InconsistencyError, PoleProximityError
+from .errors import InconsistencyError, PoleProximityError, UnsupportedRankError
 from .monodromy import scalar_a, transfer, twist_operator
 from .tensor_core import _operator_scale, relative_residual, simultaneous_eigen
 
@@ -215,13 +215,18 @@ def z_charge(record: SpectralRecord, spec: ChainSpec, tol: float = Z_CHARGE_TOL)
     return _z_charge(record, np.prod([scalar_a(t, spec) for t in spec.theta]), tol)
 
 
-def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
-    """``z_charge`` given a_prod = prod_j a(theta_j), a function of the chain."""
-    mu_u = record.mu[-1]
-    z_twist = int(np.round(np.angle(mu_u) / (2 * np.pi / 3))) % 3
-    if abs(mu_u - OMEGA ** z_twist) > tol:
+def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL) -> int:
+    """Exponent z of a twist eigenvalue mu_u = OMEGA**z, read within tol."""
+    z = int(np.round(np.angle(mu_u) / (2 * np.pi / 3))) % 3
+    if abs(mu_u - OMEGA ** z) > tol:
         raise InconsistencyError(
             f"twist eigenvalue {mu_u} is not a cube root of unity within {tol}")
+    return z
+
+
+def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
+    """``z_charge`` given a_prod = prod_j a(theta_j), a function of the chain."""
+    z_twist = _twist_charge(record.mu[-1], tol)
     ratio = complex(np.prod([lam for lam in record.lambda_theta]) / a_prod)
     z_prod = int(np.round(np.angle(ratio) / (2 * np.pi / 3))) % 3
     if abs(ratio - OMEGA ** z_prod) > tol:
@@ -235,14 +240,22 @@ def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
     return z_twist
 
 
+def _require_three_flavors(what: str, spec: ChainSpec) -> None:
+    """The Z3 charge, and the T-Q relation built on it, need n = 3."""
+    if spec.n != 3:
+        raise UnsupportedRankError(
+            f"{what} covers the three-flavor chain only (n = 3), got n = {spec.n}")
+
+
 def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
     """All 3^N transfer eigenstates via joint diagonalization.
 
     The family {t(u_1), t(u_2), twist} at the fixed probe points separates
     the spectrum for generic chains; duals are rows of the inverse
     eigenvector matrix, so bilinear pairings with the eigenvectors are exact
-    Kronecker deltas.
+    Kronecker deltas.  Other ranks than n = 3 are refused up front.
     """
+    _require_three_flavors("brute_force_spectrum", spec)
     records_raw, _, wmat, resid = simultaneous_eigen(
         [transfer(U_PROBES[0], spec), transfer(U_PROBES[1], spec),
          twist_operator(spec)], rng_seed=rng_seed)
@@ -443,8 +456,11 @@ def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
     ends exactly where it would end alone.  ``newton_exits`` counts why the
     starts stopped.
     """
+    _require_three_flavors("solve_bae", spec)
     if spec.N > 2:
         raise ValueError("root search is limited to N <= 2 chains")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     if records is None:
         records = brute_force_spectrum(spec)
     rng = np.random.default_rng(rng_seed)

@@ -14,7 +14,7 @@ from spintorus.eigenstate import (Reconstructor, _kernel, _pairings,
                                   closed_form_two_site, f_factor,
                                   g_m_function, homogeneous_limit_study,
                                   normalize_gauge, reconstruct, scalar_F)
-from spintorus.errors import (DegenerateNormalizationError,
+from spintorus.errors import (DegenerateNormalizationError, InconsistencyError,
                               NonGenericSpecError, PoleProximityError)
 from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  homogeneous_transfer, monodromy_blocks,
@@ -418,6 +418,20 @@ def test_uniform_limit_study_refuses_repeated_factor_up_front(monkeypatch):
         homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.1), 0.5)
     with pytest.raises(ValueError, match="repeated shrink factor 0.05"):
         homogeneous_limit_study((0.13 + 0.07j,), (0.05, 0.1, 0.05), 0.5)
+
+
+@pytest.mark.parametrize("mu", [-1.0, 1j])
+def test_uniform_limit_study_reads_charge_with_the_cube_root_check(mu, monkeypatch):
+    # the twist eigenvalues of the n = 2 (-1) and n = 4 (i) chains carry no
+    # Z3 charge: the homogeneous family readout refuses them like the
+    # spectrum does instead of rounding their angle to a sector
+    def off_rank(ops, **kwargs):
+        records, *rest = simultaneous_eigen(ops, **kwargs)
+        return ([(vec, mus[:2] + (mu,)) for vec, mus in records], *rest)
+
+    monkeypatch.setattr(eigenstate, "simultaneous_eigen", off_rank)
+    with pytest.raises(InconsistencyError, match="not a cube root of unity"):
+        homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
 
 
 def test_uniform_limit_study_rejects_degenerate_direction():

@@ -5,11 +5,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import spintorus.spectrum as spectrum_module
 from spintorus.chain import ChainSpec, default_spec
+from spintorus.errors import InconsistencyError, UnsupportedRankError
 from spintorus.monodromy import scalar_a, transfer, twist_operator
 from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
                                 TQSolution, U_PROBES, _canonical,
                                 _chunked_residuals, _newton, _newton_steps,
                                 _residuals, _roots_separated, _same_solution,
+                                _twist_charge,
                                 _vector, bae_residuals, brute_force_spectrum,
                                 eigen_residual_at, eigenvalue_at, solve_bae,
                                 tq_lambda, z_charge)
@@ -190,6 +192,29 @@ def test_search_rejects_large_chains():
     with pytest.raises(ValueError, match="N <= 2"):
         solve_bae(default_spec(N=3), n_seeds=1)
 
+
+@pytest.mark.parametrize("n_seeds", [0, -3])
+def test_search_rejects_empty_start_sets(spec1, records1, n_seeds):
+    with pytest.raises(ValueError, match=f"n_seeds must be at least 1, got {n_seeds}"):
+        solve_bae(spec1, n_seeds=n_seeds, records=records1)
+
+
+@pytest.mark.parametrize("n, mu", [(2, -1.0), (4, 1j)])
+def test_other_ranks_are_refused_up_front(n, mu, monkeypatch):
+    # a twist eigenvalue of the n = 2 or n = 4 chain is no cube root of
+    # unity, so neither the spectrum nor the root search could read a charge
+    with pytest.raises(InconsistencyError, match="not a cube root of unity"):
+        _twist_charge(mu)
+
+    def no_transfer(*args):
+        raise AssertionError("a transfer matrix was built")
+
+    monkeypatch.setattr(spectrum_module, "transfer", no_transfer)
+    spec = default_spec(n=n, N=1)
+    with pytest.raises(UnsupportedRankError, match=f"n = 3.*got n = {n}"):
+        brute_force_spectrum(spec)
+    with pytest.raises(UnsupportedRankError, match=f"n = 3.*got n = {n}"):
+        solve_bae(spec, n_seeds=1, records=[])
 
 
 def test_solutions_deform_with_shrinking_inhomogeneity(spec1, bae1):
