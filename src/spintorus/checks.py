@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import UnsupportedRankError
+from .errors import require_three_flavors
 from .monodromy import (exchange_relation_residuals, monodromy_blocks,
                         product_identity_residual, scalar_a, scalar_d,
                         transfer, vacuum_bra, vacuum_ket,
@@ -25,6 +25,7 @@ from .rmatrix import (crossing_residual, fusion_rank,
                       twist_invariance_residual, unitarity_residual)
 from .sov_basis import (decomposition_residual, enumerate_basis,
                         identity_resolution_residual, verify_orthogonality)
+from .tensor_core import _rel_resid
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,10 @@ class CheckResult:
     detail: str
 
 
-def _points(rng: np.random.Generator, count: int, halfwidth: float = 1.0):
-    """Random complex spectral points in a centred box."""
-    re = rng.uniform(-halfwidth, halfwidth, size=count)
-    im = rng.uniform(-halfwidth, halfwidth, size=count)
+def _points(rng: np.random.Generator, count: int):
+    """Random complex spectral points in the box |Re|, |Im| <= 1."""
+    re = rng.uniform(-1.0, 1.0, size=count)
+    im = rng.uniform(-1.0, 1.0, size=count)
     return [complex(a, b) for a, b in zip(re, im)]
 
 
@@ -81,9 +82,7 @@ def _check_commuting_transfer(spec: ChainSpec, rng: np.random.Generator):
     pts = _points(rng, 6)
     for u, v in zip(pts[0::2], pts[1::2]):
         tu, tv = transfer(u, spec), transfer(v, spec)
-        prod = tu @ tv
-        scale = max(float(np.abs(prod).max()), 1.0)
-        worst = max(worst, float(np.abs(prod - tv @ tu).max()) / scale)
+        worst = max(worst, _rel_resid(tu @ tv, tv @ tu))
     return worst, "commutator of transfer matrices at 3 random spectral pairs"
 
 
@@ -193,9 +192,7 @@ def run_checks(spec: ChainSpec, names=None, tolerances=None,
     The checks certify the three-flavor chain; any other rank is refused
     with ``UnsupportedRankError`` before a check runs.
     """
-    if spec.n != 3:
-        raise UnsupportedRankError(
-            f"run_checks covers the three-flavor chain only (n = 3), got n = {spec.n}")
+    require_three_flavors("run_checks", spec.n)
     tolerances = dict(tolerances or {})
     if names is None:
         names = CHECK_NAMES

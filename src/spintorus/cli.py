@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainSpec, default_theta
-from .checks import CHECK_NAMES, run_checks
+from .checks import CHECK_NAMES, _points, run_checks
 from .eigenstate import (Reconstructor, _hermitian_angle,
                          homogeneous_limit_study, normalize_gauge)
 from .errors import SpinTorusError
@@ -201,6 +201,15 @@ def config_block(config: RunConfig) -> dict:
 # Subcommand bodies
 # ---------------------------------------------------------------------------
 
+def _probe_transfers(config: RunConfig, spec: ChainSpec, stream: int,
+                     count: int) -> list:
+    """(t(u), scale) at ``count`` random points u drawn from the run's random
+    stream number ``stream``."""
+    rng = np.random.default_rng((config.rng_seed, stream))
+    ts = (transfer(u, spec) for u in _points(rng, count))
+    return [(t, _operator_scale(t)) for t in ts]
+
+
 def cmd_verify(config: RunConfig, spec: ChainSpec):
     results = run_checks(spec, tolerances=config.tolerances,
                          rng_seed=config.rng_seed)
@@ -221,10 +230,7 @@ def cmd_verify(config: RunConfig, spec: ChainSpec):
 
 def cmd_spectrum(config: RunConfig, spec: ChainSpec):
     records = brute_force_spectrum(spec, rng_seed=config.rng_seed)
-    rng = np.random.default_rng((config.rng_seed, 101))
-    probes = [complex(a, b) for a, b in
-              zip(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))]
-    probe_ts = [(t, _operator_scale(t)) for t in (transfer(u, spec) for u in probes)]
+    probe_ts = _probe_transfers(config, spec, 101, 3)
     tol = _tol(config, "spectrum-residual")
     cf_tol = _tol(config, "spectrum-closed-form")
     failures = []
@@ -305,10 +311,7 @@ def cmd_bae(config: RunConfig, spec: ChainSpec):
 
 def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
     records = brute_force_spectrum(spec, rng_seed=config.rng_seed)
-    rng = np.random.default_rng((config.rng_seed, 103))
-    probes = [complex(a, b) for a, b in
-              zip(rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))]
-    probe_ts = [(t, _operator_scale(t)) for t in (transfer(u, spec) for u in probes)]
+    probe_ts = _probe_transfers(config, spec, 103, 5)
     rebuild = Reconstructor(spec)
     bar_bra = conjugate_vacuum_bra(spec)
     tol_resid = _tol(config, "reconstruct-residual")
@@ -325,7 +328,7 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
         one_minus_cos = 2.0 * math.sin(_hermitian_angle(rec.vector, unit) / 2) ** 2
         worst = 0.0
         for t, scale in probe_ts:
-            lam = _eigenvalue_of(rec, t)
+            lam = _eigenvalue_of(rec.dual, rec.vector, t @ rec.vector)
             worst = max(worst, float(np.abs(t @ unit - lam * unit).max()) / scale)
         out.append({
             "index": i,

@@ -16,13 +16,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .chain import ChainSpec
-from .errors import DegenerateNormalizationError, PoleProximityError
-from .monodromy import (_blocks_raw, fd4_derivative, homogeneous_transfer,
-                        scalar_a)
+from .errors import (DegenerateNormalizationError, PoleProximityError,
+                     require_three_flavors)
+from .monodromy import (FD4_STEP, _blocks_raw, fd4_derivative,
+                        homogeneous_transfer, scalar_a)
 from .rmatrix import twist_matrix
 from .sov_basis import (POLE_TOL, _grown_rows, _site_tuple, enumerate_basis,
                         f_factor, g_factor)
-from .spectrum import U_PROBES, _twist_charge, brute_force_spectrum
+from .spectrum import (U_PROBES, _eigenvalue_of, _twist_charge,
+                       brute_force_spectrum)
 from .tensor_core import kron_chain, simultaneous_eigen
 
 
@@ -241,8 +243,7 @@ def closed_form_two_site(lam0: complex, dlam0: complex, n: int,
                          eta: complex) -> np.ndarray:
     """Closed-form homogeneous two-site eigenvector from the eigenvalue and
     its derivative at the origin."""
-    if n != 3:
-        raise ValueError("closed form is specific to three flavors")
+    require_three_flavors("closed_form_two_site", n)
     _, b2, b3 = _blocks_raw(0.0, n, eta, (0.0, 0.0))[0]
     db2 = fd4_derivative(lambda u: _blocks_raw(u, n, eta, (0.0, 0.0))[0][1], 0.0)
     db3 = fd4_derivative(lambda u: _blocks_raw(u, n, eta, (0.0, 0.0))[0][2], 0.0)
@@ -319,16 +320,14 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex) -> HomogStudy
     u_op = kron_chain([twist_matrix(3)] * N)
     hom_records, _, hom_dual, _ = simultaneous_eigen(
         [t_hom(U_PROBES[0]), t_hom(U_PROBES[1]), u_op])
-    h = 1e-4
+    h = FD4_STEP
     t_at = {u: t_hom(u) for u in (0.0, 2 * h, h, -h, -2 * h)}
-
-    def eigval(vec, dual, op):
-        return complex(dual @ op @ vec / (dual @ vec))
 
     families = []
     for k, (vec, mus) in enumerate(hom_records):
-        lam0 = eigval(vec, hom_dual[k], t_at[0.0])
-        dlam0 = fd4_derivative(lambda u: eigval(vec, hom_dual[k], t_at[u]), 0.0, h)
+        lam0 = _eigenvalue_of(hom_dual[k], vec, t_at[0.0] @ vec)
+        dlam0 = fd4_derivative(
+            lambda u: _eigenvalue_of(hom_dual[k], vec, t_at[u] @ vec), 0.0)
         families.append(HomogFamily(hom_index=k, z_charge=_twist_charge(mus[2]),
                                     lam0=lam0, dlam0=dlam0))
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rank refusal."""
 
 
 class SpinTorusError(Exception):
@@ -32,3 +32,12 @@ class InconsistencyError(SpinTorusError, RuntimeError):
 
 class UnsupportedRankError(SpinTorusError, ValueError):
     """The operation covers the three-flavor chain only."""
+
+
+def require_three_flavors(what: str, n: int, blocks=None) -> None:
+    """Refuse ranks other than n = 3: ``what`` covers the three-flavor chain
+    only.  Given a basis label's ``blocks``, there must be two of them."""
+    if n != 3 or (blocks is not None and len(blocks) != 2):
+        got = f"n = {n}" if blocks is None else f"n = {n}, blocks {blocks}"
+        raise UnsupportedRankError(
+            f"{what} covers the three-flavor chain only (n = 3), got {got}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .rmatrix import local_hamiltonian, r_matrix, twist_matrix
-from .tensor_core import embed_two_site, kron_chain
+from .tensor_core import _rel_resid, embed_two_site, kron_chain
 
 __all__ = [
     "scalar_a", "scalar_d", "scalar_d_l", "monodromy_blocks", "apply_entry",
@@ -32,22 +32,32 @@ __all__ = [
 ]
 
 
+def _q(x: np.ndarray, fam: np.ndarray) -> np.ndarray:
+    """prod_k sinh(x - fam_k) at every point of x: (..., M) by (..., K) -> (..., M)."""
+    return np.prod(np.sinh(x[..., :, None] - fam[..., None, :]), axis=-1)
+
+
+def _a(x: np.ndarray, theta: np.ndarray, eta: complex) -> np.ndarray:
+    """Vacuum eigenvalue a(x) = prod_l sinh(x - theta_l + eta) at every point of x."""
+    return np.prod(np.sinh(x[..., :, None] - theta + eta), axis=-1)
+
+
 def scalar_a(u: complex, spec: ChainSpec) -> complex:
     """Vacuum eigenvalue of the (1,1) entry: prod_l sinh(u - theta_l + eta)."""
-    return complex(np.prod([np.sinh(u - t + spec.eta) for t in spec.theta]))
+    return complex(_a(np.array([u]), np.array(spec.theta), spec.eta)[0])
 
 
 def scalar_d(u: complex, spec: ChainSpec) -> complex:
     """Vacuum weight of the lower-diagonal entries: prod_l sinh(u - theta_l)."""
-    return complex(np.prod([np.sinh(u - t) for t in spec.theta]))
+    return complex(_q(np.array([u]), np.array(spec.theta))[0])
 
 
 def scalar_d_l(u: complex, l: int, spec: ChainSpec) -> complex:
     """scalar_d with the factor for site l (1-indexed) removed."""
     if not (1 <= l <= spec.N):
         raise ValueError(f"site {l} outside 1..{spec.N}")
-    return complex(np.prod([np.sinh(u - t)
-                            for j, t in enumerate(spec.theta, start=1) if j != l]))
+    kept = [t for j, t in enumerate(spec.theta, start=1) if j != l]
+    return complex(_q(np.array([u]), np.array(kept))[0])
 
 
 def _blocks_raw(u: complex, n: int, eta: complex, thetas,
@@ -191,8 +201,13 @@ def global_hamiltonian(n: int, N: int, eta: complex) -> np.ndarray:
     return ham + embed_two_site(h_twisted, N, 1, n, N)
 
 
-def fd4_derivative(f, u0: complex, h: float = 1e-4):
+# Step of fd4_derivative: f is sampled at u0 +- FD4_STEP and u0 +- 2 FD4_STEP.
+FD4_STEP = 1e-4
+
+
+def fd4_derivative(f, u0: complex):
     """Fourth-order central difference derivative of a matrix-valued map."""
+    h = FD4_STEP
     return (-f(u0 + 2 * h) + 8 * f(u0 + h) - 8 * f(u0 - h) + f(u0 - 2 * h)) / (12 * h)
 
 
@@ -210,9 +225,7 @@ def transfer_log_derivative_residual(n: int, N: int, eta: complex) -> float:
     t0 = homogeneous_transfer(0.0, n, N, eta)
     tp = fd4_derivative(lambda u: homogeneous_transfer(u, n, N, eta), 0.0)
     lhs = np.sinh(eta) * tp @ np.linalg.inv(t0)
-    rhs = global_hamiltonian(n, N, eta)
-    scale = max(float(np.abs(rhs).max()), 1.0)
-    return float(np.abs(lhs - rhs).max()) / scale
+    return _rel_resid(global_hamiltonian(n, N, eta), lhs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import embed_two_site
+from .tensor_core import _rel_resid, embed_two_site
 
 
 def r_matrix(u: complex, n: int, eta: complex) -> np.ndarray:
@@ -114,11 +114,6 @@ def local_hamiltonian(n: int, eta: complex) -> np.ndarray:
 # Property residuals.  Each returns a max-abs residual already divided by
 # max(|LHS| scale, 1), so values compare directly against tolerances.
 # ---------------------------------------------------------------------------
-
-def _rel_resid(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(float(np.abs(lhs).max()), 1.0)
-    return float(np.abs(lhs - rhs).max()) / scale
-
 
 def qybe_residual(n: int, eta: complex, u1: complex, u2: complex, u3: complex) -> float:
     """Yang-Baxter residual on V x V x V at spectral points u1, u2, u3."""

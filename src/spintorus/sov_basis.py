@@ -22,9 +22,10 @@ from itertools import combinations, product
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import PoleProximityError, UnsupportedRankError
-from .monodromy import (apply_entry, apply_entry_bra, scalar_a, scalar_d,
+from .errors import PoleProximityError, require_three_flavors
+from .monodromy import (_q, apply_entry, apply_entry_bra, scalar_a, scalar_d,
                         scalar_d_l, vacuum_bra, vacuum_ket)
+from .tensor_core import _rel_resid
 
 POLE_TOL = 1e-12
 
@@ -34,16 +35,12 @@ class BasisIndex:
     """Sorted disjoint site blocks (1-indexed), one per flavor 2..n.
 
     Built from the blocks in flavor order, ``BasisIndex(b2, b3, ...)``; a
-    three-flavor label may name them, ``BasisIndex(block2=..., block3=...)``.
+    three-flavor label reads its two blocks as ``block2`` and ``block3``.
     """
 
     blocks: tuple
 
-    def __init__(self, *blocks, block2=(), block3=()):
-        if not blocks:
-            blocks = (block2, block3)
-        elif block2 or block3:
-            raise TypeError("give the blocks either in flavor order or by name")
+    def __init__(self, *blocks):
         blocks = tuple(tuple(map(int, b)) for b in blocks)
         if any(list(b) != sorted(b) for b in blocks):
             raise ValueError("blocks must be sorted ascending")
@@ -177,19 +174,12 @@ def _one_flavor_norm(sites: tuple, spec: ChainSpec) -> complex:
     return complex(val)
 
 
-def _require_three_flavors(what: str, idx: BasisIndex, spec: ChainSpec) -> None:
-    """Refuse other ranks: the closed forms read the flavor-2 and 3 blocks."""
-    if spec.n != 3 or len(idx.blocks) != 2:
-        raise UnsupportedRankError(f"{what} covers the three-flavor chain only "
-                                   f"(n = 3), got n = {spec.n}, blocks {idx.blocks}")
-
-
 def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
     """Closed-form bi-orthogonal normalization <idx|idx> of a three-flavor
     label: the one-flavor norms of both blocks times the cross term
     sinh(theta_k - theta_l - eta) / sinh(theta_k - theta_l), k in block3,
     l in block2."""
-    _require_three_flavors("the closed-form norm", idx, spec)
+    require_three_flavors("the closed-form norm", spec.n, idx.blocks)
     th = lambda p: spec.theta[p - 1]
     cross = 1.0 + 0.0j
     for k in idx.block3:
@@ -242,17 +232,14 @@ def _d_cancelled(u: complex, spec: ChainSpec, cancel) -> complex:
     exact is refused: the caller sits close to a pole of the printed
     formula without being on its removable point.
     """
-    out = 1.0 + 0.0j
-    cancel = set(cancel)
-    for j, t in enumerate(spec.theta, start=1):
+    for j in sorted(cancel):
+        t = spec.theta[j - 1]
         s = np.sinh(u - t)
-        if j in cancel:
-            if s != 0 and abs(s) < POLE_TOL:
-                raise PoleProximityError(
-                    f"u = {u} within {POLE_TOL} of pole at theta_{j} = {t}")
-            continue
-        out *= s
-    return complex(out)
+        if s != 0 and abs(s) < POLE_TOL:
+            raise PoleProximityError(
+                f"u = {u} within {POLE_TOL} of pole at theta_{j} = {t}")
+    kept = [t for j, t in enumerate(spec.theta, start=1) if j not in cancel]
+    return complex(_q(np.array([u]), np.array(kept))[0])
 
 
 def act_on_bra(op: str, u: complex, idx: BasisIndex, spec: ChainSpec):
@@ -263,7 +250,7 @@ def act_on_bra(op: str, u: complex, idx: BasisIndex, spec: ChainSpec):
     pairwise distinct target labels; exact zeros are dropped, so a vanishing
     action returns the empty list.  Ranks other than three are refused.
     """
-    _require_three_flavors("act_on_bra", idx, spec)
+    require_three_flavors("act_on_bra", spec.n, idx.blocks)
     eta = spec.eta
     th = lambda p: spec.theta[p - 1]
     sh = np.sinh
@@ -372,13 +359,12 @@ def act_on_bra_dense(op: str, u: complex, idx: BasisIndex, spec: ChainSpec) -> n
 
 def decomposition_residual(op: str, u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
     """Worst relative deviation between act_on_bra and the dense action."""
-    _require_three_flavors("decomposition_residual", idx, spec)
+    require_three_flavors("decomposition_residual", spec.n, idx.blocks)
     dense = act_on_bra_dense(op, u, idx, spec)
     rebuilt = np.zeros(spec.dim, dtype=complex)
     for target, coeff in act_on_bra(op, u, idx, spec):
         rebuilt += coeff * left_state(target, spec)
-    scale = max(float(np.abs(dense).max()), 1.0)
-    return float(np.abs(dense - rebuilt).max()) / scale
+    return _rel_resid(dense, rebuilt)
 
 
 def sun_dnn_residual(u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
@@ -387,6 +373,4 @@ def sun_dnn_residual(u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
     coeff = scalar_d(u, spec)
     for k in idx.blocks[-1]:
         coeff *= np.sinh(u - spec.theta[k - 1] + spec.eta) / np.sinh(u - spec.theta[k - 1])
-    acted = apply_entry_bra(u, spec.n, spec.n, bra, spec)
-    scale = max(float(np.abs(acted).max()), 1.0)
-    return float(np.abs(acted - coeff * bra).max()) / scale
+    return _rel_resid(apply_entry_bra(u, spec.n, spec.n, bra, spec), coeff * bra)

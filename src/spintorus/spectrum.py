@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import InconsistencyError, PoleProximityError, UnsupportedRankError
-from .monodromy import scalar_a, transfer, twist_operator
+from .errors import InconsistencyError, PoleProximityError, require_three_flavors
+from .monodromy import _a, _q, scalar_a, transfer, twist_operator
 from .tensor_core import _operator_scale, relative_residual, simultaneous_eigen
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -30,6 +30,10 @@ Z_CHARGE_TOL = 1e-6
 
 # Rows per ``_residuals`` call inside the Newton search (see _chunked_residuals).
 RESIDUAL_CHUNK = 4096
+
+# Newton iterations per start, and the real step of the differenced Jacobian.
+NEWTON_MAX_ITER = 60
+NEWTON_FD_STEP = 1e-7
 
 # Why a Newton start stopped: the keys of BaeSolveResult.newton_exits.
 NEWTON_EXITS = ("converged", "nonfinite_start", "nonfinite_jacobian",
@@ -57,16 +61,6 @@ class TQSolution:
     @property
     def exp_phi1(self) -> complex:
         return complex(np.exp(self.phi1))
-
-
-def _q(x: np.ndarray, fam: np.ndarray) -> np.ndarray:
-    """prod_k sinh(x - fam_k) at every point of x: (..., M) by (..., K) -> (..., M)."""
-    return np.prod(np.sinh(x[..., :, None] - fam[..., None, :]), axis=-1)
-
-
-def _a(x: np.ndarray, theta: np.ndarray, eta: complex) -> np.ndarray:
-    """Vacuum eigenvalue a(x) = prod_l sinh(x - theta_l + eta) at every point of x."""
-    return np.prod(np.sinh(x[..., :, None] - theta + eta), axis=-1)
 
 
 def tq_lambda(u: complex, sol: TQSolution, spec: ChainSpec) -> complex:
@@ -189,19 +183,22 @@ class SpectralRecord:
     residual: float
 
 
-def _eigenvalue_of(record: SpectralRecord, t: np.ndarray) -> complex:
-    return complex((record.dual @ (t @ record.vector)) / (record.dual @ record.vector))
+def _eigenvalue_of(dual: np.ndarray, vec: np.ndarray, tv: np.ndarray) -> complex:
+    """Eigenvalue of an operator t on its eigenvector vec, read through the
+    dual row from the product tv = t @ vec."""
+    return complex((dual @ tv) / (dual @ vec))
 
 
 def eigenvalue_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> complex:
     """Transfer eigenvalue of this record at any spectral point."""
-    return _eigenvalue_of(record, transfer(u, spec))
+    vec = record.vector
+    return _eigenvalue_of(record.dual, vec, transfer(u, spec) @ vec)
 
 
 def _eigen_residual(record: SpectralRecord, t: np.ndarray, scale: float) -> float:
-    tv = t @ record.vector
-    lam = complex((record.dual @ tv) / (record.dual @ record.vector))
-    return float(relative_residual(tv, lam, record.vector, scale))
+    vec = record.vector
+    tv = t @ vec
+    return float(relative_residual(tv, _eigenvalue_of(record.dual, vec, tv), vec, scale))
 
 
 def eigen_residual_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> float:
@@ -215,12 +212,14 @@ def z_charge(record: SpectralRecord, spec: ChainSpec, tol: float = Z_CHARGE_TOL)
     return _z_charge(record, np.prod([scalar_a(t, spec) for t in spec.theta]), tol)
 
 
-def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL) -> int:
-    """Exponent z of a twist eigenvalue mu_u = OMEGA**z, read within tol."""
+def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL,
+                  what: str = "twist eigenvalue") -> int:
+    """Exponent z of mu_u = OMEGA**z, read within tol: the Z3 charge of a
+    twist eigenvalue, or of any value named by ``what`` in the refusal."""
     z = int(np.round(np.angle(mu_u) / (2 * np.pi / 3))) % 3
     if abs(mu_u - OMEGA ** z) > tol:
         raise InconsistencyError(
-            f"twist eigenvalue {mu_u} is not a cube root of unity within {tol}")
+            f"{what} {mu_u} is not a cube root of unity within {tol}")
     return z
 
 
@@ -228,23 +227,12 @@ def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
     """``z_charge`` given a_prod = prod_j a(theta_j), a function of the chain."""
     z_twist = _twist_charge(record.mu[-1], tol)
     ratio = complex(np.prod([lam for lam in record.lambda_theta]) / a_prod)
-    z_prod = int(np.round(np.angle(ratio) / (2 * np.pi / 3))) % 3
-    if abs(ratio - OMEGA ** z_prod) > tol:
-        raise InconsistencyError(
-            f"eigenvalue product ratio {ratio} is not a cube root of unity "
-            f"within {tol}")
+    z_prod = _twist_charge(ratio, tol, "eigenvalue product ratio")
     if z_twist != z_prod:
         raise InconsistencyError(
             f"charge mismatch: twist route gives {z_twist}, "
             f"eigenvalue-product route gives {z_prod}")
     return z_twist
-
-
-def _require_three_flavors(what: str, spec: ChainSpec) -> None:
-    """The Z3 charge, and the T-Q relation built on it, need n = 3."""
-    if spec.n != 3:
-        raise UnsupportedRankError(
-            f"{what} covers the three-flavor chain only (n = 3), got n = {spec.n}")
 
 
 def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
@@ -255,16 +243,15 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
     eigenvector matrix, so bilinear pairings with the eigenvectors are exact
     Kronecker deltas.  Other ranks than n = 3 are refused up front.
     """
-    _require_three_flavors("brute_force_spectrum", spec)
+    require_three_flavors("brute_force_spectrum", spec.n)
     records_raw, _, wmat, resid = simultaneous_eigen(
         [transfer(U_PROBES[0], spec), transfer(U_PROBES[1], spec),
          twist_operator(spec)], rng_seed=rng_seed)
-    denom = [complex(wmat[k] @ vec) for k, (vec, _) in enumerate(records_raw)]
     lam_theta = [[] for _ in records_raw]
     for theta in spec.theta:
         tt = transfer(theta, spec)  # one dense t(theta_j) alive at a time
         for k, (vec, _) in enumerate(records_raw):
-            lam_theta[k].append(complex((wmat[k] @ (tt @ vec)) / denom[k]))
+            lam_theta[k].append(_eigenvalue_of(wmat[k], vec, tt @ vec))
         del tt
     records = [SpectralRecord(vector=vec, dual=wmat[k], mu=mu,
                               lambda_theta=tuple(lam_theta[k]), z_charge=-1,
@@ -299,17 +286,17 @@ def _canonical(sol: TQSolution) -> TQSolution:
                       f2_minus=sol.f2_minus, phi1=_strip_period(sol.phi1))
 
 
-def _same_solution(a: TQSolution, b: TQSolution, tol: float = 1e-7) -> bool:
-    return bool(np.abs(_vector(a) - _vector(b)).max() <= tol)
+def _same_solution(a: TQSolution, b: TQSolution) -> bool:
+    return bool(np.abs(_vector(a) - _vector(b)).max() <= 1e-7)
 
 
-def _denominators_clear(sol: TQSolution, floor: float = 1e-8) -> bool:
+def _denominators_clear(sol: TQSolution) -> bool:
     l1, l2, l3, l4 = np.array(sol.lambdas)
     pairs = ((l1, l2), (l1, l4), (l2, l1), (l3, l4), (l4, l1), (l4, l3))
-    return all(np.all(np.abs(_q(x, fam)) > floor) for x, fam in pairs)
+    return all(np.all(np.abs(_q(x, fam)) > 1e-8) for x, fam in pairs)
 
 
-def _roots_separated(sol: TQSolution, floor: float = 1e-6) -> bool:
+def _roots_separated(sol: TQSolution) -> bool:
     """Reject root sets with a collision inside one family.
 
     A repeated root makes two residue-cancellation conditions identical, so
@@ -320,7 +307,7 @@ def _roots_separated(sol: TQSolution, floor: float = 1e-6) -> bool:
     for fam in sol.lambdas:
         for i in range(len(fam)):
             for j in range(i + 1, len(fam)):
-                if abs(_strip_period(fam[i] - fam[j])) < floor:
+                if abs(_strip_period(fam[i] - fam[j])) < 1e-6:
                     return False
     return True
 
@@ -361,13 +348,13 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
         return steps, solved
 
 
-def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int, fd_step: float):
+def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int):
     """Damped Newton on a stack of complex rows (S, 4N + 4) laid out as
     ``_vector``, all starts in lockstep.
 
     Each start runs the arithmetic it would run alone: a forward-difference
     Jacobian with one column per unknown (the residuals are holomorphic, so
-    a step of ``fd_step`` along the real axis gives dF/dz), a full step
+    a step of ``NEWTON_FD_STEP`` along the real axis gives dF/dz), a full step
     halved up to 14 times until the residual max-norm drops by the factor
     (1 - 1e-4 t), and a stop below 1e-13.  The max-norm is the largest |Re|
     or |Im| of any component.  A start leaves the batch when it stops.
@@ -383,7 +370,7 @@ def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int, fd_step: float):
     fnorm[~finite] = np.inf
     exits[~finite] = "nonfinite_start"
     active = np.flatnonzero(finite)
-    shifts = fd_step * np.eye(dim)
+    shifts = NEWTON_FD_STEP * np.eye(dim)
     for _ in range(max_iter):
         done = fnorm[active] < 1e-13
         exits[active[done]] = "converged"
@@ -396,7 +383,7 @@ def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int, fd_step: float):
         ok = np.isfinite(fp).all(axis=(1, 2))
         exits[active[~ok]] = "nonfinite_jacobian"
         active, fa, fp = active[ok], fa[ok], fp[ok]
-        jac = (fp - fa[:, None, :]).transpose(0, 2, 1) / fd_step
+        jac = (fp - fa[:, None, :]).transpose(0, 2, 1) / NEWTON_FD_STEP
         step, solved = _newton_steps(jac, -fa)
         exits[active[~solved]] = "singular_jacobian"
         active, step = active[solved], step[solved]
@@ -439,7 +426,6 @@ class BaeSolveResult:
 
 
 def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
-              max_iter: int = 60, fd_step: float = 1e-7,
               accept_tol: float = 1e-10, match_tol: float = 1e-7,
               records=None) -> BaeSolveResult:
     """Multi-start damped Newton on the full constraint system.
@@ -456,7 +442,7 @@ def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
     ends exactly where it would end alone.  ``newton_exits`` counts why the
     starts stopped.
     """
-    _require_three_flavors("solve_bae", spec)
+    require_three_flavors("solve_bae", spec.n)
     if spec.N > 2:
         raise ValueError("root search is limited to N <= 2 chains")
     if n_seeds < 1:
@@ -518,7 +504,7 @@ def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
         starts.append(_vector(TQSolution(lambdas=lams, f1_plus=complex(f[0]),
                                          f1_minus=complex(f[1]),
                                          f2_minus=complex(f[2]), phi1=phi1)))
-    zs, resids, exits = _newton(spec, np.array(starts), max_iter, fd_step)
+    zs, resids, exits = _newton(spec, np.array(starts), NEWTON_MAX_ITER)
     result.seed_residuals = [float(r) for r in resids]
     result.newton_exits = {name: int(np.count_nonzero(exits == name))
                            for name in NEWTON_EXITS}

@@ -22,6 +22,12 @@ from .errors import DegeneracyError, NonGenericSpecError
 # Condition of the joint eigenvector matrix above which results are suspect.
 EIGENBASIS_COND_WARN = 1e8
 
+# simultaneous_eigen: random combinations tried, the commutator bound and the
+# eigen-residual bound, both relative to the operator scales.
+EIGEN_RETRIES = 5
+COMMUTE_TOL = 1e-10
+EIGEN_RESID_TOL = 1e-8
+
 
 def kron_chain(mats) -> np.ndarray:
     """Kronecker product of a list of matrices, leftmost factor slowest."""
@@ -95,17 +101,21 @@ def _operator_scale(op: np.ndarray) -> float:
     return max(float(np.abs(op).max()), 1.0)
 
 
+def _rel_resid(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """|lhs - rhs|_inf / max(|lhs|_inf, 1)."""
+    return float(np.abs(lhs - rhs).max()) / _operator_scale(lhs)
+
+
 def relative_residual(ov: np.ndarray, mu, v: np.ndarray, scale: float):
     """|O v - mu v|_inf / (scale |v|_inf) per column of v, from ``ov = O @ v``."""
     return np.abs(ov - mu * v).max(axis=0) / (scale * np.abs(v).max(axis=0))
 
 
-def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
-                       commute_tol: float = 1e-10, resid_tol: float = 1e-8):
+def simultaneous_eigen(family, rng_seed: int = 20240229):
     """Joint eigenbasis of a commuting family of diagonalizable matrices.
 
     Diagonalizes one random complex linear combination of the family (fresh
-    combination on retry, up to ``max_retries``); for a commuting family a
+    combination on retry, up to ``EIGEN_RETRIES``); for a commuting family a
     generic combination separates every joint eigenspace.  Eigenvalues of the
     individual members are read off through the dual (inverse-transpose) rows,
     so the pairing stays bilinear throughout.
@@ -115,7 +125,7 @@ def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
     eigenvectors as columns, ``wmat = inv(vmat)`` holds the dual rows and
     ``residuals[k]`` is the worst ``relative_residual`` of record k over the
     family.  Each member's eigenvalues and residuals come from one product
-    ``O @ vmat``; every residual is at most ``resid_tol``.
+    ``O @ vmat``; every residual is at most ``EIGEN_RESID_TOL``.
 
     Raises ``NonGenericSpecError`` if the family does not commute and
     ``DegeneracyError`` if no random combination yields a clean eigenbasis.
@@ -131,14 +141,14 @@ def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
         for j in range(i + 1, len(ops)):
             comm = ops[i] @ ops[j] - ops[j] @ ops[i]
             scale = scales[i] * scales[j]
-            if np.abs(comm).max() > commute_tol * scale:
+            if np.abs(comm).max() > COMMUTE_TOL * scale:
                 raise NonGenericSpecError(
                     f"family members {i} and {j} do not commute: "
                     f"max|[A,B]| = {np.abs(comm).max():.3e} vs scale {scale:.3e}")
 
     rng = np.random.default_rng(rng_seed)
     last_failure = "no attempt"
-    for _ in range(max_retries):
+    for _ in range(EIGEN_RETRIES):
         coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
         mix = sum(c * o for c, o in zip(coeff, ops))
         _, vmat = scipy.linalg.eig(mix)
@@ -157,9 +167,9 @@ def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
             ov = o @ vmat
             mus[:, oi] = (wmat * ov.T).sum(axis=1)
             member = relative_residual(ov, mus[:, oi], vmat, scale)
-            if np.any(member > resid_tol):
+            if np.any(member > EIGEN_RESID_TOL):
                 last_failure = (f"member {oi}: worst eigen-residual "
-                                f"{member.max():.3e} (tol {resid_tol:.3e})")
+                                f"{member.max():.3e} (tol {EIGEN_RESID_TOL:.3e})")
                 break
             resid = np.maximum(resid, member)
         else:
@@ -174,4 +184,4 @@ def simultaneous_eigen(family, rng_seed: int = 20240229, max_retries: int = 5,
             return records, vmat, wmat, resid[order]
     raise DegeneracyError(
         f"no random combination produced a clean joint eigenbasis in "
-        f"{max_retries} attempts (last failure: {last_failure})")
+        f"{EIGEN_RETRIES} attempts (last failure: {last_failure})")

@@ -174,7 +174,7 @@ def test_criterion_7_eigenstate_certificate(spec1, spec2, spec3,
         lam = {j + 1: rec.lambda_theta[j] for j in range(2)}
         for m in range(3):
             for pset in combinations((1, 2), m):
-                bra = left_state(BasisIndex(block2=pset, block3=()), spec2)
+                bra = left_state(BasisIndex(pset, ()), spec2)
                 direct = complex(bra @ rec.vector)
                 value = scalar_F(pset, lam, psi_bar0, spec2)
                 assert abs(value - direct) < 1e-7 * max(abs(direct), 1.0)

@@ -15,7 +15,8 @@ from spintorus.eigenstate import (Reconstructor, _kernel, _pairings,
                                   g_m_function, homogeneous_limit_study,
                                   normalize_gauge, reconstruct, scalar_F)
 from spintorus.errors import (DegenerateNormalizationError, InconsistencyError,
-                              NonGenericSpecError, PoleProximityError)
+                              NonGenericSpecError, PoleProximityError,
+                              UnsupportedRankError)
 from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  homogeneous_transfer, monodromy_blocks,
                                  scalar_a, transfer, vacuum_bra)
@@ -114,7 +115,7 @@ def test_scalar_products_match_direct_pairings(spec2, records2):
         lam = _lam_map(rec, spec2)
         for m in range(3):
             for pset in combinations((1, 2), m):
-                bra = left_state(BasisIndex(block2=pset, block3=()), spec2)
+                bra = left_state(BasisIndex(pset, ()), spec2)
                 direct = complex(bra @ rec.vector)
                 got = scalar_F(pset, lam, psi0, spec2)
                 assert abs(got - direct) < 1e-7 * max(abs(direct), 1.0)
@@ -377,7 +378,7 @@ def test_uniform_closed_form_is_transfer_eigenvector():
 
 
 def test_uniform_closed_form_requires_three_flavors():
-    with pytest.raises(ValueError, match="three flavors"):
+    with pytest.raises(UnsupportedRankError, match="n = 3"):
         closed_form_two_site(1.0, 0.0, 2, 0.5)
 
 

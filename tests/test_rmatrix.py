@@ -126,5 +126,5 @@ def test_local_term_diagonal_entries():
 def test_local_term_against_difference_oracle():
     for n in (2, 3):
         perm = permutation_matrix(n)
-        dr = fd4_derivative(lambda u: perm @ r_matrix(u, n, ETA), 0.0, h=1e-5)
+        dr = fd4_derivative(lambda u: perm @ r_matrix(u, n, ETA), 0.0)
         assert np.abs(local_hamiltonian(n, ETA) - dr).max() < 1e-9

@@ -1,12 +1,19 @@
 """Separated basis: enumeration, norms, orthogonality, operator expansions."""
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spintorus.chain import ChainSpec, default_spec
+from spintorus.eigenstate import Reconstructor, closed_form_two_site
 from spintorus.errors import UnsupportedRankError
-from spintorus.monodromy import (monodromy_blocks, scalar_d, vacuum_bra,
-                                 vacuum_ket)
+from spintorus.monodromy import (monodromy_blocks, scalar_d, transfer,
+                                 vacuum_bra, vacuum_ket)
+from spintorus.rmatrix import (crossing_residual, qybe_residual,
+                               twist_invariance_residual, unitarity_residual)
 from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
                                  basis_states, decomposition_residual,
                                  enumerate_basis,
@@ -14,6 +21,8 @@ from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
                                  identity_resolution_residual, left_state,
                                  right_state, sun_dnn_residual,
                                  verify_orthogonality)
+from spintorus.spectrum import brute_force_spectrum
+from spintorus.tensor_core import _rel_resid
 
 SINH2_05 = 0.27154031740762189     # 50-digit sinh(0.5)^2
 
@@ -37,7 +46,7 @@ def test_label_blocks_disjoint_and_sorted(spec3):
 
 
 def test_empty_label_gives_reference_states(spec2):
-    empty = BasisIndex(block2=(), block3=())
+    empty = BasisIndex((), ())
     assert_allclose(left_state(empty, spec2), vacuum_bra(spec2), atol=0)
     assert_allclose(right_state(empty, spec2), vacuum_ket(spec2), atol=0)
 
@@ -59,8 +68,8 @@ def test_basis_states_match_per_label_states(n, N):
 def test_single_site_states_closed_form():
     spec = ChainSpec(n=3, N=1, eta=0.5, theta=(0.2,))
     sh = np.sinh(0.5)
-    two = BasisIndex(block2=(1,), block3=())
-    three = BasisIndex(block2=(), block3=(1,))
+    two = BasisIndex((1,), ())
+    three = BasisIndex((), (1,))
     for idx, flavor in ((two, 2), (three, 3)):
         expect = np.zeros(3, dtype=complex)
         expect[flavor - 1] = sh
@@ -69,7 +78,7 @@ def test_single_site_states_closed_form():
 
 
 def test_norm_factor_closed_form(spec1, spec2):
-    empty = BasisIndex(block2=(), block3=())
+    empty = BasisIndex((), ())
     assert g_factor(empty, spec1) == 1
     for idx in enumerate_basis(spec1)[1:]:
         assert abs(g_factor(idx, spec1) - SINH2_05) < 1e-15
@@ -110,7 +119,7 @@ def test_separated_operator_is_diagonal_on_basis(spec2, rng):
 
 def test_expansion_empty_label_diagonal_term(spec2, rng):
     u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    empty = BasisIndex(block2=(), block3=())
+    empty = BasisIndex((), ())
     terms = act_on_bra("D33", u, empty, spec2)
     assert len(terms) == 1
     target, coeff = terms[0]
@@ -200,15 +209,58 @@ def test_rank_four_basis(rng):
     assert three.sites == (1, 2) and three.sort_key() == (2, (1, 0, 1), (1, 2))
 
 
+@st.composite
+def generic_specs(draw):
+    """n in 2..4, N in 1..3, real eta in [0.3, 0.8], theta in the unit box,
+    every |sinh(theta_j - theta_k + s)|, s in {0, +-eta}, at least 0.1."""
+    n, N = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    eta = draw(st.floats(0.3, 0.8))
+    unit = st.floats(0.0, 1.0)
+    theta = tuple(complex(draw(unit), draw(unit)) for _ in range(N))
+    assume(all(abs(np.sinh(a - b + s)) >= 0.1
+               for a, b in permutations(theta, 2) for s in (0.0, eta, -eta)))
+    return ChainSpec(n=n, N=N, eta=eta, theta=theta)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(generic_specs(), st.integers(0, 2 ** 32 - 1))
+def test_generic_specs(spec, seed):
+    # R-matrix identities, commuting transfers and the rank-n basis for every
+    # rank; orthogonality and reconstruction of every eigenstate for n = 3;
+    # typed refusals of the three-flavor closed forms otherwise
+    rng = np.random.default_rng(seed)
+    u1, u2, u3 = (complex(*rng.uniform(-1, 1, 2)) for _ in range(3))
+    n, eta = spec.n, spec.eta
+    assert qybe_residual(n, eta, u1, u2, u3) < 1e-11
+    for resid in (unitarity_residual, crossing_residual,
+                  twist_invariance_residual):
+        assert resid(u1, n, eta) < 1e-11
+    tu, tv = transfer(u1, spec), transfer(u2, spec)
+    assert _rel_resid(tu @ tv, tv @ tu) < 1e-11
+    _check_rank_n_basis(spec, rng)
+    if n != 3:
+        for refused in (lambda: g_factor(enumerate_basis(spec)[0], spec),
+                        lambda: brute_force_spectrum(spec),
+                        lambda: closed_form_two_site(1.0, 0.0, n, eta)):
+            with pytest.raises(UnsupportedRankError, match="n = 3"):
+                refused()
+        return
+    report = verify_orthogonality(spec)
+    assert max(report["diag_rel_err"], report["offdiag_resid"]) < 1e-9
+    rebuild = Reconstructor(spec)
+    for rec in brute_force_spectrum(spec):
+        state = rebuild.state(rec.lambda_theta, 1.0)
+        cos = abs(np.vdot(rec.vector, state)) \
+            / (np.linalg.norm(rec.vector) * np.linalg.norm(state))
+        assert 1 - cos <= 1e-8
+
+
 def test_three_flavor_labels_by_name():
-    idx = BasisIndex(block2=(2,), block3=(1,))
-    assert idx == BasisIndex((2,), (1,))
+    idx = BasisIndex((2,), (1,))
     assert (idx.block2, idx.block3, idx.m2, idx.m, idx.sites) == \
         ((2,), (1,), 1, 2, (2, 1))
     with pytest.raises(ValueError, match="disjoint"):
-        BasisIndex(block2=(1,), block3=(1,))
-    with pytest.raises(TypeError):
-        BasisIndex((1,), block3=(2,))
+        BasisIndex((1,), (1,))
     with pytest.raises(ValueError, match="three-flavor"):
         g_factor(BasisIndex((1,)), default_spec(n=2, N=2))
 

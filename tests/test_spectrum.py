@@ -224,7 +224,7 @@ def test_solutions_deform_with_shrinking_inhomogeneity(spec1, bae1):
     for eps in (0.5, 0.1):
         spec_eps = ChainSpec(n=3, N=1, eta=0.5,
                              theta=tuple(eps * t for t in spec1.theta))
-        z, fnorm, _ = _newton(spec_eps, z, max_iter=60, fd_step=1e-7)
+        z, fnorm, _ = _newton(spec_eps, z, max_iter=60)
         assert fnorm[0] < 1e-10
 
 
@@ -293,14 +293,13 @@ def test_lockstep_newton_is_batch_independent(N, rng):
     # a root of family 1 on a root of family 4 divides by Q4(l1) = 0
     bad = 7
     starts[bad, 3 * N] = starts[bad, 0]
-    xs, fnorms, exits = _newton(spec, starts, max_iter=25, fd_step=1e-7)
+    xs, fnorms, exits = _newton(spec, starts, max_iter=25)
     assert fnorms[bad] == np.inf and exits[bad] == "nonfinite_start"
     assert_array_equal(xs[bad], starts[bad])
     picks = np.linspace(0, count - 1, 10).astype(int)
     assert picks[-1] * dim >= RESIDUAL_CHUNK  # the Jacobian spans two chunks
     for k in picks:
-        x1, fnorm1, exit1 = _newton(spec, starts[k:k + 1], max_iter=25,
-                                    fd_step=1e-7)
+        x1, fnorm1, exit1 = _newton(spec, starts[k:k + 1], max_iter=25)
         assert_array_equal(xs[k], x1[0])
         assert_array_equal(fnorms[k], fnorm1[0])
         assert exits[k] == exit1[0]
