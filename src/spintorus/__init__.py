@@ -21,8 +21,7 @@ from .chain import ChainSpec, default_spec
 from .checks import CHECK_NAMES, CheckResult, run_checks
 from .eigenstate import (HomogFamily, HomogStudy, Reconstructor,
                          closed_form_two_site, g_m_function,
-                         homogeneous_limit_study, normalize_gauge,
-                         reconstruct, scalar_F)
+                         homogeneous_limit_study, normalize_gauge, scalar_F)
 from .errors import (DegenerateNormalizationError, DegeneracyError,
                      DenseBudgetError, InconsistencyError,
                      NonGenericSpecError, PoleProximityError, SpinTorusError,
@@ -38,13 +37,13 @@ from .rmatrix import (crossing_residual, fusion_rank, local_hamiltonian,
                       unitarity_residual)
 from .sov_basis import (BasisIndex, act_on_bra, basis_states,
                         decomposition_residual, enumerate_basis, f_factor,
-                        g_factor, gram_matrix, identity_resolution_residual,
-                        left_state, right_state, verify_orthogonality)
+                        g_factor, identity_resolution_residual, left_state,
+                        right_state, verify_orthogonality)
 from .spectrum import (BaeSolveResult, SpectralRecord, TQSolution,
-                       bae_residuals, brute_force_spectrum, eigen_residual_at,
-                       eigenvalue_at, solve_bae, tq_lambda, z_charge)
-from .tensor_core import (basis_vector, bilinear_pair, embed_site_operator,
-                          kron_chain, simultaneous_eigen, site_matrix_unit)
+                       bae_residuals, brute_force_spectrum, solve_bae,
+                       tq_lambda)
+from .tensor_core import (embed_site_operator, kron_chain, simultaneous_eigen,
+                          site_matrix_unit)
 
 __version__ = "1.0.0"
 
@@ -55,18 +54,17 @@ __all__ = [
     "NonGenericSpecError", "PoleProximityError", "Reconstructor",
     "SpectralRecord", "SpinTorusError", "TQSolution", "UnsupportedRankError",
     "act_on_bra", "apply_entry", "apply_entry_bra", "bae_residuals",
-    "basis_states", "basis_vector", "bilinear_pair", "brute_force_spectrum",
-    "closed_form_two_site", "crossing_residual", "decomposition_residual",
-    "default_spec", "eigen_residual_at", "eigenvalue_at",
+    "basis_states", "brute_force_spectrum", "closed_form_two_site",
+    "crossing_residual", "decomposition_residual", "default_spec",
     "embed_site_operator", "enumerate_basis", "exchange_relation_residuals",
     "f_factor", "fusion_rank", "g_factor", "g_m_function",
-    "global_hamiltonian", "gram_matrix", "homogeneous_limit_study",
+    "global_hamiltonian", "homogeneous_limit_study",
     "homogeneous_transfer", "identity_resolution_residual", "kron_chain",
     "left_state", "local_hamiltonian", "monodromy_blocks", "normalize_gauge",
     "permutation_matrix", "product_identity_residual", "qybe_residual",
-    "r_matrix", "reconstruct", "right_state", "run_checks", "scalar_F",
+    "r_matrix", "right_state", "run_checks", "scalar_F",
     "scalar_a", "scalar_d", "scalar_d_l",
     "simultaneous_eigen", "site_matrix_unit", "solve_bae", "tq_lambda",
     "transfer", "twist_invariance_residual", "twist_matrix", "twist_operator",
-    "unitarity_residual", "verify_orthogonality", "z_charge",
+    "unitarity_residual", "verify_orthogonality",
 ]

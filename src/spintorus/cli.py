@@ -47,9 +47,6 @@ SOLVER_TOLERANCES = {
     "homog-angle": 1e-4,
 }
 
-DEFAULT_EPS_SEQUENCE = (0.1, 0.05, 0.025, 0.0125)
-
-
 class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
 
@@ -67,13 +64,19 @@ class RunConfig:
     output_path: str = ""
 
 
+def _finite(value, name: str) -> float:
+    """A JSON number as a float; booleans, NaN, infinities and integers past
+    the float range are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # False for NaN
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def _as_complex(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{name} must be a number or a [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    return complex(*(_finite(v, name) for v in parts))
 
 
 def load_config(mapping) -> RunConfig:
@@ -112,8 +115,7 @@ def load_config(mapping) -> RunConfig:
         if key not in valid_tols:
             raise ConfigError(f"unknown tolerance name {key!r}; "
                               f"valid names: {sorted(valid_tols)}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}")
+        _finite(value, f"tolerance {key!r}")
     output_path = mapping.get("output_path", "")
     if not isinstance(output_path, str):
         raise ConfigError(f"output_path must be a string, got {output_path!r}")
@@ -353,7 +355,7 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
 
 
 def cmd_homog(config: RunConfig, spec: ChainSpec):
-    study = homogeneous_limit_study(spec.theta, DEFAULT_EPS_SEQUENCE, spec.eta)
+    study = homogeneous_limit_study(spec.theta, spec.eta)
     angle_tol = _tol(config, "homog-angle")
     failures = []
     fams = []

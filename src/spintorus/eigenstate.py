@@ -18,8 +18,8 @@ from scipy.optimize import linear_sum_assignment
 from .chain import ChainSpec
 from .errors import (DegenerateNormalizationError, PoleProximityError,
                      require_three_flavors)
-from .monodromy import (FD4_STEP, _blocks_raw, fd4_derivative,
-                        homogeneous_transfer, scalar_a)
+from .monodromy import (FD4_STEP, _a_product, _blocks_raw, fd4_derivative,
+                        homogeneous_transfer)
 from .rmatrix import twist_matrix
 from .sov_basis import (POLE_TOL, _grown_rows, _site_tuple, enumerate_basis,
                         f_factor, g_factor)
@@ -103,7 +103,7 @@ def _kernel(sites: tuple, spec: ChainSpec) -> tuple:
             for q in comp:
                 cross *= np.sinh(th(a) - th(q) + eta)
         rows.append((primed, kern * cross, f_factor(primed, spec)))
-    return comp, rows, np.prod([scalar_a(t, spec) for t in spec.theta])
+    return comp, rows, _a_product(spec)
 
 
 def _pairings(kernels, lam: tuple, psi_bar0: complex) -> list:
@@ -188,16 +188,14 @@ class Reconstructor:
         return (pairings[self.kernel_of] * lam3 / self.norms) @ self.kets
 
 
-def reconstruct(lambda_at_theta, psi_bar0: complex, spec: ChainSpec) -> np.ndarray:
-    """One eigenvector from its eigenvalue at the inhomogeneity points; see
-    ``Reconstructor.state``.  Build a ``Reconstructor`` once to rebuild many
-    eigenvectors of the same chain."""
-    return Reconstructor(spec).state(lambda_at_theta, psi_bar0)
-
-
 # ---------------------------------------------------------------------------
 # Homogeneous-limit experiment
 # ---------------------------------------------------------------------------
+
+# Shrink factors of the homogeneous-limit study, distinct and descending:
+# the Neville extrapolation to eps = 0 divides by their differences.
+EPS_SEQUENCE = (0.1, 0.05, 0.025, 0.0125)
+
 
 def normalize_gauge(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Unit norm with the first non-negligible component rotated to the
@@ -292,28 +290,21 @@ class HomogStudy:
         return sum(1 for f in self.families if f.monotone)
 
 
-def homogeneous_limit_study(direction, eps_sequence, eta: complex) -> HomogStudy:
+def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
     """Track every eigenstate of the three-flavor chain as the
     inhomogeneities shrink to zero.
 
-    For each eps the chain theta = eps * direction is diagonalized and each
-    eigenstate reconstructed from its eigenvalue data alone; families are
-    matched across eps levels (and to the homogeneous model) by eigenvalue
-    proximity at fixed probe points.  Reports per family the Cauchy
-    distances of the gauge-fixed states, whether they decrease monotonically,
-    and for two sites the angle between the extrapolated state and the
-    closed-form homogeneous expression.  Non-convergence is reported, never
-    raised.
+    For each eps of ``EPS_SEQUENCE`` the chain theta = eps * direction is
+    diagonalized and each eigenstate reconstructed from its eigenvalue data
+    alone; families are matched across eps levels (and to the homogeneous
+    model) by eigenvalue proximity at fixed probe points.  Reports per
+    family the Cauchy distances of the gauge-fixed states, whether they
+    decrease monotonically, and for two sites the angle between the
+    extrapolated state and the closed-form homogeneous expression.
+    Non-convergence is reported, never raised.
     """
     direction = tuple(complex(x) for x in direction)
     N = len(direction)
-    eps_desc = tuple(sorted((float(e) for e in eps_sequence), reverse=True))
-    if len(eps_desc) < 2:
-        raise ValueError("need at least two shrink factors")
-    for hi, lo in zip(eps_desc, eps_desc[1:]):
-        if hi == lo:
-            raise ValueError(f"repeated shrink factor {hi}: the extrapolation "
-                             "to eps = 0 needs distinct factors")
 
     # homogeneous reference spectrum, and t(u) at the points fd4 samples
     t_hom = lambda u: homogeneous_transfer(u, 3, N, eta)
@@ -335,7 +326,7 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex) -> HomogStudy
     # families through the probe eigenvalues
     tracked = {k: [] for k in range(len(families))}
     hom_mus = np.array([mus for _, mus in hom_records])
-    for eps in eps_desc:
+    for eps in EPS_SEQUENCE:
         spec = ChainSpec(n=3, N=N, eta=eta,
                          theta=tuple(eps * x for x in direction))
         records = brute_force_spectrum(spec)
@@ -361,11 +352,11 @@ def homogeneous_limit_study(direction, eps_sequence, eta: complex) -> HomogStudy
         fam.monotone = all(d2 < d1 for d1, d2 in
                            zip(fam.distances, fam.distances[1:]))
         extrapolated = normalize_gauge(
-            _neville_at_zero(np.array(eps_desc), np.array(states)))
+            _neville_at_zero(np.array(EPS_SEQUENCE), np.array(states)))
         hom_vec = normalize_gauge(hom_records[fam.hom_index][0])
         fam.angle_eigenvector = _hermitian_angle(extrapolated, hom_vec)
         if N == 2 and abs(fam.lam0) > 1e-12:
             ref = closed_form_two_site(fam.lam0, fam.dlam0, 3, eta)
             fam.angle_closed_form = _hermitian_angle(
                 extrapolated, normalize_gauge(ref))
-    return HomogStudy(eps=eps_desc, eta=complex(eta), families=families)
+    return HomogStudy(eps=EPS_SEQUENCE, eta=complex(eta), families=families)

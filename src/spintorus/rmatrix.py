@@ -42,11 +42,6 @@ def r_matrix(u: complex, n: int, eta: complex) -> np.ndarray:
     return r
 
 
-def r_element(u: complex, n: int, eta: complex, a: int, b: int, c: int, d: int) -> complex:
-    """Single element <a b|R(u)|c d> (1-indexed)."""
-    return complex(r_matrix(u, n, eta)[(a - 1) * n + (b - 1), (c - 1) * n + (d - 1)])
-
-
 def permutation_matrix(n: int) -> np.ndarray:
     """Exchange operator P|a b> = |b a> on V x V."""
     p = np.zeros((n * n, n * n), dtype=complex)
@@ -155,10 +150,3 @@ def twist_invariance_residual(u: complex, n: int, eta: complex) -> float:
     r = r_matrix(u, n, eta)
     return _rel_resid(gg @ r @ np.linalg.inv(gg), r)
 
-
-def swap_conjugation_residual(u: complex, n: int, eta: complex) -> float:
-    """R21(u) agrees with P R12(u) P computed elementwise."""
-    p = permutation_matrix(n)
-    r4 = r_matrix(u, n, eta).reshape(n, n, n, n)
-    r21 = r4.transpose(1, 0, 3, 2).reshape(n * n, n * n)
-    return _rel_resid(r21, p @ r_matrix(u, n, eta) @ p)

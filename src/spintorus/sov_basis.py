@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import PoleProximityError, require_three_flavors
-from .monodromy import (_q, apply_entry, apply_entry_bra, scalar_a, scalar_d,
+from .monodromy import (_q, apply_entry, apply_entry_bra, scalar_a,
                         scalar_d_l, vacuum_bra, vacuum_ket)
 from .tensor_core import _rel_resid
 
@@ -189,11 +189,6 @@ def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
                    * _one_flavor_norm(idx.block3, spec) * cross)
 
 
-def gram_matrix(spec: ChainSpec) -> np.ndarray:
-    _, bras, kets = basis_states(spec)
-    return bras @ kets.T
-
-
 def verify_orthogonality(spec: ChainSpec) -> dict:
     """Gram diagnostics: diagonal vs closed form, off-diagonal leakage."""
     labels, bras, kets = basis_states(spec)
@@ -351,26 +346,19 @@ def act_on_bra(op: str, u: complex, idx: BasisIndex, spec: ChainSpec):
 OP_ENTRY = {"D33": (3, 3), "D23": (2, 3), "D32": (3, 2), "B3": (1, 3), "C3": (3, 1)}
 
 
-def act_on_bra_dense(op: str, u: complex, idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
-    """Oracle route: <idx| Op(u) by direct action of the monodromy entry."""
+def act_on_bra_dense(op: str, u: complex, bra: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """Oracle route: ``bra`` @ Op(u) by direct action of the monodromy entry."""
     i, j = OP_ENTRY[op]
-    return apply_entry_bra(u, i, j, left_state(idx, spec), spec)
+    return apply_entry_bra(u, i, j, bra, spec)
 
 
-def decomposition_residual(op: str, u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
-    """Worst relative deviation between act_on_bra and the dense action."""
+def decomposition_residual(op: str, u: complex, idx: BasisIndex, bras: dict,
+                           spec: ChainSpec) -> float:
+    """Worst relative deviation between act_on_bra and the dense action;
+    ``bras`` maps every basis label to its left state."""
     require_three_flavors("decomposition_residual", spec.n, idx.blocks)
-    dense = act_on_bra_dense(op, u, idx, spec)
+    dense = act_on_bra_dense(op, u, bras[idx], spec)
     rebuilt = np.zeros(spec.dim, dtype=complex)
     for target, coeff in act_on_bra(op, u, idx, spec):
-        rebuilt += coeff * left_state(target, spec)
+        rebuilt += coeff * bras[target]
     return _rel_resid(dense, rebuilt)
-
-
-def sun_dnn_residual(u: complex, idx: BasisIndex, spec: ChainSpec) -> float:
-    """Eigen-relation of the corner entry D^n_n on a rank-n left state."""
-    bra = left_state(idx, spec)
-    coeff = scalar_d(u, spec)
-    for k in idx.blocks[-1]:
-        coeff *= np.sinh(u - spec.theta[k - 1] + spec.eta) / np.sinh(u - spec.theta[k - 1])
-    return _rel_resid(apply_entry_bra(u, spec.n, spec.n, bra, spec), coeff * bra)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import InconsistencyError, PoleProximityError, require_three_flavors
-from .monodromy import _a, _q, scalar_a, transfer, twist_operator
-from .tensor_core import _operator_scale, relative_residual, simultaneous_eigen
+from .monodromy import _a, _a_product, _q, transfer, twist_operator
+from .tensor_core import relative_residual, simultaneous_eigen
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -189,27 +189,10 @@ def _eigenvalue_of(dual: np.ndarray, vec: np.ndarray, tv: np.ndarray) -> complex
     return complex((dual @ tv) / (dual @ vec))
 
 
-def eigenvalue_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> complex:
-    """Transfer eigenvalue of this record at any spectral point."""
-    vec = record.vector
-    return _eigenvalue_of(record.dual, vec, transfer(u, spec) @ vec)
-
-
 def _eigen_residual(record: SpectralRecord, t: np.ndarray, scale: float) -> float:
     vec = record.vector
     tv = t @ vec
     return float(relative_residual(tv, _eigenvalue_of(record.dual, vec, tv), vec, scale))
-
-
-def eigen_residual_at(record: SpectralRecord, u: complex, spec: ChainSpec) -> float:
-    t = transfer(u, spec)
-    return _eigen_residual(record, t, _operator_scale(t))
-
-
-def z_charge(record: SpectralRecord, spec: ChainSpec, tol: float = Z_CHARGE_TOL) -> int:
-    """Cyclic charge: twist eigenvalue exponent, cross-checked against the
-    product of transfer eigenvalues over the inhomogeneity points."""
-    return _z_charge(record, np.prod([scalar_a(t, spec) for t in spec.theta]), tol)
 
 
 def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL,
@@ -224,7 +207,8 @@ def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL,
 
 
 def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
-    """``z_charge`` given a_prod = prod_j a(theta_j), a function of the chain."""
+    """Z3 charge of the twist eigenvalue, cross-checked against the charge
+    of prod_j lambda(theta_j) / a_prod, where a_prod = prod_j a(theta_j)."""
     z_twist = _twist_charge(record.mu[-1], tol)
     ratio = complex(np.prod([lam for lam in record.lambda_theta]) / a_prod)
     z_prod = _twist_charge(ratio, tol, "eigenvalue product ratio")
@@ -257,7 +241,7 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
                               lambda_theta=tuple(lam_theta[k]), z_charge=-1,
                               residual=float(resid[k]))
                for k, (vec, mu) in enumerate(records_raw)]
-    a_prod = np.prod([scalar_a(t, spec) for t in spec.theta])
+    a_prod = _a_product(spec)
     for rec in records:
         rec.z_charge = _z_charge(rec, a_prod)
     return records

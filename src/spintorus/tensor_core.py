@@ -74,29 +74,6 @@ def embed_two_site(op: np.ndarray, i: int, j: int, n: int, N: int) -> np.ndarray
     return out
 
 
-def basis_vector(occupations, spec: ChainSpec) -> np.ndarray:
-    """Product state |i_1, ..., i_N> as a dense vector (entries 1-indexed)."""
-    if len(occupations) != spec.N:
-        raise ValueError("one occupation label per site required")
-    idx = 0
-    for i in occupations:
-        if not (1 <= i <= spec.n):
-            raise ValueError(f"occupation {i} outside 1..{spec.n}")
-        idx = idx * spec.n + (i - 1)
-    v = np.zeros(spec.dim, dtype=complex)
-    v[idx] = 1.0
-    return v
-
-
-def bilinear_pair(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """Transpose pairing <bra|ket> = sum_i bra_i ket_i, no conjugation."""
-    bra = np.asarray(bra)
-    ket = np.asarray(ket)
-    if bra.shape != ket.shape or bra.ndim != 1:
-        raise ValueError("bilinear_pair expects two vectors of equal length")
-    return complex(np.dot(bra, ket))
-
-
 def _operator_scale(op: np.ndarray) -> float:
     return max(float(np.abs(op).max()), 1.0)
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from spintorus.chain import default_spec
-from spintorus.spectrum import brute_force_spectrum, solve_bae
+from spintorus.monodromy import transfer
+from spintorus.spectrum import _eigenvalue_of, brute_force_spectrum, solve_bae
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +55,14 @@ def bae2(spec2, records2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240229)
+
+
+def _eigenvalue_at(rec, u, spec):
+    """Transfer eigenvalue of a spectral record at any point u, read through
+    its dual row."""
+    return _eigenvalue_of(rec.dual, rec.vector, transfer(u, spec) @ rec.vector)
+
+
+@pytest.fixture(scope="session")
+def eigenvalue_at():
+    return _eigenvalue_at

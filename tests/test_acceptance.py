@@ -12,8 +12,8 @@ import pytest
 
 from spintorus.chain import default_spec
 from spintorus.cli import load_config, run
-from spintorus.eigenstate import (homogeneous_limit_study, normalize_gauge,
-                                  reconstruct, scalar_F)
+from spintorus.eigenstate import (Reconstructor, homogeneous_limit_study,
+                                  normalize_gauge, scalar_F)
 from spintorus.monodromy import (conjugate_vacuum_bra, exchange_relation_residuals,
                                  monodromy_blocks, product_identity_residual,
                                  scalar_a, vacuum_bra)
@@ -21,11 +21,11 @@ from spintorus.rmatrix import (crossing_residual, fusion_rank,
                                initial_condition_residual, qybe_residual,
                                twist_invariance_residual, unitarity_residual)
 from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
-                                 decomposition_residual, enumerate_basis,
+                                 basis_states, decomposition_residual,
                                  identity_resolution_residual, left_state,
                                  right_state, verify_orthogonality)
 from spintorus.spectrum import (OMEGA, bae_residuals, brute_force_spectrum,
-                                eigenvalue_at, tq_lambda)
+                                tq_lambda)
 
 
 def _points(rng, count):
@@ -79,12 +79,13 @@ def test_criterion_4_decomposition_certificate(spec2, spec3):
     ops = ("D33", "D23", "D32", "B3", "C3")
     for spec in (spec2, spec3):
         rng = np.random.default_rng((20240229, 4, spec.N))
-        basis = enumerate_basis(spec)
+        basis, bra_rows, _ = basis_states(spec)
         assert len(basis) == 3 ** spec.N
+        bras = dict(zip(basis, bra_rows))
         for idx in basis:
             for u in _points(rng, 3):
                 for op in ops:
-                    assert decomposition_residual(op, u, idx, spec) < 1e-9, \
+                    assert decomposition_residual(op, u, idx, bras, spec) < 1e-9, \
                         f"N={spec.N} {op} {idx}"
         # vanishing relations, exact at the excluded inhomogeneity points
         sites = tuple(range(1, spec.N + 1))
@@ -99,7 +100,7 @@ def test_criterion_4_decomposition_certificate(spec2, spec3):
                 u = spec.theta[q - 1]
                 for op in ("D33", "B3"):
                     assert act_on_bra(op, u, idx, spec) == []
-                    assert np.abs(act_on_bra_dense(op, u, idx, spec)).max() \
+                    assert np.abs(act_on_bra_dense(op, u, bras[idx], spec)).max() \
                         < 1e-11 * op_scale
                 blocks = blocks_at[q]
                 scale = max(np.abs(blocks[2][2]).max(), 1.0) \
@@ -125,7 +126,7 @@ def test_criterion_5_spectrum_certificate(spec1, spec2, spec3,
 
 
 def test_criterion_6_root_system_certificate(spec1, spec2, records1, records2,
-                                             bae1, bae2):
+                                             bae1, bae2, eigenvalue_at):
     sh = complex(np.sinh(0.5))
     for spec, records, result in ((spec1, records1, bae1),
                                   (spec2, records2, bae2)):
@@ -160,12 +161,13 @@ def test_criterion_7_eigenstate_certificate(spec1, spec2, spec3,
     for spec, records in ((spec1, records1), (spec2, records2),
                           (spec3, records3)):
         bar_bra = conjugate_vacuum_bra(spec)
+        rebuild = Reconstructor(spec)
         for rec in records:
             psi_bar0 = complex(bar_bra @ rec.vector)
             if abs(psi_bar0) < 1e-12 * float(np.abs(rec.vector).max()):
                 psi_bar0 = 1.0
             lam = {j + 1: rec.lambda_theta[j] for j in range(spec.N)}
-            state = reconstruct(lam, psi_bar0, spec)
+            state = rebuild.state(lam, psi_bar0)
             cos = abs(np.vdot(rec.vector, state)) \
                 / (np.linalg.norm(rec.vector) * np.linalg.norm(state))
             assert cos > 1 - 1e-8, f"N={spec.N} z={rec.z_charge}"
@@ -183,8 +185,7 @@ def test_criterion_7_eigenstate_certificate(spec1, spec2, spec3,
 def test_criterion_8_homogeneous_limit_evidence(spec2):
     # convergence here is a conjecture under test: the run must complete and
     # be well formed, and its outcome is reported as evidence either way
-    study = homogeneous_limit_study(spec2.theta, (0.1, 0.05, 0.025, 0.0125),
-                                    spec2.eta)
+    study = homogeneous_limit_study(spec2.theta, spec2.eta)
     assert len(study.families) == 9
     lines = []
     for fam in study.families:

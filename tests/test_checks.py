@@ -1,6 +1,8 @@
-"""Certificate check registry: vocabulary, selection, and tolerance wiring."""
+"""Certificate check registry: vocabulary, tolerance wiring and the bra source."""
 import pytest
 
+import spintorus.checks as checks
+import spintorus.sov_basis as sov_basis
 from spintorus.chain import default_spec
 from spintorus.checks import CHECK_NAMES, run_checks
 from spintorus.errors import UnsupportedRankError
@@ -34,34 +36,41 @@ def test_all_checks_pass_on_default_chain(spec2):
         assert r.detail
 
 
-def test_subset_selection_preserves_registry_order(spec2):
-    results = run_checks(spec2, names=("vacuum-actions", "QYBE"),
-                         rng_seed=20240229)
-    assert [r.name for r in results] == ["QYBE", "vacuum-actions"]
-
-
-def test_unknown_check_name_rejected(spec2):
-    with pytest.raises(ValueError, match="unknown check"):
-        run_checks(spec2, names=("QYBE", "bogus"))
-
-
 def test_tolerance_override_can_force_failure(spec2):
-    results = run_checks(spec2, names=("unitarity",),
-                         tolerances={"unitarity": 1e-30}, rng_seed=20240229)
-    assert len(results) == 1
-    assert not results[0].passed
-    assert results[0].tolerance == 1e-30
+    results = run_checks(spec2, tolerances={"unitarity": 1e-30},
+                         rng_seed=20240229)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["unitarity"]
+    assert failed[0].tolerance == 1e-30
 
 
 def test_results_are_frozen(spec2):
-    results = run_checks(spec2, names=("QYBE",), rng_seed=20240229)
+    results = run_checks(spec2, rng_seed=20240229)
     with pytest.raises(AttributeError):
         results[0].passed = False
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_other_ranks_refused_up_front(n):
-    # refused before any check runs, also for a subset that would pass
-    for names in (None, ("QYBE",)):
-        with pytest.raises(UnsupportedRankError, match="n = 3"):
-            run_checks(default_spec(n=n, N=2), names=names)
+def test_other_ranks_refused_up_front(n, monkeypatch):
+    # refused before any check runs
+    def ran(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(checks, "CHECKS", tuple(
+        (name, ran, tol) for name, _, tol in checks.CHECKS))
+    with pytest.raises(UnsupportedRankError, match="n = 3"):
+        run_checks(default_spec(n=n, N=2))
+
+
+def test_checks_build_no_bra_label_by_label(monkeypatch):
+    # the decompositions check reads its basis bras from the stacked rows
+    calls = []
+    left_state = sov_basis.left_state
+
+    def counted(*args):
+        calls.append(args)
+        return left_state(*args)
+
+    monkeypatch.setattr(sov_basis, "left_state", counted)
+    assert all(r.passed for r in run_checks(default_spec(N=2)))
+    assert calls == []

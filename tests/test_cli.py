@@ -243,6 +243,31 @@ def test_main_config_errors_exit_2(tmp_path, mapping, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("mapping, fragment", [
+    ({"N": 1, "eta": True}, "eta must be a number, got True"),
+    ({"N": 1, "eta": [0.5, False]}, "eta must be a number, got False"),
+    ({"N": 1, "eta": math.nan}, "eta must be finite, got nan"),
+    ({"N": 1, "eta": [0.5, -math.inf]}, "eta must be finite, got -inf"),
+    ({"N": 1, "eta": 10 ** 400}, "eta must be finite"),
+    ({"N": 1, "theta": [math.inf]}, "theta[0] must be finite, got inf"),
+    ({"N": 1, "theta": [[0.2, math.nan]]}, "theta[0] must be finite, got nan"),
+    ({"N": 1, "tolerances": {"QYBE": math.nan}},
+     "tolerance 'QYBE' must be finite, got nan"),
+    ({"N": 1, "tolerances": {"QYBE": True}},
+     "tolerance 'QYBE' must be a number, got True"),
+])
+def test_main_refuses_booleans_and_non_finite_numbers(tmp_path, capsys, command,
+                                                      mapping, fragment):
+    # json.load reads true, NaN and Infinity; each is refused by field name
+    cfile = _write_config(tmp_path, mapping)
+    assert main([command, "--config", cfile,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
+    assert not (tmp_path / f"{command}_report.json").exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum", "bae",
                                      "reconstruct", "homog"])
 @pytest.mark.parametrize("n", [2, 4])

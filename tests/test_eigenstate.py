@@ -13,7 +13,7 @@ from spintorus.chain import ChainSpec, default_spec
 from spintorus.eigenstate import (Reconstructor, _kernel, _pairings,
                                   closed_form_two_site, f_factor,
                                   g_m_function, homogeneous_limit_study,
-                                  normalize_gauge, reconstruct, scalar_F)
+                                  normalize_gauge, scalar_F)
 from spintorus.errors import (DegenerateNormalizationError, InconsistencyError,
                               NonGenericSpecError, PoleProximityError,
                               UnsupportedRankError)
@@ -22,7 +22,7 @@ from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  scalar_a, transfer, vacuum_bra)
 from spintorus.sov_basis import (BasisIndex, basis_states, enumerate_basis,
                                  left_state)
-from spintorus.spectrum import OMEGA, brute_force_spectrum, eigenvalue_at
+from spintorus.spectrum import OMEGA, brute_force_spectrum
 from spintorus.tensor_core import kron_chain, simultaneous_eigen
 from spintorus.rmatrix import twist_matrix
 
@@ -211,8 +211,9 @@ def test_scalar_products_refuse_vanishing_eigenvalue(spec2):
 
 
 def test_reconstruction_single_site_closed_form(spec1, records1):
+    rebuild = Reconstructor(spec1)
     for rec in records1:
-        state = reconstruct(_lam_map(rec, spec1), _psi_bar0(rec, spec1), spec1)
+        state = rebuild.state(_lam_map(rec, spec1), _psi_bar0(rec, spec1))
         z = rec.z_charge
         want = np.array([1.0, OMEGA ** (2 * z), OMEGA ** z])
         ratio = state[0]
@@ -224,16 +225,18 @@ def test_reconstruction_parallel_to_reference(spec1, spec2, spec3,
                                               records1, records2, records3):
     for spec, records in ((spec1, records1), (spec2, records2),
                           (spec3, records3)):
+        rebuild = Reconstructor(spec)
         for rec in records:
-            state = reconstruct(_lam_map(rec, spec), _psi_bar0(rec, spec), spec)
+            state = rebuild.state(_lam_map(rec, spec), _psi_bar0(rec, spec))
             cos = abs(np.vdot(rec.vector, state)) \
                 / (np.linalg.norm(rec.vector) * np.linalg.norm(state))
             assert cos > 1 - 1e-8
 
 
-def test_reconstruction_solves_eigen_problem(spec2, records2, rng):
+def test_reconstruction_solves_eigen_problem(spec2, records2, rng, eigenvalue_at):
+    rebuild = Reconstructor(spec2)
     for rec in records2:
-        state = reconstruct(_lam_map(rec, spec2), _psi_bar0(rec, spec2), spec2)
+        state = rebuild.state(_lam_map(rec, spec2), _psi_bar0(rec, spec2))
         for _ in range(5):
             u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             t = transfer(u, spec2)
@@ -246,8 +249,9 @@ def test_reconstruction_solves_eigen_problem(spec2, records2, rng):
 def test_reconstruction_linear_in_normalization(spec2, records2):
     rec = records2[3]
     lam = _lam_map(rec, spec2)
-    base = reconstruct(lam, 1.0, spec2)
-    scaled = reconstruct(lam, 2.5 - 1.5j, spec2)
+    rebuild = Reconstructor(spec2)
+    base = rebuild.state(lam, 1.0)
+    scaled = rebuild.state(lam, 2.5 - 1.5j)
     assert_allclose(scaled, (2.5 - 1.5j) * base, rtol=1e-12, atol=1e-14)
 
 
@@ -259,7 +263,7 @@ def test_reconstructor_reused_matches_fresh_reconstruct(
         for rec in records:
             lam, psi0 = _lam_map(rec, spec), _psi_bar0(rec, spec)
             assert np.array_equal(rebuild.state(lam, psi0),
-                                  reconstruct(lam, psi0, spec))
+                                  Reconstructor(spec).state(lam, psi0))
 
 
 def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
@@ -290,7 +294,8 @@ def test_reconstructor_refuses_one_record_and_keeps_going(spec2, records2):
         rebuild.state({1: 0.5, 2: 0.0}, 1.0)
     rec = records2[4]
     lam, psi0 = _lam_map(rec, spec2), _psi_bar0(rec, spec2)
-    assert np.array_equal(rebuild.state(lam, psi0), reconstruct(lam, psi0, spec2))
+    assert np.array_equal(rebuild.state(lam, psi0),
+                          Reconstructor(spec2).state(lam, psi0))
 
 
 def test_shared_arrays_are_read_only(spec2):
@@ -383,7 +388,7 @@ def test_uniform_closed_form_requires_three_flavors():
 
 
 def test_uniform_limit_study_converges(spec2):
-    study = homogeneous_limit_study(spec2.theta, (0.1, 0.05, 0.025), 0.5)
+    study = homogeneous_limit_study(spec2.theta, 0.5)
     assert len(study.families) == 9
     assert study.n_converged == 9
     for fam in study.families:
@@ -397,7 +402,7 @@ def test_uniform_limit_study_marks_only_typed_failures_degenerate(monkeypatch):
         raise DegenerateNormalizationError("eigenvalue vanishes")
 
     monkeypatch.setattr(eigenstate.Reconstructor, "state", refuse)
-    study = homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
+    study = homogeneous_limit_study((0.13 + 0.07j,), 0.5)
     assert len(study.families) == 3
     assert all(f.degenerate and not f.distances for f in study.families)
 
@@ -406,19 +411,7 @@ def test_uniform_limit_study_marks_only_typed_failures_degenerate(monkeypatch):
 
     monkeypatch.setattr(eigenstate.Reconstructor, "state", broken)
     with pytest.raises(ValueError, match="unrelated defect"):
-        homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
-
-
-def test_uniform_limit_study_refuses_repeated_factor_up_front(monkeypatch):
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("a spectrum was built")
-
-    monkeypatch.setattr(eigenstate, "brute_force_spectrum", no_spectrum)
-    monkeypatch.setattr(eigenstate, "simultaneous_eigen", no_spectrum)
-    with pytest.raises(ValueError, match="repeated shrink factor 0.1"):
-        homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.1), 0.5)
-    with pytest.raises(ValueError, match="repeated shrink factor 0.05"):
-        homogeneous_limit_study((0.13 + 0.07j,), (0.05, 0.1, 0.05), 0.5)
+        homogeneous_limit_study((0.13 + 0.07j,), 0.5)
 
 
 @pytest.mark.parametrize("mu", [-1.0, 1j])
@@ -432,9 +425,9 @@ def test_uniform_limit_study_reads_charge_with_the_cube_root_check(mu, monkeypat
 
     monkeypatch.setattr(eigenstate, "simultaneous_eigen", off_rank)
     with pytest.raises(InconsistencyError, match="not a cube root of unity"):
-        homogeneous_limit_study((0.13 + 0.07j,), (0.1, 0.05), 0.5)
+        homogeneous_limit_study((0.13 + 0.07j,), 0.5)
 
 
 def test_uniform_limit_study_rejects_degenerate_direction():
     with pytest.raises(NonGenericSpecError):
-        homogeneous_limit_study((0.3, 0.3), (0.1, 0.05), 0.5)
+        homogeneous_limit_study((0.3, 0.3), 0.5)

@@ -12,10 +12,9 @@ from spintorus.monodromy import fd4_derivative
 from spintorus.rmatrix import (crossing_residual, crossing_scalar,
                                fusion_rank, initial_condition_residual,
                                local_hamiltonian, permutation_matrix,
-                               qybe_residual, r_element, r_matrix,
-                               swap_conjugation_residual, twist_invariance_residual,
-                               twist_matrix, unitarity_residual,
-                               unitarity_scalar)
+                               qybe_residual, r_matrix,
+                               twist_invariance_residual, twist_matrix,
+                               unitarity_residual, unitarity_scalar)
 
 ETA = 0.5
 
@@ -36,25 +35,32 @@ def test_zero_argument_is_scaled_permutation():
 
 
 def test_element_values_frozen():
-    u = 0.3
-    assert abs(r_element(u, 3, ETA, 1, 1, 1, 1) - SINH_08) < 1e-15
-    assert abs(r_element(u, 3, ETA, 1, 2, 1, 2) - SINH_03) < 1e-15
-    exchange = {complex(r_element(u, 3, ETA, 1, 2, 2, 1)),
-                complex(r_element(u, 3, ETA, 2, 1, 1, 2))}
+    # <a b|R|c d> sits at row 3(a-1) + (b-1), column 3(c-1) + (d-1)
+    r = r_matrix(0.3, 3, ETA)
+    assert abs(r[0, 0] - SINH_08) < 1e-15
+    assert abs(r[1, 1] - SINH_03) < 1e-15
+    exchange = {complex(r[1, 3]), complex(r[3, 1])}
     for got, want in zip(sorted(exchange, key=lambda z: z.real),
                          sorted((EXCH_PLUS, EXCH_MINUS))):
         assert abs(got - want) < 1e-15
 
 
 def test_dense_matrix_matches_elements(rng):
+    # every element against the printed formulas, zero where none applies
     u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     mat = r_matrix(u, 3, ETA)
     for a in range(1, 4):
         for b in range(1, 4):
             for c in range(1, 4):
                 for d in range(1, 4):
-                    assert mat[3 * (a - 1) + (b - 1), 3 * (c - 1) + (d - 1)] \
-                        == r_element(u, 3, ETA, a, b, c, d)
+                    want = 0.0
+                    if (a, b) == (c, d):
+                        want = np.sinh(u + ETA) if a == b else np.sinh(u)
+                    elif (a, b) == (d, c):
+                        alpha = (3 - 2 * abs(b - a)) / 3 * (1 if a < b else -1)
+                        want = np.sinh(ETA) * np.exp(alpha * u)
+                    got = mat[3 * (a - 1) + (b - 1), 3 * (c - 1) + (d - 1)]
+                    assert abs(got - want) < 1e-15
 
 
 def test_qybe_random_triples(rng):
@@ -98,9 +104,13 @@ def test_twist_invariance(rng):
 
 
 def test_swap_conjugation(rng):
+    # R21(u), its two spaces exchanged elementwise, equals P R12(u) P
     u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     for n in (2, 3):
-        assert swap_conjugation_residual(u, n, ETA) < 1e-13
+        r = r_matrix(u, n, ETA)
+        r21 = r.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+        p = permutation_matrix(n)
+        assert np.abs(r21 - p @ r @ p).max() < 1e-13
 
 
 def test_fusion_rank_matches_antisymmetriser():

@@ -1,4 +1,5 @@
-"""Separated basis: enumeration, norms, orthogonality, operator expansions."""
+"""Separated basis: enumeration, norms, orthogonality, operator expansions;
+properties over random generic chains."""
 from itertools import permutations
 
 import numpy as np
@@ -8,19 +9,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spintorus.chain import ChainSpec, default_spec
+from spintorus.cli import load_config, run
 from spintorus.eigenstate import Reconstructor, closed_form_two_site
 from spintorus.errors import UnsupportedRankError
-from spintorus.monodromy import (monodromy_blocks, scalar_d, transfer,
-                                 vacuum_bra, vacuum_ket)
+from spintorus.monodromy import (apply_entry_bra, monodromy_blocks, scalar_d,
+                                 transfer, vacuum_bra, vacuum_ket)
 from spintorus.rmatrix import (crossing_residual, qybe_residual,
                                twist_invariance_residual, unitarity_residual)
 from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
                                  basis_states, decomposition_residual,
-                                 enumerate_basis,
-                                 g_factor, gram_matrix,
+                                 enumerate_basis, g_factor,
                                  identity_resolution_residual, left_state,
-                                 right_state, sun_dnn_residual,
-                                 verify_orthogonality)
+                                 right_state, verify_orthogonality)
 from spintorus.spectrum import brute_force_spectrum
 from spintorus.tensor_core import _rel_resid
 
@@ -89,7 +89,7 @@ def test_norm_factor_closed_form(spec1, spec2):
 
 
 def test_gram_single_site(spec1):
-    gram = gram_matrix(spec1)
+    gram = verify_orthogonality(spec1)["gram"]
     assert_allclose(gram, np.diag([1.0, SINH2_05, SINH2_05]), atol=1e-15)
 
 
@@ -128,11 +128,13 @@ def test_expansion_empty_label_diagonal_term(spec2, rng):
 
 
 def test_expansions_match_dense_action(spec2, rng):
+    labels, bra_rows, _ = basis_states(spec2)
+    bras = dict(zip(labels, bra_rows))
     for op in OPS:
         for idx in enumerate_basis(spec2):
             for _ in range(3):
                 u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                assert decomposition_residual(op, u, idx, spec2) < 1e-9
+                assert decomposition_residual(op, u, idx, bras, spec2) < 1e-9
 
 
 def test_left_vanishing_relations(spec2):
@@ -143,7 +145,8 @@ def test_left_vanishing_relations(spec2):
             u = spec2.theta[q - 1]
             for op in ("D33", "B3"):
                 assert act_on_bra(op, u, idx, spec2) == []
-                assert np.abs(act_on_bra_dense(op, u, idx, spec2)).max() \
+                bra = left_state(idx, spec2)
+                assert np.abs(act_on_bra_dense(op, u, bra, spec2)).max() \
                     < 1e-11 * scale
 
 
@@ -167,7 +170,7 @@ def test_annihilation_expansion_via_projection(spec2, rng):
     u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     basis = enumerate_basis(spec2)
     for idx in basis:
-        dense = act_on_bra_dense("C3", u, idx, spec2)
+        dense = act_on_bra_dense("C3", u, left_state(idx, spec2), spec2)
         expansion = dict(act_on_bra("C3", u, idx, spec2))
         for target in basis:
             projected = (dense @ right_state(target, spec2)) \
@@ -178,7 +181,8 @@ def test_annihilation_expansion_via_projection(spec2, rng):
 
 def _check_rank_n_basis(spec, rng):
     # n^N labels with one block per flavor 2..n, a Gram matrix of full rank,
-    # and every left state an eigenvector of the corner entry D^n_n
+    # and every left state an eigenvector of the corner entry D^n_n: d(u)
+    # times sinh(u - theta_k + eta) / sinh(u - theta_k) per flavor-n site k
     labels = enumerate_basis(spec)
     assert len(labels) == spec.n ** spec.N
     assert len(set(labels)) == len(labels)
@@ -189,8 +193,13 @@ def _check_rank_n_basis(spec, rng):
     assert np.linalg.matrix_rank(lmat @ rmat) == spec.dim
     for _ in range(2):
         u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        for ix in labels:
-            assert sun_dnn_residual(u, ix, spec) < 1e-11
+        for ix, bra in zip(labels, lmat):
+            coeff = scalar_d(u, spec)
+            for k in ix.blocks[-1]:
+                t = spec.theta[k - 1]
+                coeff *= np.sinh(u - t + spec.eta) / np.sinh(u - t)
+            corner = apply_entry_bra(u, spec.n, spec.n, bra, spec)
+            assert _rel_resid(corner, coeff * bra) < 1e-11
 
 
 def test_rank_generalization_reduces_to_default(rng):
@@ -210,10 +219,11 @@ def test_rank_four_basis(rng):
 
 
 @st.composite
-def generic_specs(draw):
-    """n in 2..4, N in 1..3, real eta in [0.3, 0.8], theta in the unit box,
-    every |sinh(theta_j - theta_k + s)|, s in {0, +-eta}, at least 0.1."""
-    n, N = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+def generic_specs(draw, ranks=st.integers(2, 4), sizes=st.integers(1, 3)):
+    """n in 2..4, N in 1..3 by default, real eta in [0.3, 0.8], theta in the
+    unit box, every |sinh(theta_j - theta_k + s)|, s in {0, +-eta}, at least
+    0.1."""
+    n, N = draw(ranks), draw(sizes)
     eta = draw(st.floats(0.3, 0.8))
     unit = st.floats(0.0, 1.0)
     theta = tuple(complex(draw(unit), draw(unit)) for _ in range(N))
@@ -255,6 +265,21 @@ def test_generic_specs(spec, seed):
         assert 1 - cos <= 1e-8
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=generic_specs(st.just(3), st.integers(1, 2)))
+def test_reports_byte_deterministic_on_generic_specs(spec, tmp_path_factory):
+    config = load_config({"N": spec.N, "eta": spec.eta.real,
+                          "theta": [[t.real, t.imag] for t in spec.theta]})
+    for command in ("verify", "spectrum", "reconstruct"):
+        blobs = []
+        for _ in range(2):
+            out = tmp_path_factory.mktemp(command)
+            run(command, config, csv=True, out_dir=str(out))
+            blobs.append([(out / f"{command}_report.{ext}").read_bytes()
+                          for ext in ("json", "csv")])
+        assert blobs[0] == blobs[1], command
+
+
 def test_three_flavor_labels_by_name():
     idx = BasisIndex((2,), (1,))
     assert (idx.block2, idx.block3, idx.m2, idx.m, idx.sites) == \
@@ -276,6 +301,6 @@ def test_closed_forms_refuse_other_ranks(spec):
         with pytest.raises(UnsupportedRankError, match="n = 3"):
             act_on_bra("D33", 0.37 - 0.41j, idx, spec)
         with pytest.raises(UnsupportedRankError, match="n = 3"):
-            decomposition_residual("D33", 0.37 - 0.41j, idx, spec)
+            decomposition_residual("D33", 0.37 - 0.41j, idx, {}, spec)
         with pytest.raises(UnsupportedRankError, match="n = 3"):
             g_factor(idx, spec)

@@ -6,15 +6,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 import spintorus.spectrum as spectrum_module
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.errors import InconsistencyError, UnsupportedRankError
-from spintorus.monodromy import scalar_a, transfer, twist_operator
+from spintorus.monodromy import _a_product, scalar_a, transfer, twist_operator
 from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
                                 TQSolution, U_PROBES, _canonical,
                                 _chunked_residuals, _newton, _newton_steps,
-                                _residuals, _roots_separated, _same_solution,
-                                _twist_charge,
-                                _vector, bae_residuals, brute_force_spectrum,
-                                eigen_residual_at, eigenvalue_at, solve_bae,
-                                tq_lambda, z_charge)
+                                _eigen_residual, _residuals, _roots_separated,
+                                _same_solution, _twist_charge, _vector,
+                                _z_charge, bae_residuals, brute_force_spectrum,
+                                solve_bae, tq_lambda)
+from spintorus.tensor_core import _operator_scale
 
 SINH_05 = 0.52109530549374736
 
@@ -62,38 +62,19 @@ def test_spectrum_readout_matches_per_vector_formulas(N, request):
 def test_charge_sectors_partition(spec2, records2):
     counts = {0: 0, 1: 0, 2: 0}
     for rec in records2:
-        counts[z_charge(rec, spec2, tol=1e-7)] += 1
+        counts[_z_charge(rec, _a_product(spec2), tol=1e-7)] += 1
     assert sum(counts.values()) == 9
     assert min(counts.values()) >= 1
 
 
-def test_eigenvalue_functional_consistency(spec2, records2, rng):
+def test_eigenvalue_functional_consistency(spec2, records2, rng, eigenvalue_at):
     # the dual-row eigenvalue reproduces the stored values and keeps the
     # eigen-equation satisfied away from the sample points
     for rec in records2[:3]:
         for j, t in enumerate(spec2.theta):
             assert abs(eigenvalue_at(rec, t, spec2) - rec.lambda_theta[j]) < 1e-10
-        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert eigen_residual_at(rec, u, spec2) < 1e-11
-
-
-def test_eigen_residual_builds_transfer_once(spec2, records2, monkeypatch):
-    u = 0.31 - 0.22j
-    rec = records2[4]
-    t = transfer(u, spec2)
-    lam = complex((rec.dual @ (t @ rec.vector)) / (rec.dual @ rec.vector))
-    scale = max(float(np.abs(t).max()), 1.0) * float(np.abs(rec.vector).max())
-    resid = float(np.abs(t @ rec.vector - lam * rec.vector).max()) / scale
-    builds = []
-
-    def counted(*args):
-        builds.append(args)
-        return transfer(*args)
-
-    monkeypatch.setattr(spectrum_module, "transfer", counted)
-    assert eigen_residual_at(rec, u, spec2) == resid
-    assert len(builds) == 1
-    assert eigenvalue_at(rec, u, spec2) == lam
+        t = transfer(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), spec2)
+        assert _eigen_residual(rec, t, _operator_scale(t)) < 1e-11
 
 
 def test_parametrized_eigenvalue_at_inhomogeneity_point(spec1, bae1):

@@ -1,4 +1,4 @@
-"""Dense tensor-product plumbing: embeddings, bilinear pairing, joint eigen."""
+"""Dense tensor-product plumbing: embeddings and joint eigen."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,8 +9,7 @@ import spintorus.tensor_core as tensor_core_module
 from spintorus.chain import default_spec
 from spintorus.errors import DegeneracyError, NonGenericSpecError
 from spintorus.rmatrix import twist_matrix
-from spintorus.tensor_core import (basis_vector, bilinear_pair,
-                                   embed_site_operator, embed_two_site,
+from spintorus.tensor_core import (embed_site_operator, embed_two_site,
                                    kron_chain, simultaneous_eigen,
                                    site_matrix_unit)
 
@@ -25,11 +24,11 @@ def test_embed_identity_any_site():
 def test_embed_matrix_unit_site_two():
     spec = default_spec(N=2)
     op = embed_site_operator(site_matrix_unit(3, 1, 2), 2, spec)
-    # |i, 2> -> |i, 1>, everything else annihilated
+    # |i, 2> -> |i, 1>, everything else annihilated; site 1 is slowest, so
+    # |i, j> sits at position 3 (i - 1) + (j - 1)
+    product = np.eye(9)
     for i in range(3):
-        src = basis_vector((i + 1, 2), spec)
-        dst = basis_vector((i + 1, 1), spec)
-        assert_allclose(op @ src, dst, atol=0)
+        assert_allclose(op @ product[3 * i + 1], product[3 * i], atol=0)
     assert np.count_nonzero(op) == 3
 
 
@@ -63,21 +62,6 @@ def test_two_site_embedding_against_single_site_products(rng):
             assert np.abs(got - want).max() < 1e-13
     with pytest.raises(ValueError, match="outside"):
         embed_two_site(np.kron(a, b), 0, 2, 3, 3)
-
-
-def test_bilinear_pair_basis_cases():
-    e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    assert bilinear_pair(e1, e1) == 1
-    assert bilinear_pair(e1, e2) == 0
-    # transpose pairing, not conjugate-transpose: (i e1, i e1) -> -1
-    assert bilinear_pair(1j * e1, 1j * e1) == -1
-
-
-def test_bilinear_pair_symmetric(rng):
-    x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    assert abs(bilinear_pair(x, y) - bilinear_pair(y, x)) < 1e-14
 
 
 def test_joint_eigen_identity_family():
@@ -154,9 +138,3 @@ def test_joint_eigen_warns_on_defective_input():
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
         simultaneous_eigen([jordan])
 
-
-def test_basis_vector_ordering():
-    spec = default_spec(N=2)
-    # first index slowest: |2,1> sits at position n*(2-1) + (1-1) = 3
-    vec = basis_vector((2, 1), spec)
-    assert vec[3] == 1 and np.count_nonzero(vec) == 1
