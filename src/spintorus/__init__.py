@@ -30,7 +30,7 @@ from .monodromy import (apply_entry, apply_entry_bra,
                         exchange_relation_residuals, global_hamiltonian,
                         homogeneous_transfer, monodromy_blocks,
                         product_identity_residual, scalar_a, scalar_d,
-                        scalar_d_l, transfer, twist_operator)
+                        transfer, twist_operator)
 from .rmatrix import (crossing_residual, fusion_rank, local_hamiltonian,
                       permutation_matrix, qybe_residual, r_matrix,
                       twist_invariance_residual, twist_matrix,
@@ -63,7 +63,7 @@ __all__ = [
     "left_state", "local_hamiltonian", "monodromy_blocks", "normalize_gauge",
     "permutation_matrix", "product_identity_residual", "qybe_residual",
     "r_matrix", "right_state", "run_checks", "scalar_F",
-    "scalar_a", "scalar_d", "scalar_d_l",
+    "scalar_a", "scalar_d",
     "simultaneous_eigen", "site_matrix_unit", "solve_bae", "tq_lambda",
     "transfer", "twist_invariance_residual", "twist_matrix", "twist_operator",
     "unitarity_residual", "verify_orthogonality",

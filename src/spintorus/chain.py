@@ -19,6 +19,12 @@ MAX_SITES = 6
 # Genericity floor: |sinh(.)| below this counts as a resonance.
 GENERIC_TOL = 1e-12
 
+# A product whose natural log exceeds this overflows a double.
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+# Default seed of every random stream: probes, eigenbasis mixing, root starts.
+DEFAULT_SEED = 20240229
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -27,8 +33,9 @@ class ChainSpec:
 
     Construction validates the genericity assumptions used throughout:
     pairwise distinct theta, no theta_j - theta_k resonance at +-eta, and
-    sinh(eta) != 0.  Violations raise ``NonGenericSpecError``; N > 6 raises
-    ``DenseBudgetError`` before any dense allocation can happen.
+    sinh(eta) != 0, and no product past the double range.  Violations raise
+    ``NonGenericSpecError``; N > 6 raises ``DenseBudgetError`` before any
+    dense allocation can happen.
     """
 
     n: int
@@ -53,6 +60,17 @@ class ChainSpec:
             )
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "eta", complex(self.eta))
+        # An R-matrix weight at u - theta_k, u a theta point or a probe point
+        # in the unit box, is at most e^(|Re eta| + 2 max |Re theta| + 1).  A
+        # basis pairing multiplies two states of N entries, each a product of
+        # N weights; the crossing check forms sinh(u + n eta).
+        k, re_eta = max(2 * self.N ** 2, self.n), abs(self.eta.real)
+        re_theta = 2 * max(abs(t.real) for t in theta)
+        if k * (re_eta + re_theta + 1) > LOG_FLOAT_MAX:
+            raise NonGenericSpecError(
+                f"eta and theta overflow a double at N = {self.N}: max(2 N^2, "
+                f"n) (|Re eta| + 2 max |Re theta_j| + 1) = {k} ({re_eta:.4g} + "
+                f"{re_theta:.4g} + 1) exceeds {LOG_FLOAT_MAX:.4g}")
         if abs(np.sinh(self.eta)) < GENERIC_TOL:
             raise NonGenericSpecError(f"sinh(eta) vanishes for eta={self.eta}")
         for j in range(self.N):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import DEFAULT_SEED, ChainSpec
 from .errors import require_three_flavors
 from .monodromy import (exchange_relation_residuals, monodromy_blocks,
                         product_identity_residual, scalar_a, scalar_d,
@@ -184,7 +184,7 @@ CHECKS = (
 CHECK_NAMES = tuple(name for name, _, _ in CHECKS)
 
 
-def run_checks(spec: ChainSpec, tolerances=None, rng_seed: int = 20240229):
+def run_checks(spec: ChainSpec, tolerances=None, rng_seed: int = DEFAULT_SEED):
     """Run every check in registry order and return its CheckResult records.
 
     ``tolerances`` maps check names to overrides of the default thresholds.

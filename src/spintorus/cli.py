@@ -16,11 +16,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chain import ChainSpec, default_theta
+from .chain import DEFAULT_SEED, ChainSpec, default_theta
 from .checks import CHECK_NAMES, _points, run_checks
 from .eigenstate import (Reconstructor, _hermitian_angle,
                          homogeneous_limit_study, normalize_gauge)
@@ -59,7 +59,7 @@ class RunConfig:
     N: int = 2
     eta: complex = 0.5
     theta: tuple = ()
-    rng_seed: int = 20240229
+    rng_seed: int = DEFAULT_SEED
     tolerances: dict = field(default_factory=dict)
     output_path: str = ""
 
@@ -83,20 +83,21 @@ def load_config(mapping) -> RunConfig:
     """Build a RunConfig from a JSON mapping, rejecting unknown fields."""
     if not isinstance(mapping, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"n", "N", "eta", "theta", "rng_seed", "tolerances", "output_path"}
+    known = {f.name for f in fields(RunConfig)}
     unknown = sorted(set(mapping) - known)
     if unknown:
         raise ConfigError(f"unknown config fields {unknown}; "
                           f"valid fields: {sorted(known)}")
-    n = mapping.get("n", 3)
-    N = mapping.get("N", 2)
+    default = RunConfig()
+    get = lambda name: mapping.get(name, getattr(default, name))
+    n, N = get("n"), get("N")
     for label, value in (("n", n), ("N", N)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{label} must be an integer, got {value!r}")
     if n != 3:
         raise ConfigError(f"n = {n} is not supported: the reports cover the "
                           "three-flavor chain, n = 3")
-    eta = _as_complex(mapping.get("eta", 0.5), "eta")
+    eta = _as_complex(get("eta"), "eta")
     if "theta" in mapping:
         raw = mapping["theta"]
         if not isinstance(raw, list):
@@ -104,10 +105,10 @@ def load_config(mapping) -> RunConfig:
         theta = tuple(_as_complex(t, f"theta[{k}]") for k, t in enumerate(raw))
     else:
         theta = default_theta(N)
-    rng_seed = mapping.get("rng_seed", 20240229)
+    rng_seed = get("rng_seed")
     if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
         raise ConfigError(f"rng_seed must be an integer, got {rng_seed!r}")
-    tolerances = mapping.get("tolerances", {})
+    tolerances = get("tolerances")
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be a map of name to number")
     valid_tols = set(CHECK_NAMES) | set(SOLVER_TOLERANCES)
@@ -116,7 +117,7 @@ def load_config(mapping) -> RunConfig:
             raise ConfigError(f"unknown tolerance name {key!r}; "
                               f"valid names: {sorted(valid_tols)}")
         _finite(value, f"tolerance {key!r}")
-    output_path = mapping.get("output_path", "")
+    output_path = get("output_path")
     if not isinstance(output_path, str):
         raise ConfigError(f"output_path must be a string, got {output_path!r}")
     return RunConfig(n=n, N=N, eta=eta, theta=theta, rng_seed=rng_seed,
@@ -406,10 +407,17 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _resolve_output(command: str, config: RunConfig, out_dir) -> str:
+    """The report's path, under ``out_dir`` unless absolute; its directory
+    is made before the command runs, and a failure is a config error."""
     name = config.output_path or f"{command}_report.json"
     if out_dir and not os.path.isabs(name):
-        os.makedirs(out_dir, exist_ok=True)
         name = os.path.join(out_dir, name)
+    try:
+        os.makedirs(os.path.dirname(name) or os.curdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create report directory: {exc}") from exc
+    if os.path.isdir(name):
+        raise ConfigError(f"report path {name!r} is a directory")
     return name
 
 
@@ -426,12 +434,12 @@ def run(command: str, config: RunConfig, strict: bool = False,
         csv: bool = False, out_dir=None) -> int:
     """Execute one subcommand and write its report; returns the exit code."""
     spec = build_spec(config)
+    path = _resolve_output(command, config, out_dir)
     body, failures, header, rows = COMMANDS[command](config, spec)
     report = {"schema_version": SCHEMA_VERSION, "command": command,
               "config": config_block(config)}
     report.update(body)
     report["failures"] = failures
-    path = _resolve_output(command, config, out_dir)
     with open(path, "w", newline="") as handle:
         handle.write(render_json(report) + "\n")
     print(f"wrote {path}")

@@ -24,8 +24,8 @@ from .rmatrix import local_hamiltonian, r_matrix, twist_matrix
 from .tensor_core import _rel_resid, embed_two_site, kron_chain
 
 __all__ = [
-    "scalar_a", "scalar_d", "scalar_d_l", "monodromy_blocks", "apply_entry",
-    "apply_entry_bra", "transfer", "twist_operator",
+    "scalar_a", "scalar_d", "monodromy_blocks", "apply_entry", "apply_entry_bra",
+    "transfer", "twist_operator",
     "vacuum_ket", "vacuum_bra", "conjugate_vacuum_ket", "conjugate_vacuum_bra",
     "product_identity_residual", "global_hamiltonian", "fd4_derivative",
     "transfer_log_derivative_residual", "exchange_relation_residuals",
@@ -56,14 +56,6 @@ def scalar_a(u: complex, spec: ChainSpec) -> complex:
 def scalar_d(u: complex, spec: ChainSpec) -> complex:
     """Vacuum weight of the lower-diagonal entries: prod_l sinh(u - theta_l)."""
     return complex(_q(np.array([u]), np.array(spec.theta))[0])
-
-
-def scalar_d_l(u: complex, l: int, spec: ChainSpec) -> complex:
-    """scalar_d with the factor for site l (1-indexed) removed."""
-    if not (1 <= l <= spec.N):
-        raise ValueError(f"site {l} outside 1..{spec.N}")
-    kept = [t for j, t in enumerate(spec.theta, start=1) if j != l]
-    return complex(_q(np.array([u]), np.array(kept))[0])
 
 
 def _blocks_raw(u: complex, n: int, eta: complex, thetas,

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
 from .chain import ChainSpec
 from .errors import PoleProximityError, require_three_flavors
 from .monodromy import (_q, apply_entry, apply_entry_bra, scalar_a,
-                        scalar_d_l, vacuum_bra, vacuum_ket)
+                        vacuum_bra, vacuum_ket)
 from .tensor_core import _rel_resid
 
 POLE_TOL = 1e-12
@@ -161,13 +162,33 @@ def f_factor(pset, spec: ChainSpec) -> complex:
     return _one_flavor_norm(_site_tuple(pset, spec.N), spec)
 
 
+def _d_cancelled(u: complex, spec: ChainSpec, cancel) -> complex:
+    """scalar_d(u) / prod_{q in cancel} sinh(u - theta_q), cancelled exactly.
+
+    Each cancelled site uses the identity d(u)/sinh(u - theta_q) =
+    prod_{j != q} sinh(u - theta_j), which is entire, so u exactly at a
+    theta point yields the analytic limit.  A near-coincidence that is not
+    exact is refused: the caller sits close to a pole of the printed
+    formula without being on its removable point.
+    """
+    for j in sorted(cancel):
+        t = spec.theta[j - 1]
+        s = np.sinh(u - t)
+        if s != 0 and abs(s) < POLE_TOL:
+            raise PoleProximityError(
+                f"u = {u} within {POLE_TOL} of pole at theta_{j} = {t}")
+    kept = [t for j, t in enumerate(spec.theta, start=1) if j not in cancel]
+    return complex(_q(np.array([u]), np.array(kept))[0])
+
+
 def _one_flavor_norm(sites: tuple, spec: ChainSpec) -> complex:
     """f_factor on sites already checked: sorted, distinct, within 1..N."""
     eta = spec.eta
     th = lambda p: spec.theta[p - 1]
     val = 1.0 + 0.0j
     for l in sites:
-        val *= np.sinh(eta) * scalar_d_l(th(l), l, spec) * scalar_a(th(l), spec)
+        val *= (np.sinh(eta) * _d_cancelled(th(l), spec, (l,))
+                * scalar_a(th(l), spec))
         for k in sites:
             if k != l:
                 val *= np.sinh(th(l) - th(k) + eta) / np.sinh(th(l) - th(k))
@@ -218,23 +239,13 @@ def identity_resolution_residual(spec: ChainSpec) -> float:
 # Analytic action of operators on left states
 # ---------------------------------------------------------------------------
 
-def _d_cancelled(u: complex, spec: ChainSpec, cancel) -> complex:
-    """scalar_d(u) / prod_{q in cancel} sinh(u - theta_q), cancelled exactly.
-
-    Each cancelled site uses the identity d(u)/sinh(u - theta_q) =
-    prod_{j != q} sinh(u - theta_j), which is entire, so u exactly at a
-    theta point yields the analytic limit.  A near-coincidence that is not
-    exact is refused: the caller sits close to a pole of the printed
-    formula without being on its removable point.
-    """
-    for j in sorted(cancel):
-        t = spec.theta[j - 1]
-        s = np.sinh(u - t)
-        if s != 0 and abs(s) < POLE_TOL:
-            raise PoleProximityError(
-                f"u = {u} within {POLE_TOL} of pole at theta_{j} = {t}")
-    kept = [t for j, t in enumerate(spec.theta, start=1) if j not in cancel]
-    return complex(_q(np.array([u]), np.array(kept))[0])
+def _move(idx: BasisIndex, site: int, flavor=None) -> BasisIndex:
+    """``idx`` with ``site`` taken out of its block and, given a flavor, put
+    into that flavor's block."""
+    blocks = [tuple(q for q in b if q != site) for b in idx.blocks]
+    if flavor is not None:
+        blocks[flavor - 2] = tuple(sorted(blocks[flavor - 2] + (site,)))
+    return BasisIndex(*blocks)
 
 
 def act_on_bra(op: str, u: complex, idx: BasisIndex, spec: ChainSpec):
@@ -246,101 +257,65 @@ def act_on_bra(op: str, u: complex, idx: BasisIndex, spec: ChainSpec):
     action returns the empty list.  Ranks other than three are refused.
     """
     require_three_flavors("act_on_bra", spec.n, idx.blocks)
-    eta = spec.eta
+    eta, sh = spec.eta, np.sinh
     th = lambda p: spec.theta[p - 1]
-    sh = np.sinh
     b2, b3 = idx.block2, idx.block3
     u = complex(u)
-    terms: dict = {}
 
-    def add(target: BasisIndex, coeff: complex):
-        if coeff != 0:
-            terms[target] = terms.get(target, 0.0 + 0.0j) + coeff
+    def a_on(sites, skip=None):
+        """prod_{k in sites, k != skip} sinh(u - theta_k + eta)"""
+        return prod(sh(u - th(k) + eta) for k in sites if k != skip)
 
+    def ratio(l, sites, s):
+        """prod_{k in sites, k != l} sinh(theta_l - theta_k + s) / sinh(theta_l - theta_k)"""
+        return prod(sh(th(l) - th(k) + s) / sh(th(l) - th(k))
+                    for k in sites if k != l)
+
+    terms = []
     if op == "D33":
-        coeff = _d_cancelled(u, spec, b3)
-        for k in b3:
-            coeff *= sh(u - th(k) + eta)
-        add(idx, coeff)
-
-    elif op == "D23":
+        terms.append((idx, _d_cancelled(u, spec, b3) * a_on(b3)))
+    elif op in ("D23", "B3"):
+        sign = 1 if op == "D23" else -1
         for l in b3:
-            coeff = sh(eta) * np.exp((u - th(l)) / 3) * _d_cancelled(u, spec, b3)
-            for k in b3:
-                if k != l:
-                    coeff *= (sh(u - th(k) + eta)
-                              * sh(th(l) - th(k) - eta) / sh(th(l) - th(k)))
-            target = BasisIndex(tuple(sorted(b2 + (l,))),
-                                tuple(q for q in b3 if q != l))
-            add(target, coeff)
-
-    elif op == "D32":
-        for l in b2:
-            coeff = (sh(eta) * np.exp(-(u - th(l)) / 3)
-                     * _d_cancelled(u, spec, b3 + (l,)))
-            for k in b2:
-                if k != l:
-                    coeff *= sh(th(l) - th(k) + eta) / sh(th(l) - th(k))
-            for k in b3:
-                coeff *= sh(u - th(k) + eta)
-            target = BasisIndex(tuple(q for q in b2 if q != l),
-                                tuple(sorted(b3 + (l,))))
-            add(target, coeff)
-
-    elif op == "B3":
-        for l in b3:
-            base = sh(eta) * np.exp(-(u - th(l)) / 3) * _d_cancelled(u, spec, b3)
-            for k in b3:
-                if k != l:
-                    base *= (sh(u - th(k) + eta)
-                             * sh(th(l) - th(k) - eta) / sh(th(l) - th(k)))
-            # first family: theta_{p_l} leaves the flavor-3 block entirely
-            coeff = base * scalar_a(th(l), spec)
-            for al in b2:
-                coeff *= sh(th(l) - th(al) - eta) / sh(th(l) - th(al))
-            add(BasisIndex(b2, tuple(q for q in b3 if q != l)), coeff)
+            coeff = (sh(eta) * np.exp(sign * (u - th(l)) / 3)
+                     * _d_cancelled(u, spec, b3) * a_on(b3, skip=l)
+                     * ratio(l, b3, -eta))
+            if op == "D23":
+                terms.append((_move(idx, l, 2), coeff))
+                continue
+            # first family: theta_l leaves the flavor-3 block entirely
+            terms.append((_move(idx, l),
+                          coeff * scalar_a(th(l), spec) * ratio(l, b2, -eta)))
             # second family: it replaces a flavor-2 member instead
             for al in b2:
-                coeff = (base * sh(eta) * np.exp(-(th(al) - th(l)) / 3)
-                         / sh(th(l) - th(al)) * scalar_a(th(al), spec))
-                for k in b2:
-                    if k != al:
-                        coeff *= sh(th(al) - th(k) - eta) / sh(th(al) - th(k))
-                target = BasisIndex(
-                    tuple(sorted(tuple(q for q in b2 if q != al) + (l,))),
-                    tuple(q for q in b3 if q != l))
-                add(target, coeff)
-
+                terms.append((_move(_move(idx, al), l, 2),
+                              coeff * sh(eta) * np.exp(-(th(al) - th(l)) / 3)
+                              / sh(th(l) - th(al)) * scalar_a(th(al), spec)
+                              * ratio(al, b2, -eta)))
+    elif op == "D32":
+        for l in b2:
+            terms.append((_move(idx, l, 3), sh(eta) * np.exp(-(u - th(l)) / 3)
+                          * _d_cancelled(u, spec, b3 + (l,))
+                          * ratio(l, b2, eta) * a_on(b3)))
     elif op == "C3":
         for l in idx.complement(spec.N):
-            shared = 1.0 + 0.0j
-            for k in b3:
-                shared *= (sh(u - th(k) + eta)
-                           * sh(th(l) - th(k)) / sh(th(l) - th(k) + eta))
+            shared = a_on(b3) / _d_cancelled(th(l), spec, (l,))
             # first family: complement point joins the flavor-3 block
-            coeff = (np.exp((u - th(l)) / 3) / scalar_d_l(th(l), l, spec)
-                     * _d_cancelled(u, spec, b3 + (l,)) * shared)
-            add(BasisIndex(b2, tuple(sorted(b3 + (l,)))), coeff)
+            terms.append((_move(idx, l, 3), np.exp((u - th(l)) / 3) * shared
+                          * _d_cancelled(u, spec, b3 + (l,)) / ratio(l, b3, eta)))
             # second family: it replaces a flavor-2 member, which joins flavor 3
             for al in b2:
-                coeff = (np.exp((u - th(al)) / 3)
-                         * _d_cancelled(u, spec, b3 + (al,)) * shared
-                         * sh(eta) * np.exp((th(l) - th(al)) / 3)
-                         / (scalar_d_l(th(l), l, spec) * sh(th(al) - th(l) - eta)))
-                for k in b2:
-                    if k != al:
-                        coeff *= (sh(th(l) - th(k)) / sh(th(l) - th(k) + eta)
-                                  * sh(th(al) - th(k) + eta) / sh(th(al) - th(k)))
-                target = BasisIndex(
-                    tuple(sorted(tuple(q for q in b2 if q != al) + (l,))),
-                    tuple(sorted(b3 + (al,))))
-                add(target, coeff)
-
+                terms.append((_move(_move(idx, l, 2), al, 3),
+                              shared * np.exp((u - th(al)) / 3)
+                              * _d_cancelled(u, spec, b3 + (al,))
+                              * sh(eta) * np.exp((th(l) - th(al)) / 3)
+                              / sh(th(al) - th(l) - eta) * ratio(al, b2, eta)
+                              / ratio(l, _move(idx, al).sites, eta)))
     else:
         raise ValueError(f"unsupported operator {op!r}; "
                          "expected one of D33, D23, D32, B3, C3")
-
-    return sorted(terms.items(), key=lambda kv: kv[0].sort_key())
+    return sorted(((t, c) for t, c in terms if c != 0),
+                  key=lambda kv: kv[0].sort_key())
 
 
 OP_ENTRY = {"D33": (3, 3), "D23": (2, 3), "D32": (3, 2), "B3": (1, 3), "C3": (3, 1)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import DEFAULT_SEED, ChainSpec
 from .errors import InconsistencyError, PoleProximityError, require_three_flavors
 from .monodromy import _a, _a_product, _q, transfer, twist_operator
 from .tensor_core import relative_residual, simultaneous_eigen
@@ -219,7 +219,7 @@ def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
     return z_twist
 
 
-def brute_force_spectrum(spec: ChainSpec, rng_seed: int = 20240229):
+def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     """All 3^N transfer eigenstates via joint diagonalization.
 
     The family {t(u_1), t(u_2), twist} at the fixed probe points separates
@@ -409,7 +409,7 @@ class BaeSolveResult:
     newton_exits: dict = field(default_factory=dict)  # NEWTON_EXITS -> count
 
 
-def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = 20240229,
+def solve_bae(spec: ChainSpec, n_seeds: int = 200, rng_seed: int = DEFAULT_SEED,
               accept_tol: float = 1e-10, match_tol: float = 1e-7,
               records=None) -> BaeSolveResult:
     """Multi-start damped Newton on the full constraint system.

@@ -16,7 +16,7 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from .chain import ChainSpec
+from .chain import DEFAULT_SEED, ChainSpec
 from .errors import DegeneracyError, NonGenericSpecError
 
 # Condition of the joint eigenvector matrix above which results are suspect.
@@ -88,7 +88,7 @@ def relative_residual(ov: np.ndarray, mu, v: np.ndarray, scale: float):
     return np.abs(ov - mu * v).max(axis=0) / (scale * np.abs(v).max(axis=0))
 
 
-def simultaneous_eigen(family, rng_seed: int = 20240229):
+def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
     """Joint eigenbasis of a commuting family of diagonalizable matrices.
 
     Diagonalizes one random complex linear combination of the family (fresh

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from spintorus.chain import ChainSpec, default_spec
+from spintorus.chain import (LOG_FLOAT_MAX, ChainSpec, default_spec,
+                             default_theta)
 from spintorus.errors import DenseBudgetError, NonGenericSpecError
 
 
@@ -52,3 +53,23 @@ def test_minimum_rank_and_sites():
         ChainSpec(n=1, N=1, eta=0.5, theta=(0.1,))
     with pytest.raises(NonGenericSpecError):
         ChainSpec(n=3, N=0, eta=0.5, theta=())
+
+
+@pytest.mark.parametrize("N", [1, 2, 6])
+def test_overflow_bound_is_sharp(N):
+    # max(2 N^2, n) (|Re eta| + 2 max |Re theta_j| + 1) <= log(float max);
+    # the default thetas put max |Re theta_j| at 0.13 N
+    room = LOG_FLOAT_MAX / max(2 * N * N, 3) - 1
+    theta = default_theta(N)
+
+    def chains(step):
+        eta_edge, theta_edge = room - 0.26 * N + step, (room - 0.5) / 2 + step
+        yield eta_edge, theta
+        yield -eta_edge + 0.3j, theta
+        yield 0.5, theta[:-1] + (-theta_edge + 0.1j,)
+
+    for eta, th in chains(-1e-9):
+        ChainSpec(n=3, N=N, eta=eta, theta=th)
+    for eta, th in chains(1e-9):
+        with pytest.raises(NonGenericSpecError, match="eta and theta overflow"):
+            ChainSpec(n=3, N=N, eta=eta, theta=th)

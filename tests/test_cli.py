@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from spintorus.chain import DEFAULT_SEED, LOG_FLOAT_MAX
 from spintorus.cli import (ConfigError, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR,
                            EXIT_OK, SCHEMA_VERSION, build_spec, load_config,
                            main, render_json, run)
@@ -28,7 +29,7 @@ def test_load_config_defaults():
     assert cfg.n == 3 and cfg.N == 2
     assert cfg.eta == 0.5 + 0j
     assert cfg.theta == (0.13 + 0.07j, 0.26 + 0.14j)
-    assert cfg.rng_seed == 20240229
+    assert cfg.rng_seed == DEFAULT_SEED == 20240229
     assert cfg.tolerances == {} and cfg.output_path == ""
     spec = build_spec(cfg)
     assert spec.dim == 9
@@ -222,6 +223,64 @@ def test_main_end_to_end(tmp_path):
     assert main(["verify", "--config", cfile, "--out", str(tmp_path)]) == EXIT_OK
     report = _load_report(tmp_path / "verify_report.json")
     assert report["config"]["tolerances"] == {"QYBE": 1e-10}
+
+
+@pytest.mark.parametrize("output_path, out", [
+    ("{tmp}/missing/r.json", None),
+    ("sub/r.json", "{tmp}/dir"),
+], ids=["absolute", "under-out"])
+def test_main_creates_report_parent_directory(tmp_path, output_path, out):
+    output_path = output_path.format(tmp=tmp_path)
+    cfile = _write_config(tmp_path, {"N": 1, "output_path": output_path})
+    argv = ["verify", "--config", cfile]
+    if out:
+        out = out.format(tmp=tmp_path)
+        argv += ["--out", out]
+    assert main(argv) == EXIT_OK
+    assert os.path.isfile(os.path.join(out or "", output_path))
+
+
+@pytest.mark.parametrize("output_path, fragment", [
+    ("file/r.json", "cannot create report directory"),
+    ("dir", "is a directory"),
+])
+def test_main_unwritable_report_path_is_config_error(tmp_path, capsys,
+                                                     output_path, fragment):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    cfile = _write_config(tmp_path, {
+        "N": 1, "output_path": str(tmp_path / output_path)})
+    assert main(["verify", "--config", cfile]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
+
+
+@pytest.mark.parametrize("command, mapping, terms", [
+    ("verify", {"N": 1, "eta": 800}, "3 (800 + 0.26 + 1)"),
+    ("verify", {"N": 1, "eta": 1e308}, "3 (1e+308 + 0.26 + 1)"),
+    ("spectrum", {"N": 6, "eta": 150}, "72 (150 + 1.56 + 1)"),
+    ("verify", {"N": 2, "theta": [[0.1, 0], [400, 0]]}, "8 (0.5 + 800 + 1)"),
+    ("spectrum", {"N": 1, "theta": [1e5]}, "3 (0.5 + 2e+05 + 1)"),
+])
+def test_main_refuses_overflowing_weights(tmp_path, capsys, command, mapping,
+                                          terms):
+    # the message gives the factor and the eta and theta terms of the bound
+    cfile = _write_config(tmp_path, mapping)
+    assert main([command, "--config", cfile,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error" in err and "eta and theta overflow" in err
+    assert terms in err
+    assert not (tmp_path / f"{command}_report.json").exists()
+
+
+def test_main_finite_report_just_inside_overflow_bound(tmp_path):
+    # N = 1: the crossing check's sinh(u + 3 eta) sets the bound
+    eta = LOG_FLOAT_MAX / 3 - 2 * 0.13 - 1 - 1e-6
+    cfile = _write_config(tmp_path, {"N": 1, "eta": eta})
+    main(["verify", "--config", cfile, "--out", str(tmp_path)])
+    report = _load_report(tmp_path / "verify_report.json")
+    assert all(math.isfinite(c["residual"]) for c in report["checks"])
 
 
 def test_main_creates_output_directory(tmp_path):

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.cli import load_config, run
 from spintorus.eigenstate import Reconstructor, closed_form_two_site
-from spintorus.errors import UnsupportedRankError
+from spintorus.errors import PoleProximityError, UnsupportedRankError
 from spintorus.monodromy import (apply_entry_bra, monodromy_blocks, scalar_d,
                                  transfer, vacuum_bra, vacuum_ket)
 from spintorus.rmatrix import (crossing_residual, qybe_residual,
@@ -164,19 +164,36 @@ def test_right_vanishing_relations(spec2):
                     assert np.abs(blocks[i][j] @ rv).max() < 1e-11 * scale
 
 
-def test_annihilation_expansion_via_projection(spec2, rng):
+def test_annihilation_expansion_via_projection(spec2, spec3, rng):
     # independent route: read the expansion coefficients off the resolved
-    # identity, coeff(target) = <idx|Op|target> / norm(target)
-    u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    basis = enumerate_basis(spec2)
-    for idx in basis:
-        dense = act_on_bra_dense("C3", u, left_state(idx, spec2), spec2)
-        expansion = dict(act_on_bra("C3", u, idx, spec2))
-        for target in basis:
-            projected = (dense @ right_state(target, spec2)) \
-                / g_factor(target, spec2)
-            claimed = expansion.get(target, 0.0)
-            assert abs(projected - claimed) < 1e-9 * max(abs(claimed), 1.0)
+    # identity, coeff(target) = <idx|Op|target> / norm(target), for every op
+    # at a random u and at each u = theta_q, q inside and outside the label
+    for spec in (spec2, spec3):
+        labels, bras, kets = basis_states(spec)
+        norms = np.array([g_factor(ix, spec) for ix in labels])
+        points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))] \
+            + list(spec.theta)
+        for op in OPS:
+            for u in points:
+                for idx, bra in zip(labels, bras):
+                    projected = act_on_bra_dense(op, u, bra, spec) @ kets.T / norms
+                    terms = act_on_bra(op, u, idx, spec)
+                    expansion = dict(terms)
+                    assert len(expansion) == len(terms)
+                    assert set(expansion) <= set(labels)
+                    claimed = np.array([expansion.get(t, 0.0) for t in labels])
+                    assert np.all(np.abs(projected - claimed)
+                                  < 1e-9 * np.maximum(np.abs(claimed), 1.0))
+
+
+@pytest.mark.parametrize("op, idx", [("D33", BasisIndex((), (1,))),
+                                     ("C3", BasisIndex((2,), ()))])
+def test_expansion_refuses_near_removable_pole(spec2, op, idx):
+    # site 1 is in the block d(u) is cancelled against (for C3, the
+    # complement site joins it); 1e-14 off theta_1 is neither on the
+    # removable point nor away from the pole
+    with pytest.raises(PoleProximityError, match="theta_1"):
+        act_on_bra(op, spec2.theta[0] + 1e-14, idx, spec2)
 
 
 def _check_rank_n_basis(spec, rng):
