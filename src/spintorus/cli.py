@@ -4,7 +4,8 @@ solvers, and reconstructions, and emit machine-readable reports.
 Subcommands: ``verify``, ``spectrum``, ``bae``, ``reconstruct``, ``homog``.
 Each reads a JSON config describing one chain, writes one JSON report (plus
 an optional CSV sidecar for the main table), and exits 0 on success or a
-diagnostic run, 1 on a check failure, 2 on a config error.  Reports embed
+diagnostic run, 1 on a check failure or a typed failure inside a command
+(one ``error:`` line, no report), 2 on a config error.  Reports embed
 the resolved config and a schema version, contain no timestamps, and print
 floats at 17 significant digits, so identical configs and seeds produce
 byte-identical files.
@@ -495,6 +496,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except SpinTorusError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

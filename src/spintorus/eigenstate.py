@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .chain import ChainSpec
 from .errors import (DegenerateNormalizationError, PoleProximityError,
@@ -290,6 +289,58 @@ class HomogStudy:
         return sum(1 for f in self.families if f.monotone)
 
 
+def _min_cost_matching(cost):
+    """Permutation minimising ``sum(cost[rows, cols])`` for a square, finite
+    cost matrix, returned as ``(rows, cols)`` with ``rows = arange(n)``.
+
+    Shortest augmenting paths with row and column potentials (Jonker and
+    Volgenant; Crouse, IEEE TAES 52(4), 2016): each row in turn is matched
+    by a Dijkstra search over reduced costs, relaxing all columns at once.
+    Among equally short columns an unmatched one ends the search.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix must be finite")
+    n = cost.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    row_of = np.full(n, -1)
+    col_of = np.full(n, -1)
+    for start in range(n):
+        shortest = np.full(n, np.inf)
+        path = np.full(n, -1)
+        scanned = np.zeros(n, dtype=bool)
+        i, dist, sink = start, 0.0, -1
+        while sink < 0:
+            reduced = dist + cost[i] - u[i] - v
+            closer = ~scanned & (reduced < shortest)
+            path[closer] = i
+            shortest[closer] = reduced[closer]
+            dist = shortest[~scanned].min()
+            tied = np.flatnonzero(~scanned & (shortest == dist))
+            free = tied[row_of[tied] < 0]
+            j = free[0] if free.size else tied[0]
+            scanned[j] = True
+            if row_of[j] < 0:
+                sink = j
+            else:
+                i = row_of[j]
+        inner = np.flatnonzero(scanned)
+        inner = inner[inner != sink]
+        u[start] += dist
+        u[row_of[inner]] += dist - shortest[inner]
+        v[scanned] -= dist - shortest[scanned]
+        j = sink
+        while True:
+            i = path[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return np.arange(n), col_of
+
+
 def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
     """Track every eigenstate of the three-flavor chain as the
     inhomogeneities shrink to zero.
@@ -332,7 +383,7 @@ def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
         records = brute_force_spectrum(spec)
         mus = np.array([rec.mu for rec in records])
         cost = np.abs(hom_mus[:, None] - mus[None]).sum(axis=2)
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = _min_cost_matching(cost)
         rebuild = Reconstructor(spec)
         for i, j in zip(rows, cols):
             rec = records[j]

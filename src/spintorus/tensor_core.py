@@ -14,7 +14,6 @@ import warnings
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .chain import DEFAULT_SEED, ChainSpec
 from .errors import DegeneracyError, NonGenericSpecError
@@ -104,7 +103,8 @@ def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
     family.  Each member's eigenvalues and residuals come from one product
     ``O @ vmat``; every residual is at most ``EIGEN_RESID_TOL``.
 
-    Raises ``NonGenericSpecError`` if the family does not commute and
+    Raises ``ValueError`` for an empty, mis-shaped or non-finite family,
+    ``NonGenericSpecError`` if the family does not commute and
     ``DegeneracyError`` if no random combination yields a clean eigenbasis.
     """
     ops = [np.asarray(o, dtype=complex) for o in family]
@@ -113,6 +113,8 @@ def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
     dim = ops[0].shape[0]
     if any(o.shape != (dim, dim) for o in ops):
         raise ValueError("family members must share one square shape")
+    if not all(np.isfinite(o).all() for o in ops):
+        raise ValueError("family members must be finite")
     scales = [_operator_scale(o) for o in ops]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
@@ -128,7 +130,7 @@ def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
     for _ in range(EIGEN_RETRIES):
         coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
         mix = sum(c * o for c, o in zip(coeff, ops))
-        _, vmat = scipy.linalg.eig(mix)
+        _, vmat = np.linalg.eig(mix)
         cond = np.linalg.cond(vmat)
         if not np.isfinite(cond):
             last_failure = "singular eigenvector matrix"

@@ -2,6 +2,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -357,3 +359,31 @@ def test_main_bae_size_guard_exit_2(tmp_path, capsys):
     assert main(["bae", "--config", cfile,
                  "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
     assert "N <= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "reconstruct", "bae"])
+def test_main_typed_failure_is_one_error_line(tmp_path, capsys, command):
+    # a wide real spread of theta leaves no clean joint eigenbasis: the
+    # DegeneracyError becomes one stderr line and exit 1, with no report
+    cfile = _write_config(tmp_path, {
+        "N": 2, "theta": [[0.13, 0.07], [30.26, 0.14]]})
+    assert main([command, "--config", cfile,
+                 "--out", str(tmp_path)]) == EXIT_CHECK_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: no random combination produced a clean "
+                          "joint eigenbasis")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / f"{command}_report.json").exists()
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is the tests' assignment oracle
+    code = ("import sys, spintorus, spintorus.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src, SPINTORUS_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.optimize import linear_sum_assignment
 
 import spintorus.eigenstate as eigenstate
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.eigenstate import (Reconstructor, _kernel, _pairings,
+from spintorus.eigenstate import (Reconstructor, _kernel,
+                                  _min_cost_matching, _pairings,
                                   closed_form_two_site, f_factor,
                                   g_m_function, homogeneous_limit_study,
                                   normalize_gauge, scalar_F)
@@ -431,3 +433,59 @@ def test_uniform_limit_study_reads_charge_with_the_cube_root_check(mu, monkeypat
 def test_uniform_limit_study_rejects_degenerate_direction():
     with pytest.raises(NonGenericSpecError):
         homogeneous_limit_study((0.3, 0.3), 0.5)
+
+
+def test_min_cost_matching_equals_scipy_on_random_costs(rng):
+    # real costs have a unique optimum almost surely: the same permutation
+    for n in range(1, 41):
+        cost = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        rows, cols = _min_cost_matching(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert_array_equal(rows, want_rows)
+        assert_array_equal(cols, want_cols)
+
+
+def test_min_cost_matching_optimal_with_ties(rng):
+    # small integer costs tie often: any optimum will do, so compare totals
+    for n in (2, 3, 5, 8, 13, 21, 34):
+        for _ in range(5):
+            cost = rng.integers(0, 4, size=(n, n)).astype(float)
+            rows, cols = _min_cost_matching(cost)
+            assert sorted(cols) == list(range(n))
+            want_rows, want_cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].sum() == cost[want_rows, want_cols].sum()
+
+
+def test_min_cost_matching_on_the_homog_cost(monkeypatch):
+    # the first shrink level at N = 4 (eps = 0.1), where the nearest family
+    # by row is not a permutation, so the matching has to trade rows off
+    class Captured(Exception):
+        pass
+
+    costs = []
+
+    def capture(cost):
+        costs.append(cost)
+        raise Captured
+
+    monkeypatch.setattr(eigenstate, "_min_cost_matching", capture)
+    spec = default_spec(N=4)
+    with pytest.raises(Captured):
+        homogeneous_limit_study(spec.theta, spec.eta)
+    cost = costs[0]
+    assert len(set(cost.argmin(axis=1))) < len(cost)
+    rows, cols = _min_cost_matching(cost)
+    want_rows, want_cols = linear_sum_assignment(cost)
+    assert_array_equal(rows, want_rows)
+    assert_array_equal(cols, want_cols)
+
+
+@pytest.mark.parametrize("cost, fragment", [
+    (np.ones((2, 3)), "square"),
+    (np.ones(4), "square"),
+    (np.array([[0.0, np.nan], [1.0, 0.0]]), "finite"),
+    (np.array([[0.0, np.inf], [1.0, 0.0]]), "finite"),
+])
+def test_min_cost_matching_refuses_bad_costs(cost, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        _min_cost_matching(cost)

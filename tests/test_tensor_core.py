@@ -1,7 +1,6 @@
 """Dense tensor-product plumbing: embeddings and joint eigen."""
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 import spintorus.tensor_core as tensor_core_module
@@ -102,7 +101,7 @@ def test_joint_eigen_residual_gate_fires(rng, monkeypatch):
     # every retry; the error names the first member and its worst residual
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     family = [a, a @ a + 0.3 * a]
-    eig = scipy.linalg.eig
+    eig = np.linalg.eig
     bases = []
 
     def perturbed(mix):
@@ -111,7 +110,7 @@ def test_joint_eigen_residual_gate_fires(rng, monkeypatch):
         bases.append(vmat)
         return w, vmat
 
-    monkeypatch.setattr(tensor_core_module.scipy.linalg, "eig", perturbed)
+    monkeypatch.setattr(tensor_core_module.np.linalg, "eig", perturbed)
     with pytest.raises(DegeneracyError) as info:
         simultaneous_eigen(family)
     assert len(bases) == tensor_core_module.EIGEN_RETRIES
@@ -127,6 +126,15 @@ def test_joint_eigen_rejects_noncommuting(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(NonGenericSpecError, match="commute"):
+        simultaneous_eigen([a, b])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_joint_eigen_refuses_non_finite_family(bad):
+    # refused up front with ValueError, before any eigen-solve
+    a = np.eye(3, dtype=complex)
+    b = np.diag([1.0, 2.0, bad]).astype(complex)
+    with pytest.raises(ValueError, match="finite"):
         simultaneous_eigen([a, b])
 
 
