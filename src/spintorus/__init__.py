@@ -8,14 +8,23 @@ root search, and reconstructs transfer eigenvectors from eigenvalue data,
 cross-checking every construction against brute-force diagonalization.
 """
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 # Translate the package thread knob to the standard BLAS variables before
-# numpy is first imported; already-set variables win.
+# numpy is first imported; already-set variables win.  BLAS reads them once,
+# when numpy loads, so a numpy imported earlier keeps its thread count.
 _threads = _os.environ.get("SPINTORUS_THREADS")
 if _threads:
+    if "numpy" in _sys.modules:
+        _warnings.warn(
+            "SPINTORUS_THREADS has no effect: numpy was imported before "
+            "spintorus, so its BLAS thread count is already fixed; import "
+            "spintorus first or set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS "
+            "and MKL_NUM_THREADS", RuntimeWarning, stacklevel=2)
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
-del _os, _threads
+del _os, _sys, _warnings, _threads
 
 from .chain import ChainSpec, default_spec
 from .checks import CHECK_NAMES, CheckResult, run_checks

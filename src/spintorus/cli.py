@@ -172,6 +172,13 @@ def render_json(obj, indent: int = 0) -> str:
     """
     pad = "  " * indent
     inner_pad = "  " * (indent + 1)
+    if type(obj) is list and obj and all(
+            type(v) is list and len(v) == 2 and type(v[0]) is float
+            and type(v[1]) is float for v in obj):
+        # [re, im] pairs, the bulk of a state vector: one pass, same bytes
+        body = ",\n".join(f"{inner_pad}[{_scalar(re)}, {_scalar(im)}]"
+                          for re, im in obj)
+        return "[\n" + body + "\n" + pad + "]"
     if isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:

@@ -3,7 +3,12 @@
 Brute-force spectra and root-search results are session-scoped so each is
 computed once and shared across test modules; all of them are deterministic
 functions of the default parameters and the fixed seed.
+
+spintorus is imported before numpy, so that SPINTORUS_THREADS reaches the
+BLAS thread variables before numpy loads them.
 """
+import spintorus  # noqa: F401  (first; see above)
+
 import numpy as np
 import pytest
 

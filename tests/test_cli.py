@@ -84,6 +84,41 @@ def test_render_json_floats_and_nulls():
     assert "[1, 2.5, null]" in text
 
 
+def _reference_render(obj, indent=0):
+    """The report format, walked one value at a time."""
+    def scalar(v):
+        if v is None or (isinstance(v, float) and not math.isfinite(v)):
+            return "null"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return str(v) if isinstance(v, int) else format(v, ".17g")
+
+    if not isinstance(obj, list):
+        return scalar(obj)
+    if all(not isinstance(v, list) for v in obj):
+        return "[" + ", ".join(scalar(v) for v in obj) + "]"
+    pad = "  " * indent
+    return ("[\n" + ",\n".join("  " + pad + _reference_render(v, indent + 1)
+                                for v in obj) + "\n" + pad + "]")
+
+
+@pytest.mark.parametrize("items", [
+    [[0.1, -2.5], [float("nan"), float("inf")], [-float("inf"), -0.0],
+     [5e-324, 1e300], [1.0, 0.0]],
+    [[1, 2.0]],
+    [[True, 0.5], [0.5, 0.5]],
+    [[0.1, 0.2, 0.3], [0.1, 0.2]],
+    [[np.float64(0.1), np.float64(float("nan"))], [0.25, 0.5]],
+    [[0.1, 0.2], [1.5]],
+])
+def test_render_json_pair_lists_match_the_generic_walk(items):
+    for indent in (0, 2):
+        assert render_json(items, indent) == _reference_render(items, indent)
+    nested = {"state": items}
+    assert render_json(nested) == ('{\n  "state": '
+                                   + _reference_render(items, 1) + "\n}")
+
+
 def test_render_json_preserves_key_order():
     text = render_json({"b": 1, "a": 2})
     assert text.index('"b"') < text.index('"a"')
@@ -374,6 +409,30 @@ def test_main_typed_failure_is_one_error_line(tmp_path, capsys, command):
                           "joint eigenbasis")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / f"{command}_report.json").exists()
+
+
+@pytest.mark.parametrize("code, knob, warns", [
+    ("import numpy, spintorus", "1", True),
+    ("import spintorus, numpy", "1", False),
+    ("import numpy, spintorus", None, False),
+])
+def test_thread_knob_warns_when_numpy_came_first(code, knob, warns):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SPINTORUS_THREADS", "OMP_NUM_THREADS",
+                        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    if knob is not None:
+        env["SPINTORUS_THREADS"] = knob
+    code += "; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run([sys.executable, "-W", "default", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(knob)
+    assert ("RuntimeWarning: SPINTORUS_THREADS has no effect"
+            in proc.stderr) == warns
+    assert proc.stderr.count("RuntimeWarning") == int(warns)
 
 
 def test_import_loads_no_scipy():

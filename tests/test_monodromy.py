@@ -1,10 +1,15 @@
 """Chain monodromy: scalar actions, transfer family, twist, exchange algebra."""
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spintorus.monodromy as monodromy
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.monodromy import (apply_entry, apply_entry_bra,
+from spintorus.checks import _points, run_checks
+from spintorus.monodromy import (_flavor_order, _relation_residuals,
+                                 _sorted_slabs, apply_entry, apply_entry_bra,
                                  conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  exchange_relation_residuals, fd4_derivative,
                                  global_hamiltonian, homogeneous_transfer,
@@ -190,6 +195,80 @@ def test_exchange_relations_families(spec2, rng):
         table = exchange_relation_residuals(u, v, spec2)
         assert set(table) == expected
         assert max(table.values()) < 1e-11
+
+
+def test_flavor_order_groups_the_basis_by_content():
+    for N in (1, 2, 3, 4):
+        spec = default_spec(N=N)
+        order, starts = _flavor_order(spec)
+        assert sorted(order) == list(range(spec.dim))
+        assert len(starts) == math.comb(N + 2, 2)
+        digits = np.indices((3,) * N).reshape(N, -1)[:, order]
+        content = [tuple(np.bincount(digits[:, k], minlength=3))
+                   for k in range(spec.dim)]
+        bounds = [*starts, spec.dim]
+        for a, b in zip(bounds, bounds[1:]):
+            assert len(set(content[a:b])) == 1
+            assert np.all(np.diff(order[a:b]) > 0)      # stable within a class
+        assert len(set(content[a] for a in starts)) == len(starts)
+        assert [content[a] for a in starts] == sorted(
+            content[a] for a in starts)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_flavor_slab_products_equal_dense_products(N):
+    spec = default_spec(N=N)
+    u, v = _points(np.random.default_rng((20240229, 7)), 2)
+    flavor = _flavor_order(spec)
+    slabs = [b for at in (u, v) for row in _sorted_slabs(at, spec, *flavor)
+             for b in row]
+    assert len(slabs) == 18
+    # the block build leaves every entry outside a block's move at 0.0
+    assert all(b.leak == 0.0 for b in slabs)
+    for a in slabs:
+        for b in slabs:
+            want = a.data @ b.data
+            got = a @ b
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_exchange_residuals_equal_dense_product_evaluation(N):
+    spec = default_spec(N=N)
+    rng = np.random.default_rng((20240229, 8))
+    for _ in range(2):
+        u, v = _points(rng, 2)
+        got = exchange_relation_residuals(u, v, spec)
+        dense = _relation_residuals(monodromy_blocks(u, spec),
+                                    monodromy_blocks(v, spec), u - v, spec,
+                                    0.0)
+        assert list(got) == list(dense)
+        assert len(got) == 11
+        for family, value in dense.items():
+            assert abs(got[family] - value) <= 1e-15, family
+
+
+def test_exchange_relations_fail_on_an_entry_outside_a_move(spec2,
+                                                            monkeypatch):
+    # T_11 maps the all-flavor-1 class to itself; an entry in its row that
+    # reaches the all-flavor-3 state breaks flavor conservation, and the
+    # slab products would skip it
+    dense = monodromy.monodromy_blocks
+
+    def leaky(u, spec):
+        blocks = dense(u, spec)
+        blocks[0][0][0, -1] += 1e-6
+        return blocks
+
+    monkeypatch.setattr(monodromy, "monodromy_blocks", leaky)
+    u, v = _points(np.random.default_rng((20240229, 9)), 2)
+    table = exchange_relation_residuals(u, v, spec2)
+    # every relation's operators on this chain stay below 1 in magnitude, so
+    # each family's scale is 1 and its residual is the skipped entry itself
+    assert table == pytest.approx(dict.fromkeys(table, 1e-6), rel=1e-6)
+    result = {r.name: r for r in run_checks(spec2)}["exchange-relations"]
+    assert result.residual == pytest.approx(1e-6, rel=1e-6)
+    assert not result.passed
 
 
 def test_conjugate_pairing_product(spec1, spec2, spec3):
