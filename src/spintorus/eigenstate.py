@@ -22,8 +22,8 @@ from .monodromy import (FD4_STEP, _a_product, _blocks_raw, fd4_derivative,
 from .rmatrix import twist_matrix
 from .sov_basis import (POLE_TOL, _grown_rows, _site_tuple, enumerate_basis,
                         f_factor, g_factor)
-from .spectrum import (U_PROBES, _eigenvalue_of, _twist_charge,
-                       brute_force_spectrum)
+from .spectrum import (U_PROBES, _eigenvalue_of, _full_space_spectrum,
+                       _twist_charge)
 from .tensor_core import kron_chain, simultaneous_eigen
 
 
@@ -380,7 +380,7 @@ def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
     for eps in EPS_SEQUENCE:
         spec = ChainSpec(n=3, N=N, eta=eta,
                          theta=tuple(eps * x for x in direction))
-        records = brute_force_spectrum(spec)
+        records = _full_space_spectrum(spec)
         mus = np.array([rec.mu for rec in records])
         cost = np.abs(hom_mus[:, None] - mus[None]).sum(axis=2)
         rows, cols = _min_cost_matching(cost)

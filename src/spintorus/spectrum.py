@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import DEFAULT_SEED, ChainSpec
-from .errors import InconsistencyError, PoleProximityError, require_three_flavors
+from .errors import (InconsistencyError, NonGenericSpecError,
+                     PoleProximityError, require_three_flavors)
 from .monodromy import _a, _a_product, _q, transfer, twist_operator
-from .tensor_core import relative_residual, simultaneous_eigen
+from .tensor_core import (COMMUTE_TOL, _operator_scale, eigen_order,
+                          relative_residual, simultaneous_eigen)
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -189,12 +191,6 @@ def _eigenvalue_of(dual: np.ndarray, vec: np.ndarray, tv: np.ndarray) -> complex
     return complex((dual @ tv) / (dual @ vec))
 
 
-def _eigen_residual(record: SpectralRecord, t: np.ndarray, scale: float) -> float:
-    vec = record.vector
-    tv = t @ vec
-    return float(relative_residual(tv, _eigenvalue_of(record.dual, vec, tv), vec, scale))
-
-
 def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL,
                   what: str = "twist eigenvalue") -> int:
     """Exponent z of mu_u = OMEGA**z, read within tol: the Z3 charge of a
@@ -219,13 +215,15 @@ def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
     return z_twist
 
 
-def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
-    """All 3^N transfer eigenstates via joint diagonalization.
+def _full_space_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
+    """All 3^N transfer eigenstates by one joint diagonalization of
+    {t(u_1), t(u_2), twist} on the full space, each lambda(theta_j) read by
+    its own matvec.
 
-    The family {t(u_1), t(u_2), twist} at the fixed probe points separates
-    the spectrum for generic chains; duals are rows of the inverse
-    eigenvector matrix, so bilinear pairings with the eigenvectors are exact
-    Kronecker deltas.  Other ranks than n = 3 are refused up front.
+    The oracle of ``brute_force_spectrum``, and the spectrum that
+    ``homogeneous_limit_study`` reads: the homog N=2 golden pins the last
+    bits of this arithmetic, so homog stays on it until the SoV precision
+    work (ROADMAP item 3) re-derives that golden.
     """
     require_three_flavors("brute_force_spectrum", spec.n)
     records_raw, _, wmat, resid = simultaneous_eigen(
@@ -241,6 +239,128 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
                               lambda_theta=tuple(lam_theta[k]), z_charge=-1,
                               residual=float(resid[k]))
                for k, (vec, mu) in enumerate(records_raw)]
+    a_prod = _a_product(spec)
+    for rec in records:
+        rec.z_charge = _z_charge(rec, a_prod)
+    return records
+
+
+# The 3-point DFT in numpy's sign convention and its inverse, both
+# symmetric.  For the twist g|k> = |k+1>, DFT g DFT^-1 = diag(OMEGA^-k).
+_DFT = OMEGA ** (-np.outer(np.arange(3), np.arange(3)) % 3)
+_IDFT = _DFT.conj() / 3
+
+
+def _site_products(m: np.ndarray, x: np.ndarray, N: int) -> np.ndarray:
+    """(m x ... x m) @ x for a 3x3 matrix m on each of N sites, x of shape
+    (3^N, ...): one matmul per site, no Kronecker power formed."""
+    shape = x.shape
+    for site in range(N):
+        x = np.matmul(m, x.reshape(3 ** site, 3, -1))
+    return x.reshape(shape)
+
+
+def _to_charge_basis(op: np.ndarray, N: int) -> np.ndarray:
+    """A op A^-1 for A = DFT^(x N), the eigenbasis of the global twist.
+    A^-1 is symmetric, so its product from the right is a product from the
+    left on the transpose."""
+    return _site_products(_IDFT, _site_products(_DFT, op, N).T, N).T
+
+
+def _charge_sectors(N: int):
+    """Total charge (sum of the site labels mod 3) of every charge-basis
+    index, and the indices of sectors s = 0, 1, 2.  The twist is
+    OMEGA^-s on sector s."""
+    total = np.zeros(1, dtype=int)
+    for _ in range(N):
+        total = (total[:, None] + np.arange(3)).ravel()
+    total %= 3
+    return total, [np.flatnonzero(total == s) for s in range(3)]
+
+
+def _twist_permutation(N: int) -> np.ndarray:
+    """Index map of the global twist: (twist @ v)[i] = v[perm[i]]."""
+    perm = np.zeros(1, dtype=int)
+    for _ in range(N):
+        perm = (3 * perm[:, None] + (np.arange(3) - 1) % 3).ravel()
+    return perm
+
+
+def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
+    """All 3^N transfer eigenstates, diagonalized one Z3 charge sector at a
+    time.
+
+    t(u) commutes with the global twist, so in the twist's eigenbasis
+    A = DFT^(x N) it splits into three blocks of 3^(N-1), one per charge.
+    Each sector's blocks of t(u_1), t(u_2) at the fixed probe points are
+    jointly diagonalized, which separates the spectrum for generic chains;
+    the twist is the scalar OMEGA^z on a sector, so the charge z is the
+    sector's label (cross-checked against prod_j lambda(theta_j) by
+    ``_z_charge``).  Eigenvectors and duals are mapped back to the site
+    basis; the duals are rows of the inverse eigenvector matrix, so bilinear
+    pairings with the eigenvectors are Kronecker deltas.  ``residual`` is
+    the full-space relative residual over t(u_1), t(u_2) and the twist, and
+    records come in ``eigen_order`` of (mu_1, mu_2, twist eigenvalue), as
+    from ``_full_space_spectrum``, the oracle.  A probe with entries between
+    sectors raises ``NonGenericSpecError``; other ranks than n = 3 are
+    refused up front.
+    """
+    require_three_flavors("brute_force_spectrum", spec.n)
+    N, dim = spec.N, spec.dim
+    size = dim // 3
+    charge, sectors = _charge_sectors(N)
+    off_sector = charge[:, None] != charge[None, :]
+    probes = [transfer(u, spec) for u in U_PROBES]
+    blocks = []
+    for i, t in enumerate(probes):
+        tc = _to_charge_basis(t, N)
+        leak, scale = float(np.abs(tc[off_sector]).max()), _operator_scale(tc)
+        if not leak <= COMMUTE_TOL * scale:
+            raise NonGenericSpecError(
+                f"probe {i} does not commute with the twist: largest "
+                f"off-sector entry {leak:.3e} vs scale {scale:.3e}")
+        blocks.append([tc[np.ix_(idx, idx)] for idx in sectors])
+        del tc
+    # per sector: (records, vmat, wmat, residuals) in the charge basis
+    solved = [simultaneous_eigen([b[s] for b in blocks], rng_seed=rng_seed)
+              for s in range(3)]
+    del blocks
+    # sector s holds rows s * size .. (s + 1) * size - 1 until the sort
+    rows = [slice(s * size, (s + 1) * size) for s in range(3)]
+    mus = np.empty((dim, 3), dtype=complex)
+    for s, (row, (recs, *_)) in enumerate(zip(rows, solved)):
+        mus[row, :2] = [mu for _, mu in recs]
+        mus[row, 2] = OMEGA ** ((-s) % 3)
+    lam = np.empty((dim, N), dtype=complex)
+    for j, theta in enumerate(spec.theta):
+        tc = _to_charge_basis(transfer(theta, spec), N)
+        for idx, row, (_, vmat, wmat, _) in zip(sectors, rows, solved):
+            lam[row, j] = (wmat
+                           * (tc[np.ix_(idx, idx)] @ vmat).T).sum(axis=1)
+        del tc
+    order = eigen_order(mus)
+    place = np.empty(dim, dtype=int)
+    place[order] = np.arange(dim)
+    vmat_site = np.empty((dim, dim), dtype=complex)
+    wmat_site = np.empty((dim, dim), dtype=complex)
+    for idx, row, (_, vmat, wmat, _) in zip(sectors, rows, solved):
+        padded = np.zeros((dim, size), dtype=complex)
+        padded[idx] = vmat
+        vmat_site[:, place[row]] = _site_products(_IDFT, padded, N)
+        padded[idx] = wmat.T
+        wmat_site[place[row]] = _site_products(_DFT, padded, N).T
+    mus, lam = mus[order], lam[order]
+    resid = relative_residual(vmat_site[_twist_permutation(N)], mus[:, 2],
+                              vmat_site, 1.0)
+    for i, t in enumerate(probes):
+        resid = np.maximum(resid, relative_residual(
+            t @ vmat_site, mus[:, i], vmat_site, _operator_scale(t)))
+    del probes
+    records = [SpectralRecord(vector=vmat_site[:, k].copy(), dual=wmat_site[k],
+                              mu=tuple(mus[k]),
+                              lambda_theta=tuple(complex(x) for x in lam[k]),
+                              z_charge=-1, residual=float(resid[k]))
+               for k in range(dim)]
     a_prod = _a_product(spec)
     for rec in records:
         rec.z_charge = _z_charge(rec, a_prod)

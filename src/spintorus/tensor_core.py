@@ -87,6 +87,15 @@ def relative_residual(ov: np.ndarray, mu, v: np.ndarray, scale: float):
     return np.abs(ov - mu * v).max(axis=0) / (scale * np.abs(v).max(axis=0))
 
 
+def eigen_order(mus: np.ndarray) -> np.ndarray:
+    """Record order of a joint eigenvalue table (records x members):
+    lexicographic in the real, then the imaginary part of member 0, then of
+    member 1 and so on, each rounded to 9 decimals."""
+    return np.lexsort(tuple(
+        key for oi in reversed(range(mus.shape[1]))
+        for key in (mus[:, oi].imag.round(9), mus[:, oi].real.round(9))))
+
+
 def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
     """Joint eigenbasis of a commuting family of diagonalizable matrices.
 
@@ -101,7 +110,8 @@ def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
     eigenvectors as columns, ``wmat = inv(vmat)`` holds the dual rows and
     ``residuals[k]`` is the worst ``relative_residual`` of record k over the
     family.  Each member's eigenvalues and residuals come from one product
-    ``O @ vmat``; every residual is at most ``EIGEN_RESID_TOL``.
+    ``O @ vmat``; every residual is at most ``EIGEN_RESID_TOL``.  Records
+    come in ``eigen_order``.
 
     Raises ``ValueError`` for an empty, mis-shaped or non-finite family,
     ``NonGenericSpecError`` if the family does not commute and
@@ -152,10 +162,7 @@ def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
                 break
             resid = np.maximum(resid, member)
         else:
-            order = np.lexsort(tuple(
-                key for oi in reversed(range(len(ops)))
-                for key in (mus[:, oi].imag.round(9), mus[:, oi].real.round(9))
-            ))
+            order = eigen_order(mus)
             vmat = vmat[:, order]
             wmat = np.linalg.inv(vmat)
             mus = mus[order]

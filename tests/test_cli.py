@@ -8,11 +8,14 @@ import sys
 import numpy as np
 import pytest
 
+import spintorus.cli as cli
+import spintorus.spectrum as spectrum
 from spintorus.chain import DEFAULT_SEED, LOG_FLOAT_MAX
 from spintorus.cli import (ConfigError, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR,
                            EXIT_OK, SCHEMA_VERSION, build_spec, load_config,
                            main, render_json, run)
 from spintorus.eigenstate import Reconstructor
+from spintorus.errors import DegeneracyError
 
 
 def _load_report(path):
@@ -397,11 +400,16 @@ def test_main_bae_size_guard_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["spectrum", "reconstruct", "bae"])
-def test_main_typed_failure_is_one_error_line(tmp_path, capsys, command):
-    # a wide real spread of theta leaves no clean joint eigenbasis: the
-    # DegeneracyError becomes one stderr line and exit 1, with no report
-    cfile = _write_config(tmp_path, {
-        "N": 2, "theta": [[0.13, 0.07], [30.26, 0.14]]})
+def test_main_typed_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                              command):
+    # a DegeneracyError inside the command becomes one stderr line and
+    # exit 1, with no report
+    def degenerate(*args, **kwargs):
+        raise DegeneracyError("no random combination produced a clean joint "
+                              "eigenbasis in 5 attempts (planted)")
+
+    monkeypatch.setattr(spectrum, "simultaneous_eigen", degenerate)
+    cfile = _write_config(tmp_path, {"N": 2})
     assert main([command, "--config", cfile,
                  "--out", str(tmp_path)]) == EXIT_CHECK_FAILURE
     err = capsys.readouterr().err
@@ -409,6 +417,46 @@ def test_main_typed_failure_is_one_error_line(tmp_path, capsys, command):
                           "joint eigenbasis")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / f"{command}_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "reconstruct"])
+def test_wide_theta_chain_passes_strict(tmp_path, command):
+    # a wide real spread of theta: the full-space mix, dominated by the
+    # largest member, found no clean joint eigenbasis; the charge sectors do
+    cfile = _write_config(tmp_path, {
+        "N": 2, "theta": [[0.13, 0.07], [30.26, 0.14]]})
+    assert main([command, "--strict", "--config", cfile,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    report = _load_report(tmp_path / f"{command}_report.json")
+    assert len(report["records"]) == 9
+    assert report["failures"] == []
+
+
+@pytest.mark.parametrize("command, N, key", [
+    ("spectrum", 1, "max_probe_residual"),
+    ("reconstruct", 2, "max_residual"),
+])
+def test_nan_probe_residual_is_a_failure(tmp_path, monkeypatch, command, N,
+                                         key):
+    # a NaN at the second probe transfer makes every record's residual NaN
+    # there; the worst value and the gate keep it, so each record fails
+    exact = cli.transfer
+    calls = []
+
+    def nan_second(u, spec):
+        t = exact(u, spec)
+        calls.append(u)
+        if len(calls) == 2:
+            t[0, 0] = np.nan
+        return t
+
+    monkeypatch.setattr(cli, "transfer", nan_second)
+    assert run(command, load_config({"N": N}), out_dir=str(tmp_path)) == EXIT_OK
+    report = _load_report(tmp_path / f"{command}_report.json")
+    assert len(calls) > 2
+    assert all(r[key] is None for r in report["records"])
+    assert len(report["failures"]) == 3 ** N
+    assert all("residual nan exceeds" in f for f in report["failures"])
 
 
 @pytest.mark.parametrize("code, knob, warns", [

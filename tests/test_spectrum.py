@@ -5,16 +5,20 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import spintorus.spectrum as spectrum_module
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.errors import InconsistencyError, UnsupportedRankError
+from spintorus.errors import (InconsistencyError, NonGenericSpecError,
+                              UnsupportedRankError)
 from spintorus.monodromy import _a_product, scalar_a, transfer, twist_operator
-from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
-                                TQSolution, U_PROBES, _canonical,
-                                _chunked_residuals, _newton, _newton_steps,
-                                _eigen_residual, _residuals, _roots_separated,
-                                _same_solution, _twist_charge, _vector,
+from spintorus.spectrum import (_DFT, _IDFT, NEWTON_EXITS, OMEGA,
+                                RESIDUAL_CHUNK, TQSolution, U_PROBES,
+                                _canonical, _charge_sectors, _chunked_residuals,
+                                _full_space_spectrum, _newton, _newton_steps,
+                                _residuals, _roots_separated, _same_solution,
+                                _site_products, _to_charge_basis,
+                                _twist_charge, _twist_permutation, _vector,
                                 _z_charge, bae_residuals, brute_force_spectrum,
                                 solve_bae, tq_lambda)
-from spintorus.tensor_core import _operator_scale
+from spintorus.tensor_core import (EIGEN_RESID_TOL, _operator_scale,
+                                   relative_residual)
 
 SINH_05 = 0.52109530549374736
 
@@ -37,10 +41,11 @@ def test_reference_spectrum_residuals(records2, records3):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_spectrum_readout_matches_per_vector_formulas(N, request):
-    # the batched readout keeps lambda(theta_j) as the one-vector pairing
-    # bit for bit; mu and the residual match their one-vector formulas
+    # the full-space spectrum that homog reads keeps lambda(theta_j) as the
+    # one-vector pairing bit for bit; mu and the residual match their
+    # one-vector formulas
     spec = request.getfixturevalue(f"spec{N}")
-    records = request.getfixturevalue(f"records{N}")
+    records = _full_space_spectrum(spec)
     t_theta = [transfer(t, spec) for t in spec.theta]
     family = [transfer(U_PROBES[0], spec), transfer(U_PROBES[1], spec),
               twist_operator(spec)]
@@ -59,6 +64,77 @@ def test_spectrum_readout_matches_per_vector_formulas(N, request):
         assert abs(rec.residual - resid) <= 1e-15
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_sector_spectrum_matches_full_space_oracle(N):
+    spec = default_spec(N=N)
+    records = brute_force_spectrum(spec)
+    oracle = _full_space_spectrum(spec)
+    assert len(records) == len(oracle) == 3 ** N
+    assert [r.z_charge for r in records] == [r.z_charge for r in oracle]
+    for rec, ref in zip(records, oracle):
+        assert_allclose(rec.lambda_theta, ref.lambda_theta, rtol=1e-13, atol=0)
+        assert_allclose(rec.mu, ref.mu, rtol=1e-13, atol=0)
+        cos = (abs(np.vdot(rec.vector, ref.vector))
+               / (np.linalg.norm(rec.vector) * np.linalg.norm(ref.vector)))
+        assert 1 - cos <= 1e-13
+        assert rec.residual <= EIGEN_RESID_TOL
+    vecs = np.column_stack([r.vector for r in records])
+    duals = np.array([r.dual for r in records])
+    assert np.abs(duals @ vecs - np.eye(3 ** N)).max() <= 1e-12
+
+
+def _dft_power(N):
+    """The charge-basis change DFT^(x N) as a dense Kronecker power."""
+    a = np.ones((1, 1))
+    for _ in range(N):
+        a = np.kron(a, _DFT)
+    return a
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_charge_basis_splits_transfer_into_sectors(N, rng):
+    # A t A^-1 for A = DFT^(x N) has no entry between two charge sectors,
+    # and A twist A^-1 is OMEGA^z with z = -s mod 3 on sector s
+    spec = default_spec(N=N)
+    u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    t = transfer(u, spec)
+    tc = _to_charge_basis(t, N)
+    charge, sectors = _charge_sectors(N)
+    off = charge[:, None] != charge[None, :]
+    assert np.abs(tc[off]).max() <= 1e-13 * np.abs(tc).max()
+    assert sorted(np.concatenate(sectors)) == list(range(3 ** N))
+    g = _to_charge_basis(twist_operator(spec), N)
+    assert_allclose(g, np.diag(OMEGA ** (-charge % 3)), atol=1e-14)
+    # the mode products are the Kronecker power and its inverse
+    a = _dft_power(N)
+    assert_allclose(tc, a @ t @ np.linalg.inv(a), atol=1e-13 * np.abs(t).max())
+    assert_allclose(_site_products(_IDFT, a, N), np.eye(3 ** N), atol=1e-14)
+    # the twist as an index map
+    v = rng.standard_normal(3 ** N)
+    assert_array_equal(v[_twist_permutation(N)], twist_operator(spec) @ v)
+
+
+def test_probe_leaking_out_of_its_sector_is_refused(monkeypatch):
+    # 1e-6 on one entry between sectors 0 and 1 of the charge-basis probe
+    # breaks its commutation with the twist
+    N = 2
+    spec = default_spec(N=N)
+    _, sectors = _charge_sectors(N)
+    leak = np.zeros((3 ** N, 3 ** N), dtype=complex)
+    leak[sectors[0][1], sectors[1][2]] = 1e-6
+    a = _dft_power(N)
+    leak_site = np.linalg.inv(a) @ leak @ a
+    exact = spectrum_module.transfer
+
+    def leaky(u, spec):
+        t = exact(u, spec)
+        return t + leak_site if u == U_PROBES[1] else t
+
+    monkeypatch.setattr(spectrum_module, "transfer", leaky)
+    with pytest.raises(NonGenericSpecError, match="probe 1 does not commute"):
+        brute_force_spectrum(spec)
+
+
 def test_charge_sectors_partition(spec2, records2):
     counts = {0: 0, 1: 0, 2: 0}
     for rec in records2:
@@ -73,8 +149,11 @@ def test_eigenvalue_functional_consistency(spec2, records2, rng, eigenvalue_at):
     for rec in records2[:3]:
         for j, t in enumerate(spec2.theta):
             assert abs(eigenvalue_at(rec, t, spec2) - rec.lambda_theta[j]) < 1e-10
-        t = transfer(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), spec2)
-        assert _eigen_residual(rec, t, _operator_scale(t)) < 1e-11
+        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        t = transfer(u, spec2)
+        resid = relative_residual(t @ rec.vector, eigenvalue_at(rec, u, spec2),
+                                  rec.vector, _operator_scale(t))
+        assert resid < 1e-11
 
 
 def test_parametrized_eigenvalue_at_inhomogeneity_point(spec1, bae1):
