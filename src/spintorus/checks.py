@@ -25,7 +25,7 @@ from .rmatrix import (crossing_residual, fusion_rank,
                       twist_invariance_residual, unitarity_residual)
 from .sov_basis import (_grown_rows, decomposition_residual, enumerate_basis,
                         identity_resolution_residual, verify_orthogonality)
-from .tensor_core import _rel_resid
+from .tensor_core import _rel_resid, _worst
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,20 @@ def _points(rng: np.random.Generator, count: int):
 
 
 def _check_qybe(spec: ChainSpec, rng: np.random.Generator):
-    worst = initial_condition_residual(spec.n, spec.eta)
     pts = _points(rng, 15)
-    for u1, u2, u3 in zip(pts[0::3], pts[1::3], pts[2::3]):
-        worst = max(worst, qybe_residual(spec.n, spec.eta, u1, u2, u3))
+    worst = _worst([initial_condition_residual(spec.n, spec.eta)]
+                   + [qybe_residual(spec.n, spec.eta, u1, u2, u3)
+                      for u1, u2, u3 in zip(pts[0::3], pts[1::3], pts[2::3])])
     return worst, "three-space relation at 5 random point triples plus the u = 0 permutation limit"
 
 
 def _check_unitarity(spec: ChainSpec, rng: np.random.Generator):
-    worst = max(unitarity_residual(u, spec.n, spec.eta) for u in _points(rng, 6))
+    worst = _worst(unitarity_residual(u, spec.n, spec.eta) for u in _points(rng, 6))
     return worst, "R(u) R_swapped(-u) proportional to the identity at 6 random points"
 
 
 def _check_crossing(spec: ChainSpec, rng: np.random.Generator):
-    worst = max(crossing_residual(u, spec.n, spec.eta) for u in _points(rng, 6))
+    worst = _worst(crossing_residual(u, spec.n, spec.eta) for u in _points(rng, 6))
     return worst, "partial-transpose inversion identity at 6 random points"
 
 
@@ -72,68 +72,61 @@ def _check_fusion_rank(spec: ChainSpec, rng: np.random.Generator):
 
 
 def _check_twist_invariance(spec: ChainSpec, rng: np.random.Generator):
-    worst = max(twist_invariance_residual(u, spec.n, spec.eta)
-                for u in _points(rng, 6))
+    worst = _worst(twist_invariance_residual(u, spec.n, spec.eta)
+                   for u in _points(rng, 6))
     return worst, "conjugation by the cyclic twist on both factors at 6 random points"
 
 
 def _check_commuting_transfer(spec: ChainSpec, rng: np.random.Generator):
-    worst = 0.0
+    resids = []
     pts = _points(rng, 6)
     for u, v in zip(pts[0::2], pts[1::2]):
         tu, tv = transfer(u, spec), transfer(v, spec)
-        worst = max(worst, _rel_resid(tu @ tv, tv @ tu))
-    return worst, "commutator of transfer matrices at 3 random spectral pairs"
+        resids.append(_rel_resid(tu @ tv, tv @ tu))
+    return _worst(resids), "commutator of transfer matrices at 3 random spectral pairs"
 
 
 def _check_exchange_relations(spec: ChainSpec, rng: np.random.Generator):
-    worst = 0.0
+    resids = []
     families: set = set()
     pts = _points(rng, 4)
     for u, v in zip(pts[0::2], pts[1::2]):
         table = exchange_relation_residuals(u, v, spec)
         families.update(table)
-        worst = max(worst, max(table.values()))
-    return worst, (f"{len(families)} quadratic relation families as dense "
-                   "operator identities at 2 random spectral pairs")
+        resids.extend(table.values())
+    return _worst(resids), (f"{len(families)} quadratic relation families as "
+                            "dense operator identities at 2 random spectral pairs")
 
 
 def _check_vacuum_actions(spec: ChainSpec, rng: np.random.Generator):
     k0, b0 = vacuum_ket(spec), vacuum_bra(spec)
     kc, bc = conjugate_vacuum_ket(spec), conjugate_vacuum_bra(spec)
-    worst = 0.0
+    resids = []
     for u in _points(rng, 4):
         blocks = monodromy_blocks(u, spec)
         a, d = scalar_a(u, spec), scalar_d(u, spec)
-        scale = max(max(float(np.abs(b).max()) for row in blocks for b in row), 1.0)
-
-        def resid(vec):
-            nonlocal worst
-            worst = max(worst, float(np.abs(vec).max()) / scale)
-
-        resid(blocks[0][0] @ k0 - a * k0)
-        resid(b0 @ blocks[0][0] - a * b0)
-        resid(blocks[0][0] @ kc - d * kc)
-        resid(bc @ blocks[0][0] - d * bc)
+        scale = max(_worst(np.abs(b).max() for row in blocks for b in row), 1.0)
+        gaps = [blocks[0][0] @ k0 - a * k0, b0 @ blocks[0][0] - a * b0,
+                blocks[0][0] @ kc - d * kc, bc @ blocks[0][0] - d * bc]
         for i in range(1, spec.n):
-            resid(blocks[i][0] @ k0)          # annihilation on the reference ket
-            resid(b0 @ blocks[0][i])          # and on the reference bra
+            gaps.append(blocks[i][0] @ k0)    # annihilation on the reference ket
+            gaps.append(b0 @ blocks[0][i])    # and on the reference bra
             for j in range(1, spec.n):
                 delta = d if i == j else 0.0
-                resid(blocks[i][j] @ k0 - delta * k0)
-                resid(b0 @ blocks[i][j] - delta * b0)
+                gaps.append(blocks[i][j] @ k0 - delta * k0)
+                gaps.append(b0 @ blocks[i][j] - delta * b0)
         last = spec.n - 1
-        resid(blocks[last][last] @ kc - a * kc)
-        resid(bc @ blocks[last][last] - a * bc)
-        resid(blocks[0][last] @ kc)           # annihilation on the conjugate ket
-        resid(bc @ blocks[last][0])           # and on the conjugate bra
-    return worst, ("triangular monodromy action on the reference and "
-                   "conjugate product states at 4 random points")
+        gaps += [blocks[last][last] @ kc - a * kc, bc @ blocks[last][last] - a * bc,
+                 blocks[0][last] @ kc,        # annihilation on the conjugate ket
+                 bc @ blocks[last][0]]        # and on the conjugate bra
+        resids.extend(float(np.abs(g).max()) / scale for g in gaps)
+    return _worst(resids), ("triangular monodromy action on the reference and "
+                            "conjugate product states at 4 random points")
 
 
 def _check_orthogonality(spec: ChainSpec, rng: np.random.Generator):
     report = verify_orthogonality(spec)
-    worst = max(report["diag_rel_err"], report["offdiag_resid"])
+    worst = _worst((report["diag_rel_err"], report["offdiag_resid"]))
     return worst, ("Gram matrix of the separated basis: diagonal against the "
                    "closed-form norms, off-diagonal leakage against zero")
 
@@ -150,11 +143,9 @@ def _check_decompositions(spec: ChainSpec, rng: np.random.Generator):
         picks = sorted(rng.choice(len(basis), size=12, replace=False))
         basis = [basis[int(i)] for i in picks]
     pts = _points(rng, 2)
-    worst = 0.0
-    for op in ("D33", "D23", "D32", "B3", "C3"):
-        for idx in basis:
-            for u in pts:
-                worst = max(worst, decomposition_residual(op, u, idx, bras, spec))
+    worst = _worst(decomposition_residual(op, u, idx, bras, spec)
+                   for op in ("D33", "D23", "D32", "B3", "C3")
+                   for idx in basis for u in pts)
     return worst, (f"coefficient expansions of 5 monodromy entries on "
                    f"{len(basis)} basis bras at 2 random points")
 

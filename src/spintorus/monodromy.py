@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .rmatrix import local_hamiltonian, r_matrix, twist_matrix
-from .tensor_core import _rel_resid, embed_two_site, kron_chain
+from .tensor_core import _rel_resid, _worst, embed_two_site, kron_chain
 
 __all__ = [
     "scalar_a", "scalar_d", "monodromy_blocks", "apply_entry", "apply_entry_bra",
@@ -295,7 +295,7 @@ def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict
     order, starts = _flavor_order(spec)
     Tu = _sorted_slabs(u, spec, order, starts)
     Tv = _sorted_slabs(v, spec, order, starts)
-    leak = max(b.leak for T in (Tu, Tv) for row in T for b in row)
+    leak = _worst(b.leak for T in (Tu, Tv) for row in T for b in row)
     return _relation_residuals(Tu, Tv, u - v, spec, leak)
 
 
@@ -324,8 +324,8 @@ def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec,
 
     def record(family, lhs, rhs):
         scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1.0)
-        resid = max(float(np.abs(lhs - rhs).max()), leak) / scale
-        out[family] = max(out.get(family, 0.0), resid)
+        resid = _worst((np.abs(lhs - rhs).max(), leak)) / scale
+        out[family] = _worst((out.get(family, 0.0), resid))
 
     rng2 = range(2, n + 1)
 

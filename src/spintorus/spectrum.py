@@ -17,7 +17,7 @@ from .chain import DEFAULT_SEED, ChainSpec
 from .errors import (InconsistencyError, NonGenericSpecError,
                      PoleProximityError, require_three_flavors)
 from .monodromy import _a, _a_product, _q, transfer, twist_operator
-from .tensor_core import (COMMUTE_TOL, _operator_scale, eigen_order,
+from .tensor_core import (COMMUTE_TOL, _operator_scale, _worst, eigen_order,
                           relative_residual, simultaneous_eigen)
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -245,113 +245,91 @@ def _full_space_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     return records
 
 
-# The 3-point DFT in numpy's sign convention and its inverse, both
-# symmetric.  For the twist g|k> = |k+1>, DFT g DFT^-1 = diag(OMEGA^-k).
-_DFT = OMEGA ** (-np.outer(np.arange(3), np.arange(3)) % 3)
-_IDFT = _DFT.conj() / 3
-
-
-def _site_products(m: np.ndarray, x: np.ndarray, N: int) -> np.ndarray:
-    """(m x ... x m) @ x for a 3x3 matrix m on each of N sites, x of shape
-    (3^N, ...): one matmul per site, no Kronecker power formed."""
-    shape = x.shape
-    for site in range(N):
-        x = np.matmul(m, x.reshape(3 ** site, 3, -1))
-    return x.reshape(shape)
-
-
-def _to_charge_basis(op: np.ndarray, N: int) -> np.ndarray:
-    """A op A^-1 for A = DFT^(x N), the eigenbasis of the global twist.
-    A^-1 is symmetric, so its product from the right is a product from the
-    left on the transpose."""
-    return _site_products(_IDFT, _site_products(_DFT, op, N).T, N).T
-
-
-def _charge_sectors(N: int):
-    """Total charge (sum of the site labels mod 3) of every charge-basis
-    index, and the indices of sectors s = 0, 1, 2.  The twist is
-    OMEGA^-s on sector s."""
-    total = np.zeros(1, dtype=int)
-    for _ in range(N):
-        total = (total[:, None] + np.arange(3)).ravel()
-    total %= 3
-    return total, [np.flatnonzero(total == s) for s in range(3)]
-
-
-def _twist_permutation(N: int) -> np.ndarray:
-    """Index map of the global twist: (twist @ v)[i] = v[perm[i]]."""
-    perm = np.zeros(1, dtype=int)
-    for _ in range(N):
-        perm = (3 * perm[:, None] + (np.arange(3) - 1) % 3).ravel()
-    return perm
+def _twist_orbits(N: int) -> np.ndarray:
+    """Orbits of the global twist g|k> = |k+1> (labels mod 3 on every site),
+    as 3 rows of 3^(N-1) basis indices: row m holds g^m applied to the
+    representatives, the states whose site-1 label is 0.  Site 1 is the
+    slowest, so the representatives are the first 3^(N-1) indices."""
+    labels = np.indices((3,) * N).reshape(N, -1)[:, :3 ** (N - 1)]
+    return np.array([np.ravel_multi_index((labels + m) % 3, (3,) * N)
+                     for m in range(3)])
 
 
 def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     """All 3^N transfer eigenstates, diagonalized one Z3 charge sector at a
     time.
 
-    t(u) commutes with the global twist, so in the twist's eigenbasis
-    A = DFT^(x N) it splits into three blocks of 3^(N-1), one per charge.
-    Each sector's blocks of t(u_1), t(u_2) at the fixed probe points are
-    jointly diagonalized, which separates the spectrum for generic chains;
-    the twist is the scalar OMEGA^z on a sector, so the charge z is the
-    sector's label (cross-checked against prod_j lambda(theta_j) by
-    ``_z_charge``).  Eigenvectors and duals are mapped back to the site
-    basis; the duals are rows of the inverse eigenvector matrix, so bilinear
-    pairings with the eigenvectors are Kronecker deltas.  ``residual`` is
-    the full-space relative residual over t(u_1), t(u_2) and the twist, and
-    records come in ``eigen_order`` of (mu_1, mu_2, twist eigenvalue), as
-    from ``_full_space_spectrum``, the oracle.  A probe with entries between
-    sectors raises ``NonGenericSpecError``; other ranks than n = 3 are
-    refused up front.
+    The twist g permutes the basis in orbits g^m|r>, m = 0, 1, 2, of the
+    representatives r (``_twist_orbits``).  The states
+    sum_m OMEGA^(-z m) |g^m r> span the sector where g is OMEGA^z, and t(u)
+    commutes with g, so its block there is T_z = sum_m OMEGA^(-z m)
+    t[r, g^m r']: three column gathers of t.  Each sector's blocks of
+    t(u_1), t(u_2) at the fixed probe points are jointly diagonalized, which
+    separates the spectrum for generic chains; z is the sector's label
+    (cross-checked against prod_j lambda(theta_j) by ``_z_charge``), and
+    lambda(theta_j) is read with one GEMM per sector on T_z(theta_j).
+    Eigenvectors and duals are mapped back to the site basis; the duals are
+    rows of the inverse eigenvector matrix, so bilinear pairings with the
+    eigenvectors are Kronecker deltas.  ``residual`` is the full-space
+    relative residual over t(u_1), t(u_2) and the twist, and records come in
+    ``eigen_order`` of (mu_1, mu_2, twist eigenvalue), as from
+    ``_full_space_spectrum``, the oracle.  A probe that does not commute
+    with the twist raises ``NonGenericSpecError``; other ranks than n = 3
+    are refused up front.
     """
     require_three_flavors("brute_force_spectrum", spec.n)
     N, dim = spec.N, spec.dim
     size = dim // 3
-    charge, sectors = _charge_sectors(N)
-    off_sector = charge[:, None] != charge[None, :]
+    orbits = _twist_orbits(N)
+    back = np.empty(dim, dtype=int)        # (twist @ v) = v[back]
+    back[orbits] = np.roll(orbits, 1, axis=0)
+    phases = [OMEGA ** (-z * np.arange(3) % 3) for z in range(3)]
+
+    def sector_blocks(t):
+        cols = [t[:size, orbit] for orbit in orbits]
+        return [sum(p * c for p, c in zip(phase, cols)) for phase in phases]
+
     probes = [transfer(u, spec) for u in U_PROBES]
     blocks = []
     for i, t in enumerate(probes):
-        tc = _to_charge_basis(t, N)
-        leak, scale = float(np.abs(tc[off_sector]).max()), _operator_scale(tc)
+        # t g^k = g^k t iff t[g^k a, g^k b] = t[a, b]; the rows a may stay
+        # on the representatives, since every row is g^j of one of them
+        leak = _worst(np.abs(t[np.ix_(perm[:size], perm)] - t[:size]).max()
+                      for perm in (back, back[back]))
+        scale = _operator_scale(t)
         if not leak <= COMMUTE_TOL * scale:
             raise NonGenericSpecError(
                 f"probe {i} does not commute with the twist: largest "
-                f"off-sector entry {leak:.3e} vs scale {scale:.3e}")
-        blocks.append([tc[np.ix_(idx, idx)] for idx in sectors])
-        del tc
-    # per sector: (records, vmat, wmat, residuals) in the charge basis
-    solved = [simultaneous_eigen([b[s] for b in blocks], rng_seed=rng_seed)
-              for s in range(3)]
+                f"entry change {leak:.3e} vs scale {scale:.3e}")
+        blocks.append(sector_blocks(t))
+    # per sector: (records, vmat, wmat, residuals) in the orbit basis
+    solved = [simultaneous_eigen([b[z] for b in blocks], rng_seed=rng_seed)
+              for z in range(3)]
     del blocks
-    # sector s holds rows s * size .. (s + 1) * size - 1 until the sort
-    rows = [slice(s * size, (s + 1) * size) for s in range(3)]
+    # sector z holds rows z * size .. (z + 1) * size - 1 until the sort
+    rows = [slice(z * size, (z + 1) * size) for z in range(3)]
     mus = np.empty((dim, 3), dtype=complex)
-    for s, (row, (recs, *_)) in enumerate(zip(rows, solved)):
+    for z, (row, (recs, *_)) in enumerate(zip(rows, solved)):
         mus[row, :2] = [mu for _, mu in recs]
-        mus[row, 2] = OMEGA ** ((-s) % 3)
+        mus[row, 2] = OMEGA ** z
     lam = np.empty((dim, N), dtype=complex)
     for j, theta in enumerate(spec.theta):
-        tc = _to_charge_basis(transfer(theta, spec), N)
-        for idx, row, (_, vmat, wmat, _) in zip(sectors, rows, solved):
-            lam[row, j] = (wmat
-                           * (tc[np.ix_(idx, idx)] @ vmat).T).sum(axis=1)
-        del tc
+        tz = sector_blocks(transfer(theta, spec))
+        lam[:, j] = np.concatenate([
+            (wmat * (block @ vmat).T).sum(axis=1)
+            for block, (_, vmat, wmat, _) in zip(tz, solved)])
+        del tz  # no block of t(theta_j) alive while t(theta_j+1) is built
     order = eigen_order(mus)
     place = np.empty(dim, dtype=int)
     place[order] = np.arange(dim)
     vmat_site = np.empty((dim, dim), dtype=complex)
     wmat_site = np.empty((dim, dim), dtype=complex)
-    for idx, row, (_, vmat, wmat, _) in zip(sectors, rows, solved):
-        padded = np.zeros((dim, size), dtype=complex)
-        padded[idx] = vmat
-        vmat_site[:, place[row]] = _site_products(_IDFT, padded, N)
-        padded[idx] = wmat.T
-        wmat_site[place[row]] = _site_products(_DFT, padded, N).T
+    for row, phase, (_, vmat, wmat, _) in zip(rows, phases, solved):
+        for p, orbit in zip(phase, orbits):
+            vmat_site[np.ix_(orbit, place[row])] = p * vmat
+            wmat_site[np.ix_(place[row], orbit)] = p.conjugate() / 3 * wmat
     mus, lam = mus[order], lam[order]
-    resid = relative_residual(vmat_site[_twist_permutation(N)], mus[:, 2],
-                              vmat_site, 1.0)
+    resid = relative_residual(vmat_site[back], mus[:, 2], vmat_site, 1.0)
     for i, t in enumerate(probes):
         resid = np.maximum(resid, relative_residual(
             t @ vmat_site, mus[:, i], vmat_site, _operator_scale(t)))

@@ -77,6 +77,12 @@ def _operator_scale(op: np.ndarray) -> float:
     return max(float(np.abs(op).max()), 1.0)
 
 
+def _worst(values) -> float:
+    """Largest of the values, NaN when any of them is NaN (the builtin
+    ``max`` keeps a NaN only when it comes first)."""
+    return float(np.max(np.fromiter(values, dtype=float)))
+
+
 def _rel_resid(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """|lhs - rhs|_inf / max(|lhs|_inf, 1)."""
     return float(np.abs(lhs - rhs).max()) / _operator_scale(lhs)

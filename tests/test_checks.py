@@ -1,7 +1,9 @@
 """Certificate check registry: vocabulary, tolerance wiring and the bra source."""
+import numpy as np
 import pytest
 
 import spintorus.checks as checks
+import spintorus.monodromy as monodromy
 import spintorus.sov_basis as sov_basis
 from spintorus.chain import default_spec
 from spintorus.checks import CHECK_NAMES, run_checks
@@ -74,3 +76,64 @@ def test_checks_build_no_bra_label_by_label(monkeypatch):
     monkeypatch.setattr(sov_basis, "left_state", counted)
     assert all(r.passed for r in run_checks(default_spec(N=2)))
     assert calls == []
+
+
+def _nan(value):
+    return float("nan")
+
+
+def _nan_array(product):
+    return np.full_like(product, np.nan)
+
+
+def _nan_last_family(table):
+    *_, last = table
+    return {**table, last: float("nan")}
+
+
+def _nan_leak(blocks):
+    blocks[1][1].leak = float("nan")
+    return blocks
+
+
+def _nan_offdiag(report):
+    return {**report, "offdiag_resid": float("nan")}
+
+
+# (check, module, callee, call number, how that call's result turns NaN):
+# each row plants a NaN at a term that is not the first of the reduction the
+# check's residual comes from
+NAN_PLANTS = [
+    ("QYBE", checks, "qybe_residual", 2, _nan),
+    ("unitarity", checks, "unitarity_residual", 2, _nan),
+    ("crossing", checks, "crossing_residual", 2, _nan),
+    ("twist-invariance", checks, "twist_invariance_residual", 2, _nan),
+    ("commuting-transfer", checks, "_rel_resid", 2, _nan),
+    ("exchange-relations", checks, "exchange_relation_residuals", 2,
+     _nan_last_family),
+    # one relation's right-hand side, a later instance of its family
+    ("exchange-relations", monodromy._FlavorSlabs, "__matmul__", 2, _nan_array),
+    # the slabs' skipped-entry floor of one block after the first
+    ("exchange-relations", monodromy, "_sorted_slabs", 1, _nan_leak),
+    ("vacuum-actions", checks, "scalar_d", 2, _nan),
+    ("orthogonality", checks, "verify_orthogonality", 1, _nan_offdiag),
+    ("decompositions", checks, "decomposition_residual", 2, _nan),
+]
+
+
+@pytest.mark.parametrize("name, owner, callee, call, plant", NAN_PLANTS,
+                         ids=[f"{row[0]}-{row[2]}" for row in NAN_PLANTS])
+def test_nan_at_a_later_term_fails_its_check(spec2, monkeypatch, name, owner,
+                                              callee, call, plant):
+    exact = getattr(owner, callee)
+    calls = []
+
+    def planted(*args, **kwargs):
+        calls.append(None)
+        out = exact(*args, **kwargs)
+        return plant(out) if len(calls) == call else out
+
+    monkeypatch.setattr(owner, callee, planted)
+    results = run_checks(spec2)
+    assert len(calls) >= call
+    assert [r.name for r in results if not r.passed] == [name]

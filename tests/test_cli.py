@@ -420,15 +420,23 @@ def test_main_typed_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["spectrum", "reconstruct"])
-def test_wide_theta_chain_passes_strict(tmp_path, command):
-    # a wide real spread of theta: the full-space mix, dominated by the
-    # largest member, found no clean joint eigenbasis; the charge sectors do
-    cfile = _write_config(tmp_path, {
-        "N": 2, "theta": [[0.13, 0.07], [30.26, 0.14]]})
+@pytest.mark.parametrize("N, shift", [(2, 22), (2, 30.26), (2, 40), (2, 43),
+                                      (3, 8), (3, 12), (3, 18.5),
+                                      (4, 6), (4, 8), (4, 10)])
+def test_theta_walk_toward_overflow_bound_passes_strict(tmp_path, command, N,
+                                                        shift):
+    # Re theta_N of the default chain walked up to ChainSpec's overflow
+    # bound (43.6 at N=2, 19.0 at N=3, 10.3 at N=4): the full-space mix,
+    # dominated by its largest member, found no clean joint eigenbasis from a
+    # shift of about 22 at N=2; the charge sectors keep every record inside
+    # the unchanged gates
+    theta = [[0.13 * j, 0.07 * j] for j in range(1, N + 1)]
+    theta[-1][0] = shift
+    cfile = _write_config(tmp_path, {"N": N, "theta": theta})
     assert main([command, "--strict", "--config", cfile,
                  "--out", str(tmp_path)]) == EXIT_OK
     report = _load_report(tmp_path / f"{command}_report.json")
-    assert len(report["records"]) == 9
+    assert len(report["records"]) == 3 ** N
     assert report["failures"] == []
 
 

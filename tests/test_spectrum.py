@@ -8,13 +8,12 @@ from spintorus.chain import ChainSpec, default_spec
 from spintorus.errors import (InconsistencyError, NonGenericSpecError,
                               UnsupportedRankError)
 from spintorus.monodromy import _a_product, scalar_a, transfer, twist_operator
-from spintorus.spectrum import (_DFT, _IDFT, NEWTON_EXITS, OMEGA,
-                                RESIDUAL_CHUNK, TQSolution, U_PROBES,
-                                _canonical, _charge_sectors, _chunked_residuals,
-                                _full_space_spectrum, _newton, _newton_steps,
-                                _residuals, _roots_separated, _same_solution,
-                                _site_products, _to_charge_basis,
-                                _twist_charge, _twist_permutation, _vector,
+from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
+                                TQSolution, U_PROBES, _canonical,
+                                _chunked_residuals, _full_space_spectrum,
+                                _newton, _newton_steps, _residuals,
+                                _roots_separated, _same_solution,
+                                _twist_charge, _twist_orbits, _vector,
                                 _z_charge, bae_residuals, brute_force_spectrum,
                                 solve_bae, tq_lambda)
 from spintorus.tensor_core import (EIGEN_RESID_TOL, _operator_scale,
@@ -64,7 +63,7 @@ def test_spectrum_readout_matches_per_vector_formulas(N, request):
         assert abs(rec.residual - resid) <= 1e-15
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_sector_spectrum_matches_full_space_oracle(N):
     spec = default_spec(N=N)
     records = brute_force_spectrum(spec)
@@ -83,52 +82,42 @@ def test_sector_spectrum_matches_full_space_oracle(N):
     assert np.abs(duals @ vecs - np.eye(3 ** N)).max() <= 1e-12
 
 
-def _dft_power(N):
-    """The charge-basis change DFT^(x N) as a dense Kronecker power."""
-    a = np.ones((1, 1))
-    for _ in range(N):
-        a = np.kron(a, _DFT)
-    return a
-
-
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
-def test_charge_basis_splits_transfer_into_sectors(N, rng):
-    # A t A^-1 for A = DFT^(x N) has no entry between two charge sectors,
-    # and A twist A^-1 is OMEGA^z with z = -s mod 3 on sector s
+def test_twist_orbits_split_transfer_into_sectors(N, rng):
+    # the orbits partition the basis, the twist is the index map that moves
+    # each orbit one step back, and the three sector blocks
+    # sum_m OMEGA^(-z m) t[:size, orbit_m] carry the whole spectrum of t
     spec = default_spec(N=N)
+    size = 3 ** (N - 1)
+    orbits = _twist_orbits(N)
+    assert orbits.shape == (3, size)
+    assert_array_equal(orbits[0], np.arange(size))
+    assert sorted(orbits.ravel()) == list(range(3 ** N))
+    back = np.empty(3 ** N, dtype=int)
+    back[orbits] = np.roll(orbits, 1, axis=0)
+    v = rng.standard_normal(3 ** N)
+    assert_array_equal(v[back], twist_operator(spec) @ v)
     u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     t = transfer(u, spec)
-    tc = _to_charge_basis(t, N)
-    charge, sectors = _charge_sectors(N)
-    off = charge[:, None] != charge[None, :]
-    assert np.abs(tc[off]).max() <= 1e-13 * np.abs(tc).max()
-    assert sorted(np.concatenate(sectors)) == list(range(3 ** N))
-    g = _to_charge_basis(twist_operator(spec), N)
-    assert_allclose(g, np.diag(OMEGA ** (-charge % 3)), atol=1e-14)
-    # the mode products are the Kronecker power and its inverse
-    a = _dft_power(N)
-    assert_allclose(tc, a @ t @ np.linalg.inv(a), atol=1e-13 * np.abs(t).max())
-    assert_allclose(_site_products(_IDFT, a, N), np.eye(3 ** N), atol=1e-14)
-    # the twist as an index map
-    v = rng.standard_normal(3 ** N)
-    assert_array_equal(v[_twist_permutation(N)], twist_operator(spec) @ v)
+    sectors = [sum(OMEGA ** (-z * m % 3) * t[:size, orbit]
+                   for m, orbit in enumerate(orbits)) for z in range(3)]
+    want = np.sort_complex(np.linalg.eigvals(t))
+    got = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in sectors]))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_probe_leaking_out_of_its_sector_is_refused(monkeypatch):
-    # 1e-6 on one entry between sectors 0 and 1 of the charge-basis probe
-    # breaks its commutation with the twist
-    N = 2
-    spec = default_spec(N=N)
-    _, sectors = _charge_sectors(N)
-    leak = np.zeros((3 ** N, 3 ** N), dtype=complex)
-    leak[sectors[0][1], sectors[1][2]] = 1e-6
-    a = _dft_power(N)
-    leak_site = np.linalg.inv(a) @ leak @ a
+@pytest.mark.parametrize("row, col", [(1, 5), (4, 2), (7, 2)])
+def test_probe_leaking_out_of_its_sector_is_refused(monkeypatch, row, col):
+    # 1e-6 on one site-basis entry of t(u_2) breaks its commutation with
+    # the twist, on a row with site-1 label 0 (a representative), 1 or 2
+    spec = default_spec(N=2)
     exact = spectrum_module.transfer
 
     def leaky(u, spec):
         t = exact(u, spec)
-        return t + leak_site if u == U_PROBES[1] else t
+        if u == U_PROBES[1]:
+            t[row, col] += 1e-6
+        return t
 
     monkeypatch.setattr(spectrum_module, "transfer", leaky)
     with pytest.raises(NonGenericSpecError, match="probe 1 does not commute"):
