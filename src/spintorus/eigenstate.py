@@ -17,7 +17,7 @@ import numpy as np
 from .chain import ChainSpec
 from .errors import (DegenerateNormalizationError, PoleProximityError,
                      require_three_flavors)
-from .monodromy import (FD4_STEP, _a_product, _blocks_raw, fd4_derivative,
+from .monodromy import (FD4_STEP, _a_product, _sparse_blocks, fd4_derivative,
                         homogeneous_transfer)
 from .rmatrix import twist_matrix
 from .sov_basis import (POLE_TOL, _grown_rows, _site_tuple, enumerate_basis,
@@ -241,9 +241,9 @@ def closed_form_two_site(lam0: complex, dlam0: complex, n: int,
     """Closed-form homogeneous two-site eigenvector from the eigenvalue and
     its derivative at the origin."""
     require_three_flavors("closed_form_two_site", n)
-    _, b2, b3 = _blocks_raw(0.0, n, eta, (0.0, 0.0))[0]
-    db2 = fd4_derivative(lambda u: _blocks_raw(u, n, eta, (0.0, 0.0))[0][1], 0.0)
-    db3 = fd4_derivative(lambda u: _blocks_raw(u, n, eta, (0.0, 0.0))[0][2], 0.0)
+    row = lambda u: np.stack([b.dense() for b in _sparse_blocks(u, n, eta, (0.0, 0.0))[0]])
+    _, b2, b3 = row(0.0)
+    _, db2, db3 = fd4_derivative(row, 0.0)
     vac = np.zeros(n ** 2, dtype=complex)
     vac[0] = 1.0
     sh = np.sinh(eta)

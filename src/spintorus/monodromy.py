@@ -2,14 +2,13 @@
 
 The monodromy matrix is the ordered product of R-matrices over sites N..1
 acting on auxiliary x quantum space; it is held as the n x n array of its
-auxiliary blocks, each a dense operator on the chain.  The blocks are built
-by appending one site per step: the site being appended is a fresh (fastest)
-tensor factor, and each new block is assembled from the old blocks times
-the R-matrix's nonzero weights only, so no Kronecker product and no
-n^(N+1)-dimensional object is ever materialized.  A transfer matrix builds
-on its last site only the blocks its twisted trace reads.  ``apply_entry``
-acts with one entry on a vector site by site, as a matrix product operator,
-unbuilt.
+auxiliary blocks, each as its nonzero entries (``_Sparse``).  The blocks are
+built by appending one site per step: the site being appended is a fresh
+(fastest) tensor factor, and each new entry is an old entry times one of
+the R-matrix's nonzero weights, so no Kronecker product and no
+n^(N+1)-dimensional object is ever materialized.  The transfer matrix and
+the dense blocks are scatters of that one build.  ``apply_entry`` acts with
+one entry on a vector site by site, as a matrix product operator, unbuilt.
 
 Entry naming: A = block (1,1), B_i = block (1,i), C^i = block (i,1),
 D^i_j = block (i,j) for i, j >= 2.  The antiperiodic transfer matrix is the
@@ -58,41 +57,101 @@ def scalar_d(u: complex, spec: ChainSpec) -> complex:
     return complex(_q(np.array([u]), np.array(spec.theta))[0])
 
 
-def _blocks_raw(u: complex, n: int, eta: complex, thetas,
-                last_step=None) -> list:
-    """Auxiliary blocks of R_{0N}(u - theta_N) ... R_{01}(u - theta_1).
+def _pairs(keys: np.ndarray, ptr: np.ndarray):
+    """Index pairs (p, q) of a sparse join: q runs over ptr[keys[p]] up to
+    ptr[keys[p] + 1], p ascending, q ascending within each p."""
+    lo = ptr[keys]
+    counts = ptr[keys + 1] - lo
+    p = np.repeat(np.arange(len(keys)), counts)
+    q = np.arange(len(p)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return p, q
 
-    Appending a site to block T_kj gives the block of T_kj (x) <i c|R|k d>
-    over the new site's (c, d).  The R-matrix obeys the ice rule, so each
-    (i, c, d) has at most one nonzero weight: each new block is written as
-    an (m, n, m, n) array, one slab T_kj * weight per nonzero weight, with
-    the operands in ``np.kron``'s order.  ``last_step`` names the (i, j)
-    blocks the final site builds; the other blocks of that step are None.
+
+class _Sparse:
+    """A dim x dim operator held as unique flat keys row * dim + col, in
+    increasing order, and their values; entries given with equal keys are
+    added once, in the order given.
+
+    It has what the exchange relations use of a dense array: ``@``, ``+``,
+    ``-``, scalar ``*`` and ``/``, ``sum()`` and ``abs(x).max()``.  A sum or
+    product stores every entry its terms reach: every other entry is an
+    exact 0.
     """
-    blocks = None
-    for step, theta in enumerate(thetas, start=1):  # site 1 first, fastest
-        rb = r_matrix(u - theta, n, eta).reshape(n, n, n, n)
-        if blocks is None:
-            blocks = [[np.ascontiguousarray(rb[i, :, j, :]) for j in range(n)]
-                      for i in range(n)]
-            continue
-        m = blocks[0][0].shape[0]
-        wanted = (last_step if last_step is not None and step == len(thetas)
-                  else [(i, j) for i in range(n) for j in range(n)])
-        new = [[None] * n for _ in range(n)]
-        for i, j in wanted:
-            acc = np.zeros((m, n, m, n), dtype=complex)
-            for k in range(n):
-                for c, d in zip(*np.nonzero(rb[i, :, k, :])):
-                    acc[:, c, :, d] += blocks[k][j] * rb[i, c, k, d]
-            new[i][j] = acc.reshape(m * n, m * n)
-        blocks = new
-    return blocks
+
+    __array_ufunc__ = None      # numpy scalars defer to the methods below
+
+    def __init__(self, keys: np.ndarray, vals: np.ndarray, dim: int):
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.keys, self.vals, self.dim = keys[first], np.add.reduceat(vals, first), dim
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.dim * self.dim, dtype=complex)
+        out[self.keys] += self.vals
+        return out.reshape(self.dim, self.dim)
+
+    def __matmul__(self, other: "_Sparse") -> "_Sparse":
+        rows, cols = np.divmod(self.keys, self.dim)
+        ptr = np.searchsorted(other.keys, np.arange(self.dim + 1) * self.dim)
+        p, q = _pairs(cols, ptr)
+        return _Sparse(rows[p] * self.dim + other.keys[q] % self.dim,
+                       self.vals[p] * other.vals[q], self.dim)
+
+    def __add__(self, other: "_Sparse") -> "_Sparse":
+        return _Sparse(np.concatenate((self.keys, other.keys)),
+                       np.concatenate((self.vals, other.vals)), self.dim)
+
+    def __radd__(self, zero):   # sum() starts from 0
+        return self if zero == 0 else NotImplemented
+
+    def __sub__(self, other: "_Sparse") -> "_Sparse":
+        return self + _Sparse(other.keys, -other.vals, other.dim)
+
+    def __mul__(self, scalar) -> "_Sparse":
+        return _Sparse(self.keys, self.vals * scalar, self.dim)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "_Sparse":
+        return _Sparse(self.keys, self.vals / scalar, self.dim)
+
+    def __abs__(self) -> np.ndarray:
+        # the moduli of the stored entries and of one 0: their max is the dense one
+        return np.abs(np.append(self.vals, 0))
+
+
+def _sparse_blocks(u: complex, n: int, eta: complex, thetas) -> list:
+    """Auxiliary blocks of R_{0N}(u - theta_N) ... R_{01}(u - theta_1), each
+    a ``_Sparse`` of its nonzero entries.
+
+    The build starts from the identity on no sites.  Appending a site gives
+    block T_ij the entries T_kj[r, s] * <i c|R|k d> at row r n + c and
+    column s n + d, over the R-matrix's nonzero weights.  The R-matrix obeys
+    the ice rule, so (i, c, d) fixes k and no entry is ever a sum.
+    """
+    a = b = np.arange(n)        # auxiliary row and column of each entry
+    keys, vals, dim = np.zeros(n, dtype=np.int64), np.ones(n, dtype=complex), 1
+    for theta in thetas:        # site 1 first; each new site is the fastest
+        w = r_matrix(u - theta, n, eta).reshape(n, n, n, n).transpose(2, 0, 1, 3)
+        k, i, c, d = np.nonzero(w)          # w[k, i, c, d] = <i c|R|k d>, by k
+        p, q = _pairs(a, np.searchsorted(k, np.arange(n + 1)))
+        rows, cols = np.divmod(keys[p], dim)
+        keys = (rows * n + c[q]) * (dim * n) + cols * n + d[q]
+        a, b, vals = i[q], b[p], vals[p] * w[k[q], i[q], c[q], d[q]]
+        dim *= n
+    block = a * n + b
+    order = np.argsort(block * dim * dim + keys)
+    bounds = np.searchsorted(block[order], np.arange(n * n + 1))
+    blocks = [_Sparse(keys[order[lo:hi]], vals[order[lo:hi]], dim)
+              for lo, hi in zip(bounds, bounds[1:])]
+    return [blocks[row * n:(row + 1) * n] for row in range(n)]
 
 
 def monodromy_blocks(u: complex, spec: ChainSpec) -> list:
     """All n^2 auxiliary blocks at u: the dense oracle for ``apply_entry``."""
-    return _blocks_raw(complex(u), spec.n, spec.eta, spec.theta)
+    return [[b.dense() for b in row]
+            for row in _sparse_blocks(complex(u), spec.n, spec.eta, spec.theta)]
 
 
 def _sweep(u: complex, i: int, j: int, vec: np.ndarray, spec: ChainSpec,
@@ -128,15 +187,10 @@ def apply_entry_bra(u: complex, i: int, j: int, vec: np.ndarray,
 
 
 def _twisted_trace(u: complex, n: int, eta: complex, thetas) -> np.ndarray:
-    """sum_{i,k} g[i, k] T[k][i] over the monodromy blocks T, g the cyclic
-    twist; the last site builds only the blocks T[k][i] that the sum reads."""
+    """sum_{i,k} g[i, k] T[k][i] over the monodromy blocks T, g the cyclic twist."""
     g = twist_matrix(n)
-    terms = [(k, i, g[i, k]) for i, k in zip(*np.nonzero(g))]
-    blocks = _blocks_raw(u, n, eta, thetas, [(k, i) for k, i, _ in terms])
-    t = np.zeros((n ** len(thetas),) * 2, dtype=complex)
-    for k, i, weight in terms:
-        t += weight * blocks[k][i]
-    return t
+    blocks = _sparse_blocks(u, n, eta, thetas)
+    return sum(g[i, k] * blocks[k][i] for i, k in zip(*np.nonzero(g))).dense()
 
 
 def transfer(u: complex, spec: ChainSpec) -> np.ndarray:
@@ -230,82 +284,25 @@ def transfer_log_derivative_residual(n: int, N: int, eta: complex) -> float:
 # Exchange relations
 # ---------------------------------------------------------------------------
 
-class _FlavorSlabs:
-    """One monodromy block in flavor-content order, multiplied slab by slab.
-
-    The R-matrix obeys the ice rule, so a block maps each flavor-content
-    class (n_1, ..., n_n) of the chain to one other class.  ``moves[r]`` is
-    the column class that holds row class r's nonzeros (-1 if it holds
-    none), read from the block's own entries, and ``leak`` is the largest
-    entry outside those slabs; a product skips exactly those entries.
-    ``a @ b`` is the dense product, written one GEMM per row class.
-    """
-
-    def __init__(self, data: np.ndarray, starts: np.ndarray):
-        self.data = data
-        bounds = [*starts, data.shape[0]]
-        self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        cmax = np.maximum.reduceat(
-            np.maximum.reduceat(np.abs(data), starts, axis=0), starts, axis=1)
-        rows = np.arange(len(starts))
-        self.moves = np.where(cmax.max(axis=1) > 0, cmax.argmax(axis=1), -1)
-        cmax[rows, self.moves.clip(0)] = 0.0
-        self.leak = float(cmax.max())
-
-    def __matmul__(self, other: "_FlavorSlabs") -> np.ndarray:
-        out = np.zeros_like(self.data)
-        s = self.slices
-        for r, m in enumerate(self.moves):
-            if m >= 0 and other.moves[m] >= 0:
-                c = other.moves[m]
-                out[s[r], s[c]] = self.data[s[r], s[m]] @ other.data[s[m], s[c]]
-        return out
-
-
-def _flavor_order(spec: ChainSpec):
-    """Stable order of the basis by flavor content (n_1, ..., n_n), and the
-    first position of each content class in that order."""
-    digits = np.indices((spec.n,) * spec.N).reshape(spec.N, -1)
-    counts = np.stack([(digits == f).sum(axis=0) for f in range(spec.n)])
-    order = np.lexsort(counts[::-1])
-    changes = np.any(np.diff(counts[:, order], axis=1) != 0, axis=0)
-    return order, np.flatnonzero(np.concatenate(([True], changes)))
-
-
-def _sorted_slabs(u: complex, spec: ChainSpec, order, starts) -> list:
-    """The n^2 blocks at u as ``_FlavorSlabs``; each unsorted block is
-    dropped as soon as its sorted copy exists."""
-    blocks = monodromy_blocks(u, spec)
-    for row in blocks:
-        for j, block in enumerate(row):
-            row[j] = _FlavorSlabs(block[np.ix_(order, order)], starts)
-    return blocks
-
-
 def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict:
     """Residuals of the quadratic exchange relations at spectral points (u, v).
 
-    Every relation is instantiated as a dense operator identity for all valid
+    Every relation is instantiated as an operator identity for all valid
     index combinations; the value reported per family is the worst elementwise
     residual divided by max(|LHS|, |RHS|, 1).  The products are formed on the
-    blocks' flavor-content slabs, in one basis order shared by both sides, so
-    the maximum over all entries is unchanged; the largest block entry that
-    the slabs skip is folded into every family's residual.
+    blocks' nonzero entries, and a product stores every entry it reaches, so
+    the maximum over all entries is the dense one.
     """
-    order, starts = _flavor_order(spec)
-    Tu = _sorted_slabs(u, spec, order, starts)
-    Tv = _sorted_slabs(v, spec, order, starts)
-    leak = _worst(b.leak for T in (Tu, Tv) for row in T for b in row)
-    return _relation_residuals(Tu, Tv, u - v, spec, leak)
+    Tu, Tv = (_sparse_blocks(complex(at), spec.n, spec.eta, spec.theta)
+              for at in (u, v))
+    return _relation_residuals(Tu, Tv, u - v, spec)
 
 
-def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec,
-                        leak: float) -> dict:
+def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec) -> dict:
     """Worst residual per relation family of the blocks Tu, Tv at u - v = x.
 
-    A block is anything whose ``@`` gives the dense product: a dense array,
-    or a ``_FlavorSlabs``.  ``leak`` is an absolute error that every
-    family's residual takes as a floor before scaling.
+    A block is a dense array or a ``_Sparse``: the relations use only the
+    operations the two share.
     """
     n, eta = spec.n, spec.eta
     shx = np.sinh(x)
@@ -323,8 +320,8 @@ def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec,
     out: dict = {}
 
     def record(family, lhs, rhs):
-        scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1.0)
-        resid = _worst((np.abs(lhs - rhs).max(), leak)) / scale
+        scale = max(float(abs(lhs).max()), float(abs(rhs).max()), 1.0)
+        resid = float(abs(lhs - rhs).max()) / scale
         out[family] = _worst((out.get(family, 0.0), resid))
 
     rng2 = range(2, n + 1)
@@ -394,7 +391,7 @@ def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec,
     for al in range(1, n + 1):
         for be in range(1, n + 1):
             lhs = T("u", al, be) @ T("v", al, be) - T("v", al, be) @ T("u", al, be)
-            record("TT1", lhs, np.zeros_like(lhs))
+            record("TT1", lhs, 0 * lhs)
             if al == be:
                 continue
             lhs = T("u", al, al) @ T("v", be, be) - T("v", be, be) @ T("u", al, al)

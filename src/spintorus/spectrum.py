@@ -195,8 +195,10 @@ def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL,
                   what: str = "twist eigenvalue") -> int:
     """Exponent z of mu_u = OMEGA**z, read within tol: the Z3 charge of a
     twist eigenvalue, or of any value named by ``what`` in the refusal."""
+    if not np.isfinite(mu_u):
+        raise InconsistencyError(f"{what} {mu_u} is not finite")
     z = int(np.round(np.angle(mu_u) / (2 * np.pi / 3))) % 3
-    if abs(mu_u - OMEGA ** z) > tol:
+    if not (abs(mu_u - OMEGA ** z) <= tol):
         raise InconsistencyError(
             f"{what} {mu_u} is not a cube root of unity within {tol}")
     return z

@@ -419,6 +419,28 @@ def test_main_typed_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / f"{command}_report.json").exists()
 
 
+def test_nan_eigenvalue_at_the_theta_points_is_one_error_line(tmp_path, capsys,
+                                                             monkeypatch):
+    # a NaN in t(theta_j) makes lambda(theta_j) NaN; the charge readout
+    # refuses it as a typed error, not as a bare ValueError traceback
+    exact = spectrum.transfer
+
+    def planted(u, spec):
+        t = exact(u, spec)
+        if u in spec.theta:
+            t[0, 0] = np.nan
+        return t
+
+    monkeypatch.setattr(spectrum, "transfer", planted)
+    cfile = _write_config(tmp_path, {"N": 2})
+    with np.errstate(invalid="ignore"):
+        code = main(["spectrum", "--config", cfile, "--out", str(tmp_path)])
+    assert code == EXIT_CHECK_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["spectrum", "reconstruct"])
 @pytest.mark.parametrize("N, shift", [(2, 22), (2, 30.26), (2, 40), (2, 43),
                                       (3, 8), (3, 12), (3, 18.5),

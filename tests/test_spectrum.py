@@ -248,6 +248,13 @@ def test_search_rejects_empty_start_sets(spec1, records1, n_seeds):
         solve_bae(spec1, n_seeds=n_seeds, records=records1)
 
 
+@pytest.mark.parametrize("mu", [complex("nan"), complex(1, float("nan")),
+                                complex("inf")])
+def test_twist_charge_refuses_a_non_finite_value(mu):
+    with pytest.raises(InconsistencyError, match="is not finite"):
+        _twist_charge(mu)
+
+
 @pytest.mark.parametrize("n, mu", [(2, -1.0), (4, 1j)])
 def test_other_ranks_are_refused_up_front(n, mu, monkeypatch):
     # a twist eigenvalue of the n = 2 or n = 4 chain is no cube root of
