@@ -16,10 +16,9 @@ import numpy as np
 
 from .chain import DEFAULT_SEED, ChainSpec
 from .errors import require_three_flavors
-from .monodromy import (exchange_relation_residuals, monodromy_blocks,
-                        product_identity_residual, scalar_a, scalar_d,
-                        transfer, vacuum_bra, vacuum_ket,
-                        conjugate_vacuum_bra, conjugate_vacuum_ket)
+from .monodromy import (_Sparse, _sparse_blocks, conjugate_vacuum_ket,
+                        exchange_relation_residuals, product_identity_residual,
+                        scalar_a, scalar_d, transfer, vacuum_ket)
 from .rmatrix import (crossing_residual, fusion_rank,
                       initial_condition_residual, qybe_residual,
                       twist_invariance_residual, unitarity_residual)
@@ -99,13 +98,18 @@ def _check_exchange_relations(spec: ChainSpec, rng: np.random.Generator):
 
 
 def _check_vacuum_actions(spec: ChainSpec, rng: np.random.Generator):
-    k0, b0 = vacuum_ket(spec), vacuum_bra(spec)
-    kc, bc = conjugate_vacuum_ket(spec), conjugate_vacuum_bra(spec)
+    def projector(vec):     # |v><v| of a one-entry reference state
+        (at,) = np.flatnonzero(vec)
+        return _Sparse(np.array([at * (spec.dim + 1)]), vec[[at]], spec.dim)
+
+    # T @ P keeps the column T|v> of a block, P @ T the row <v|T
+    k0 = b0 = projector(vacuum_ket(spec))
+    kc = bc = projector(conjugate_vacuum_ket(spec))
     resids = []
     for u in _points(rng, 4):
-        blocks = monodromy_blocks(u, spec)
+        blocks = _sparse_blocks(u, spec.n, spec.eta, spec.theta)
         a, d = scalar_a(u, spec), scalar_d(u, spec)
-        scale = max(_worst(np.abs(b).max() for row in blocks for b in row), 1.0)
+        scale = max(_worst(abs(b).max() for row in blocks for b in row), 1.0)
         gaps = [blocks[0][0] @ k0 - a * k0, b0 @ blocks[0][0] - a * b0,
                 blocks[0][0] @ kc - d * kc, bc @ blocks[0][0] - d * bc]
         for i in range(1, spec.n):
@@ -119,7 +123,7 @@ def _check_vacuum_actions(spec: ChainSpec, rng: np.random.Generator):
         gaps += [blocks[last][last] @ kc - a * kc, bc @ blocks[last][last] - a * bc,
                  blocks[0][last] @ kc,        # annihilation on the conjugate ket
                  bc @ blocks[last][0]]        # and on the conjugate bra
-        resids.extend(float(np.abs(g).max()) / scale for g in gaps)
+        resids.extend(float(abs(g).max()) / scale for g in gaps)
     return _worst(resids), ("triangular monodromy action on the reference and "
                             "conjugate product states at 4 random points")
 

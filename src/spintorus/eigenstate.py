@@ -20,8 +20,8 @@ from .errors import (DegenerateNormalizationError, PoleProximityError,
 from .monodromy import (FD4_STEP, _a_product, _sparse_blocks, fd4_derivative,
                         homogeneous_transfer)
 from .rmatrix import twist_matrix
-from .sov_basis import (POLE_TOL, _grown_rows, _site_tuple, enumerate_basis,
-                        f_factor, g_factor)
+from .sov_basis import (POLE_TOL, _grown_rows, _norms, _site_tuple,
+                        enumerate_basis, f_factor)
 from .spectrum import (U_PROBES, _eigenvalue_of, _full_space_spectrum,
                        _twist_charge)
 from .tensor_core import kron_chain, simultaneous_eigen
@@ -162,7 +162,7 @@ class Reconstructor:
         self.spec = spec
         self.labels = enumerate_basis(spec)
         self.kets = _grown_rows(self.labels, spec, bra=False)
-        self.norms = np.array([g_factor(idx, spec) for idx in self.labels])
+        self.norms = _norms(self.labels, spec)
         self.kernels = {sites: _kernel(sites, spec) for sites in
                         dict.fromkeys(idx.block2 for idx in self.labels)}
         position = {sites: k for k, sites in enumerate(self.kernels)}

@@ -72,19 +72,20 @@ class _Sparse:
     increasing order, and their values; entries given with equal keys are
     added once, in the order given.
 
-    It has what the exchange relations use of a dense array: ``@``, ``+``,
-    ``-``, scalar ``*`` and ``/``, ``sum()`` and ``abs(x).max()``.  A sum or
-    product stores every entry its terms reach: every other entry is an
-    exact 0.
+    It has what the checks use of a dense array: ``@``, ``+``, ``-``, scalar
+    ``*`` and ``/``, ``sum()`` and ``abs(x).max()``.  A sum or product stores
+    every entry its terms reach: every other entry is an exact 0.
     """
 
     __array_ufunc__ = None      # numpy scalars defer to the methods below
 
     def __init__(self, keys: np.ndarray, vals: np.ndarray, dim: int):
-        order = np.argsort(keys, kind="stable")
-        keys, vals = keys[order], vals[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        self.keys, self.vals, self.dim = keys[first], np.add.reduceat(vals, first), dim
+        if np.any(np.diff(keys) <= 0):      # not yet sorted and unique
+            order = np.argsort(keys, kind="stable")
+            keys, vals = keys[order], vals[order]
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            keys, vals = keys[first], np.add.reduceat(vals, first)
+        self.keys, self.vals, self.dim = keys, vals, dim
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.dim * self.dim, dtype=complex)
@@ -154,36 +155,44 @@ def monodromy_blocks(u: complex, spec: ChainSpec) -> list:
             for row in _sparse_blocks(complex(u), spec.n, spec.eta, spec.theta)]
 
 
-def _sweep(u: complex, i: int, j: int, vec: np.ndarray, spec: ChainSpec,
-           site_transpose: bool) -> np.ndarray:
-    """Entry (i, j) of the monodromy, a matrix product operator of bond
-    dimension n, applied site by site: the auxiliary index enters as a bond
-    in state j next to site 1, each site's R-matrix acts on the (bond, site)
-    pair, the bond is swapped past the site, and after site N it is read at i."""
-    if not (1 <= i <= spec.n and 1 <= j <= spec.n):
-        raise ValueError(f"entry ({i},{j}) outside 1..{spec.n}")
+def _site_matrices(u: complex, spec: ChainSpec, site_transpose: bool) -> list:
+    """R(u - theta_l) of every site l, each transposed on its site for a bra."""
     n = spec.n
-    w = np.zeros((n, spec.dim), dtype=complex)
-    w[j - 1] = vec
-    for l, theta in enumerate(spec.theta):
-        r = r_matrix(u - theta, n, spec.eta)
-        if site_transpose:
-            r = r.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
-        w = r @ w.reshape(n ** l, n * n, -1)
-        w = w.reshape(n ** l, n, n, -1).swapaxes(1, 2)
-    return w.reshape(spec.dim, n)[:, i - 1]
+    rs = [r_matrix(u - theta, n, spec.eta) for theta in spec.theta]
+    if site_transpose:
+        rs = [r.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
+              for r in rs]
+    return rs
+
+
+def _sweep(rs: list, i: int, j: int, rows: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """Entry (i, j) of the monodromy, a matrix product operator of bond
+    dimension n, applied site by site to each of the ``rows``: the auxiliary
+    index enters as a bond in state j next to site 1, each site's matrix in
+    ``rs`` acts on the (bond, site) pair, the bond is swapped past the site,
+    and after site N it is read at i.  The rows are the leading axis of every
+    product, so each row gets the bits of its one-row sweep."""
+    n, k = spec.n, len(rows)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"entry ({i},{j}) outside 1..{n}")
+    w = np.zeros((k, n, spec.dim), dtype=complex)
+    w[:, j - 1] = rows
+    for l, r in enumerate(rs):
+        w = r @ w.reshape(k, n ** l, n * n, -1)
+        w = w.reshape(k, n ** l, n, n, -1).swapaxes(2, 3)
+    return w.reshape(k, spec.dim, n)[:, :, i - 1]
 
 
 def apply_entry(u: complex, i: int, j: int, vec: np.ndarray,
                 spec: ChainSpec) -> np.ndarray:
     """T_ij(u) @ vec for the monodromy entry (i, j), 1-indexed."""
-    return _sweep(u, i, j, vec, spec, site_transpose=False)
+    return _sweep(_site_matrices(u, spec, False), i, j, np.asarray(vec)[None], spec)[0]
 
 
 def apply_entry_bra(u: complex, i: int, j: int, vec: np.ndarray,
                     spec: ChainSpec) -> np.ndarray:
     """vec @ T_ij(u); the transpose transposes each R-matrix on its site."""
-    return _sweep(u, i, j, vec, spec, site_transpose=True)
+    return _sweep(_site_matrices(u, spec, True), i, j, np.asarray(vec)[None], spec)[0]
 
 
 def _twisted_trace(u: complex, n: int, eta: complex, thetas) -> np.ndarray:
@@ -326,12 +335,13 @@ def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec) -> dict:
 
     rng2 = range(2, n + 1)
 
-    # C D
-    for l in rng2:
-        for k in rng2:
-            for i in rng2:
+    # C D; the right-hand side's products do not depend on (l, k)
+    for i in rng2:
+        uv = {(al, be): T("u", al, i) @ T("v", be, 1) for al in rng2 for be in rng2}
+        for l in rng2:
+            for k in rng2:
                 lhs = T("v", l, 1) @ T("u", k, i)
-                rhs = sum(R(rx, k, l, al, be) / shx * (T("u", al, i) @ T("v", be, 1))
+                rhs = sum(R(rx, k, l, al, be) / shx * uv[al, be]
                           for al in rng2 for be in rng2)
                 rhs = rhs - R(rx, 1, i, i, 1) / shx * (T("v", l, i) @ T("u", k, 1))
                 record("CD", lhs, rhs)
@@ -361,29 +371,31 @@ def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec) -> dict:
                + R(rmx, 1, i, i, 1) / shx * (T("u", 1, i) @ T("v", 1, 1)))
         record("AB", lhs, rhs)
 
-    # D B
+    # D B; the right-hand side's products do not depend on (i, l)
     for j in rng2:
+        vu = {(al, be): T("v", 1, be) @ T("u", j, al) for al in rng2 for be in rng2}
         for i in rng2:
             for l in rng2:
                 lhs = T("u", j, i) @ T("v", 1, l)
-                rhs = sum(R(rx, al, be, i, l) / shx * (T("v", 1, be) @ T("u", j, al))
+                rhs = sum(R(rx, al, be, i, l) / shx * vu[al, be]
                           for al in rng2 for be in rng2)
                 rhs = rhs - R(rx, j, 1, 1, j) / shx * (T("u", 1, i) @ T("v", j, l))
                 record("DB", lhs, rhs)
 
-    # B B
+    # B B and C C; the right-hand sides' products do not depend on (i, j)
+    vu = {(al, be): T("v", 1, be) @ T("u", 1, al) for al in rng2 for be in rng2}
     for i in rng2:
         for j in rng2:
             lhs = T("u", 1, i) @ T("v", 1, j)
-            rhs = sum(R(rx, al, be, i, j) / shxe * (T("v", 1, be) @ T("u", 1, al))
+            rhs = sum(R(rx, al, be, i, j) / shxe * vu[al, be]
                       for al in rng2 for be in rng2)
             record("BB", lhs, rhs)
 
-    # C C
+    uv = {(al, be): T("u", al, 1) @ T("v", be, 1) for al in rng2 for be in rng2}
     for i in rng2:
         for j in rng2:
             lhs = T("v", j, 1) @ T("u", i, 1)
-            rhs = sum(R(rx, i, j, al, be) / shxe * (T("u", al, 1) @ T("v", be, 1))
+            rhs = sum(R(rx, i, j, al, be) / shxe * uv[al, be]
                       for al in rng2 for be in rng2)
             record("CC", lhs, rhs)
 

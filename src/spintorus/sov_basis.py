@@ -24,8 +24,8 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import PoleProximityError, require_three_flavors
-from .monodromy import (_q, apply_entry, apply_entry_bra, scalar_a,
-                        vacuum_bra, vacuum_ket)
+from .monodromy import (_q, _site_matrices, _sweep, apply_entry,
+                        apply_entry_bra, scalar_a, vacuum_bra, vacuum_ket)
 from .tensor_core import _rel_resid
 
 POLE_TOL = 1e-12
@@ -124,15 +124,17 @@ def right_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
 def _grown_rows(labels, spec: ChainSpec, bra: bool) -> np.ndarray:
     """Left (``bra``) or right states of ``enumerate_basis`` labels stacked
     as rows: each extends the row of its label minus the last step by one
-    entry."""
+    entry, in one sweep per level and last step."""
     rows = np.empty((len(labels), spec.dim), dtype=complex)
     rows[0] = vacuum_bra(spec) if bra else vacuum_ket(spec)
     row = {_steps(idx): r for r, idx in enumerate(labels)}
+    groups: dict = {}       # labels come level by level, so parents grow first
     for steps, r in list(row.items())[1:]:
-        (f, p), parent = steps[-1], row[steps[:-1]]
-        u = spec.theta[p - 1]
-        rows[r] = (apply_entry_bra(u, f, 1, rows[parent], spec) if bra
-                   else apply_entry(u, 1, f, rows[parent], spec))
+        groups.setdefault((len(steps), steps[-1]), []).append((r, row[steps[:-1]]))
+    rs = [_site_matrices(u, spec, bra) for u in spec.theta]
+    for (_, (f, p)), pairs in groups.items():
+        grown, parents = np.array(pairs).T
+        rows[grown] = _sweep(rs[p - 1], *((f, 1) if bra else (1, f)), rows[parents], spec)
     return rows
 
 
@@ -200,21 +202,29 @@ def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
     label: the one-flavor norms of both blocks times the cross term
     sinh(theta_k - theta_l - eta) / sinh(theta_k - theta_l), k in block3,
     l in block2."""
-    require_three_flavors("the closed-form norm", spec.n, idx.blocks)
-    th = lambda p: spec.theta[p - 1]
-    cross = 1.0 + 0.0j
-    for k in idx.block3:
-        for l in idx.block2:
-            cross *= np.sinh(th(k) - th(l) - spec.eta) / np.sinh(th(k) - th(l))
-    return complex(_one_flavor_norm(idx.block2, spec)
-                   * _one_flavor_norm(idx.block3, spec) * cross)
+    return complex(_norms([idx], spec)[0])
+
+
+def _norms(labels, spec: ChainSpec) -> np.ndarray:
+    """``g_factor`` of each label, with the one-flavor norm of each distinct
+    site block taken once, from a table that lives for this call."""
+    th, one, out = (lambda p: spec.theta[p - 1]), {}, []
+    for idx in labels:
+        require_three_flavors("the closed-form norm", spec.n, idx.blocks)
+        for b in idx.blocks:
+            if b not in one:
+                one[b] = _one_flavor_norm(b, spec)
+        cross = prod((np.sinh(th(k) - th(l) - spec.eta) / np.sinh(th(k) - th(l))
+                      for k in idx.block3 for l in idx.block2), start=1.0 + 0.0j)
+        out.append(complex(one[idx.block2] * one[idx.block3] * cross))
+    return np.array(out)
 
 
 def verify_orthogonality(spec: ChainSpec) -> dict:
     """Gram diagnostics: diagonal vs closed form, off-diagonal leakage."""
     labels, bras, kets = basis_states(spec)
     gram = bras @ kets.T
-    expected = np.array([g_factor(ix, spec) for ix in labels])
+    expected = _norms(labels, spec)
     diag = np.diagonal(gram)
     diag_rel_err = float(np.max(np.abs(diag - expected) / np.abs(expected)))
     off = gram - np.diag(diag)
@@ -231,7 +241,7 @@ def verify_orthogonality(spec: ChainSpec) -> dict:
 def identity_resolution_residual(spec: ChainSpec) -> float:
     """Frobenius residual of sum_idx |idx><idx| / G_idx against the identity."""
     labels, bras, kets = basis_states(spec)
-    norms = np.array([g_factor(ix, spec) for ix in labels])
+    norms = _norms(labels, spec)
     return float(np.linalg.norm((kets / norms[:, None]).T @ bras - np.eye(spec.dim)))
 
 

@@ -107,6 +107,12 @@ def _nan_block_entry(blocks):
     return blocks
 
 
+def _nan_second(values):
+    values = values.copy()
+    values[1] = np.nan
+    return values
+
+
 def _nan_offdiag(report):
     return {**report, "offdiag_resid": float("nan")}
 
@@ -131,8 +137,8 @@ NAN_PLANTS = [
     ("vacuum-actions", checks, "scalar_d", 2, _nan),
     ("orthogonality", checks, "verify_orthogonality", 1, _nan_offdiag),
     ("decompositions", checks, "decomposition_residual", 2, _nan),
-    # orthogonality reads the 9 norms of the N=2 chain first
-    ("identity-resolution", sov_basis, "g_factor", 9 + 2, _nan),
+    # the second label's norm; orthogonality takes the N=2 chain's norms first
+    ("identity-resolution", sov_basis, "_norms", 1 + 1, _nan_second),
     # the second transfer of the product, read inside monodromy
     ("product-identity", monodromy, "transfer", 2, _nan_entry),
 ]

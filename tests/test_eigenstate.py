@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linear_sum_assignment
 
 import spintorus.eigenstate as eigenstate
+import spintorus.sov_basis as sov_basis
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.eigenstate import (Reconstructor, _kernel,
                                   _min_cost_matching, _pairings,
@@ -23,7 +24,7 @@ from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  homogeneous_transfer, monodromy_blocks,
                                  scalar_a, transfer, vacuum_bra)
 from spintorus.sov_basis import (BasisIndex, basis_states, enumerate_basis,
-                                 left_state)
+                                 g_factor, left_state)
 from spintorus.spectrum import OMEGA, brute_force_spectrum
 from spintorus.tensor_core import kron_chain, simultaneous_eigen
 from spintorus.rmatrix import twist_matrix
@@ -269,10 +270,11 @@ def test_reconstructor_reused_matches_fresh_reconstruct(
 
 
 def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
-    calls = {"_grown_rows": 0, "g_factor": 0, "g_m_function": 0}
+    calls = {"_grown_rows": 0, "_norms": 0, "f_factor": 0, "g_m_function": 0,
+             "_one_flavor_norm": 0}
 
-    def counted(name):
-        original = getattr(eigenstate, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -280,14 +282,19 @@ def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(eigenstate, name, counted(name))
+        owner = sov_basis if name == "_one_flavor_norm" else eigenstate
+        monkeypatch.setattr(owner, name, counted(owner, name))
     rebuild = Reconstructor(spec3)
     for rec in records3:
         rebuild.state(_lam_map(rec, spec3), _psi_bar0(rec, spec3))
-    # one ket stack and no bras, one norm per label, one kernel per pair of
-    # equal-size sets
-    assert calls == {"_grown_rows": 1, "g_factor": 27, "g_m_function": 20}
-    assert np.array_equal(rebuild.kets, basis_states(spec3)[2])
+    # one ket stack and no bras; one norm stack, taking one one-flavor norm
+    # per distinct site block (the 8 subsets of 3 sites); one kernel and one
+    # f_factor per pair of equal-size sets
+    assert calls == {"_grown_rows": 1, "_norms": 1, "f_factor": 20,
+                     "g_m_function": 20, "_one_flavor_norm": 8 + 20}
+    labels, _, kets = basis_states(spec3)
+    assert np.array_equal(rebuild.kets, kets)
+    assert np.array_equal(rebuild.norms, [g_factor(idx, spec3) for idx in labels])
 
 
 def test_reconstructor_refuses_one_record_and_keeps_going(spec2, records2):

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 import spintorus.monodromy as monodromy
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.checks import _points, run_checks
-from spintorus.monodromy import (_Sparse, _relation_residuals, _sparse_blocks,
-                                 apply_entry, apply_entry_bra,
+from spintorus.monodromy import (_Sparse, _relation_residuals, _site_matrices,
+                                 _sparse_blocks, _sweep, apply_entry, apply_entry_bra,
                                  conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  exchange_relation_residuals, fd4_derivative,
                                  global_hamiltonian, homogeneous_transfer,
@@ -78,6 +78,25 @@ def test_entry_action_matches_dense_blocks(n, N, rng):
                                   (apply_entry_bra(u, i, j, vec, spec), vec @ block)):
                     scale = max(float(np.abs(want).max()), 1e-300)
                     assert np.abs(got - want).max() / scale < 1e-14
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_stacked_sweep_equals_row_by_row_entries(N, rng):
+    """One sweep over a stack of rows gives each row the bits of its own
+    apply_entry or apply_entry_bra call."""
+    spec = default_spec(N=N)
+    u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for bra, one_row in ((False, apply_entry), (True, apply_entry_bra)):
+        rs = _site_matrices(u, spec, bra)
+        for i in range(1, 4):
+            for j in range(1, 4):
+                k = int(rng.integers(1, 9))
+                rows = (rng.standard_normal((k, spec.dim))
+                        + 1j * rng.standard_normal((k, spec.dim)))
+                stacked = _sweep(rs, i, j, rows, spec)
+                assert stacked.shape == rows.shape
+                for row, got in zip(rows, stacked):
+                    assert np.array_equal(got, one_row(u, i, j, row, spec))
 
 
 def test_vacuum_actions(spec2, rng):

@@ -51,10 +51,10 @@ def test_empty_label_gives_reference_states(spec2):
     assert_allclose(right_state(empty, spec2), vacuum_ket(spec2), atol=0)
 
 
-@pytest.mark.parametrize("n, N", [(3, 1), (3, 2), (3, 3), (3, 4),
+@pytest.mark.parametrize("n, N", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
                                   (2, 4), (4, 3)])
 def test_basis_states_match_per_label_states(n, N):
-    # the prefix-built stacks repeat the per-label products operation by
+    # the level-by-level stacks repeat the per-label products operation by
     # operation, so the rows are bit-identical to them
     spec = default_spec(n=n, N=N)
     labels, bras, kets = basis_states(spec)
