@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import DenseBudgetError, NonGenericSpecError
 
-# Dense complex storage only; n^N columns beyond N = 6 is past desk scale.
+# Dense complex storage only: past N = 6 sites, or past the n^N = 3^6 = 729
+# columns of the rank-3 chain there, is past desk scale.
 MAX_SITES = 6
 
 # Genericity floor: |sinh(.)| below this counts as a resonance.
@@ -34,8 +35,8 @@ class ChainSpec:
     Construction validates the genericity assumptions used throughout:
     pairwise distinct theta, no theta_j - theta_k resonance at +-eta, and
     sinh(eta) != 0, and no product past the double range.  Violations raise
-    ``NonGenericSpecError``; N > 6 raises ``DenseBudgetError`` before any
-    dense allocation can happen.
+    ``NonGenericSpecError``; N > 6 or n^N > 3^6 = 729 raises
+    ``DenseBudgetError`` before any dense allocation can happen.
     """
 
     n: int
@@ -48,11 +49,10 @@ class ChainSpec:
             raise NonGenericSpecError(f"local rank must be >= 2, got n={self.n}")
         if self.N < 1:
             raise NonGenericSpecError(f"need at least one site, got N={self.N}")
-        if self.N > MAX_SITES:
+        if self.N > MAX_SITES or self.n ** self.N > 3 ** MAX_SITES:
             raise DenseBudgetError(
-                f"N={self.N} exceeds the dense-storage budget (N <= {MAX_SITES}, "
-                f"dim = n^N complex entries per operator column)"
-            )
+                f"n^N = {self.n}^{self.N} exceeds the dense-storage budget "
+                f"(N <= {MAX_SITES} and n^N <= {3 ** MAX_SITES})")
         theta = tuple(complex(t) for t in self.theta)
         if len(theta) != self.N:
             raise NonGenericSpecError(

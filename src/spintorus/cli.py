@@ -141,22 +141,17 @@ def _tol(config: RunConfig, name: str) -> float:
 # Deterministic JSON rendering
 # ---------------------------------------------------------------------------
 
-def _c(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _scalar(obj) -> str:
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, complex):
+        return f"[{_scalar(obj.real)}, {_scalar(obj.imag)}]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
@@ -166,41 +161,33 @@ def render_json(obj, indent: int = 0) -> str:
     """Render to JSON text with floats at 17 significant digits.
 
     The built-in encoder offers no hook for float formatting, so the report
-    writer walks the structure itself; insertion order is preserved and
-    non-finite floats become null, keeping the output valid strict JSON.
+    writer walks the structure itself; insertion order is preserved,
+    non-finite floats become null, keeping the output valid strict JSON,
+    and a complex number becomes the pair [re, im].  A list of plain
+    numbers stays on one line; any other list puts one item per line.
     """
+    if not isinstance(obj, (list, tuple, dict)):
+        return _scalar(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     pad = "  " * indent
-    inner_pad = "  " * (indent + 1)
-    if type(obj) is list and obj and all(
-            type(v) is list and len(v) == 2 and type(v[0]) is float
-            and type(v[1]) is float for v in obj):
-        # [re, im] pairs, the bulk of a state vector: one pass, same bytes
-        body = ",\n".join(f"{inner_pad}[{_scalar(re)}, {_scalar(im)}]"
-                          for re, im in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if all(isinstance(v, (bool, int, float)) or v is None for v in items):
-            return "[" + ", ".join(_scalar(v) for v in items) + "]"
-        body = ",\n".join(inner_pad + render_json(v, indent + 1) for v in items)
-        return "[\n" + body + "\n" + pad + "]"
+    inner_pad = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         body = ",\n".join(inner_pad + json.dumps(str(k)) + ": "
                           + render_json(v, indent + 1) for k, v in obj.items())
         return "{\n" + body + "\n" + pad + "}"
-    return _scalar(obj)
+    if all(isinstance(v, (int, float)) or v is None for v in obj):
+        return "[" + ", ".join(map(_scalar, obj)) + "]"
+    body = (",\n" + inner_pad).join(render_json(v, indent + 1) for v in obj)
+    return "[\n" + inner_pad + body + "\n" + pad + "]"
 
 
 def config_block(config: RunConfig) -> dict:
     return {
         "n": config.n,
         "N": config.N,
-        "eta": _c(config.eta),
-        "theta": [_c(t) for t in config.theta],
+        "eta": config.eta,
+        "theta": config.theta,
         "rng_seed": config.rng_seed,
         "tolerances": {k: float(v) for k, v in sorted(config.tolerances.items())},
         "output_path": config.output_path or None,
@@ -260,15 +247,15 @@ def cmd_spectrum(config: RunConfig, spec: ChainSpec):
         row = {
             "index": i,
             "z_charge": rec.z_charge,
-            "residual": float(rec.residual),
-            "max_probe_residual": float(worst[i]),
-            "lambda_at_theta": [_c(l) for l in rec.lambda_theta],
-            "probe_eigenvalues": [_c(m) for m in rec.mu],
+            "residual": rec.residual,
+            "max_probe_residual": worst[i],
+            "lambda_at_theta": rec.lambda_theta,
+            "probe_eigenvalues": rec.mu,
         }
         if spec.N == 1 and spec.n == 3:
             dev = min(abs(rec.lambda_theta[0] / sh - OMEGA ** k)
                       for k in range(3))
-            row["closed_form_deviation"] = float(dev)
+            row["closed_form_deviation"] = dev
             if dev > cf_tol:
                 failures.append(f"record {i}: single-site eigenvalue off the "
                                 f"closed form by {dev:.3e}")
@@ -295,17 +282,17 @@ def cmd_bae(config: RunConfig, spec: ChainSpec):
     sols = []
     for k, sol in enumerate(result.solutions):
         matched, mismatch = match_by_sol.get(k, (None, None))
-        resid = float(np.abs(bae_residuals(sol, spec)).max())
+        resid = np.abs(bae_residuals(sol, spec)).max()
         sols.append({
             "index": k,
-            "roots": [[_c(x) for x in fam] for fam in sol.lambdas],
-            "f1_plus": _c(sol.f1_plus),
-            "f1_minus": _c(sol.f1_minus),
-            "f2_minus": _c(sol.f2_minus),
-            "phi1": _c(sol.phi1),
+            "roots": sol.lambdas,
+            "f1_plus": sol.f1_plus,
+            "f1_minus": sol.f1_minus,
+            "f2_minus": sol.f2_minus,
+            "phi1": sol.phi1,
             "max_residual": resid,
             "matched_record": matched,
-            "match_mismatch": None if mismatch is None else float(mismatch),
+            "match_mismatch": mismatch,
             "z_charge": None if matched is None else records[matched].z_charge,
         })
     matched_z = sorted({records[r].z_charge for r in result.matched_records})
@@ -314,7 +301,7 @@ def cmd_bae(config: RunConfig, spec: ChainSpec):
         "n_converged": result.n_converged,
         "n_collided": result.n_collided,
         "solutions": sols,
-        "coverage": float(result.coverage),
+        "coverage": result.coverage,
         "matched_records": sorted(result.matched_records),
         "matched_z_sectors": matched_z,
         "record_z_charges": [rec.z_charge for rec in records],
@@ -364,9 +351,9 @@ def cmd_reconstruct(config: RunConfig, spec: ChainSpec):
             "z_charge": rec.z_charge,
             "gauge": gauge,
             "one_minus_cos": one_minus_cos,
-            "max_residual": float(worst[i]),
-            "lambda_at_theta": [_c(l) for l in rec.lambda_theta],
-            "state": [_c(z) for z in unit],
+            "max_residual": worst[i],
+            "lambda_at_theta": rec.lambda_theta,
+            "state": unit.tolist(),
         })
         if one_minus_cos > tol_cos:
             failures.append(f"record {i}: reconstructed state misaligned by "
@@ -387,27 +374,26 @@ def cmd_homog(config: RunConfig, spec: ChainSpec):
     failures = []
     fams = []
     for fam in study.families:
-        angle_cf = fam.angle_closed_form
         fams.append({
             "index": fam.hom_index,
             "z_charge": fam.z_charge,
-            "lambda0": _c(fam.lam0),
-            "dlambda0": _c(fam.dlam0),
-            "distances": [float(d) for d in fam.distances],
+            "lambda0": fam.lam0,
+            "dlambda0": fam.dlam0,
+            "distances": fam.distances,
             "monotone": fam.monotone,
-            "angle_closed_form": None if math.isnan(angle_cf) else float(angle_cf),
-            "angle_eigenvector": float(fam.angle_eigenvector),
+            "angle_closed_form": fam.angle_closed_form,
+            "angle_eigenvector": fam.angle_eigenvector,
             "degenerate": fam.degenerate,
         })
         if not fam.monotone:
             failures.append(f"family {fam.hom_index}: Cauchy distances are "
                             "not monotonically decreasing")
-        elif not math.isnan(angle_cf) and angle_cf > angle_tol:
+        elif fam.angle_closed_form > angle_tol:     # False for NaN, N != 2
             failures.append(f"family {fam.hom_index}: closed-form angle "
-                            f"{angle_cf:.3e} exceeds {angle_tol:.3e}")
+                            f"{fam.angle_closed_form:.3e} exceeds {angle_tol:.3e}")
     body = {
-        "eps": [float(e) for e in study.eps],
-        "direction": [_c(t) for t in spec.theta],
+        "eps": study.eps,
+        "direction": spec.theta,
         "families": fams,
         "n_monotone": study.n_converged,
     }

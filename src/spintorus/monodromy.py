@@ -16,6 +16,8 @@ twisted auxiliary trace; for rank 3 it reads B_2(u) + D^2_3(u) + C^3(u).
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .chain import ChainSpec
@@ -404,15 +406,21 @@ def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec) -> dict:
         for be in range(1, n + 1):
             lhs = T("u", al, be) @ T("v", al, be) - T("v", al, be) @ T("u", al, be)
             record("TT1", lhs, 0 * lhs)
-            if al == be:
-                continue
-            lhs = T("u", al, al) @ T("v", be, be) - T("v", be, be) @ T("u", al, al)
-            rhs = (R(rx, be, al, al, be) * (T("v", be, al) @ T("u", al, be))
-                   - R(rx, al, be, be, al) * (T("u", be, al) @ T("v", al, be))) / shx
-            record("TT2", lhs, rhs)
-            lhs = T("u", al, be) @ T("v", be, al) - T("v", be, al) @ T("u", al, be)
-            rhs = R(rx, al, be, be, al) / shx * (
-                T("v", be, be) @ T("u", al, al) - T("u", be, be) @ T("v", al, al))
-            record("TT3", lhs, rhs)
+
+    # TT2's right-hand side holds TT3's left-hand products and the other way
+    # round, so the 8 products of a pair {al, be} serve both of its orders
+    for al, be in combinations(range(1, n + 1), 2):
+        orders = ((al, be), (be, al))
+        diag = {(a, b): (T("u", a, a) @ T("v", b, b), T("v", b, b) @ T("u", a, a))
+                for a, b in orders}
+        off = {(a, b): (T("u", a, b) @ T("v", b, a), T("v", b, a) @ T("u", a, b))
+               for a, b in orders}
+        for a, b in orders:
+            rhs = (R(rx, b, a, a, b) * off[a, b][1]
+                   - R(rx, a, b, b, a) * off[b, a][0]) / shx
+            record("TT2", diag[a, b][0] - diag[a, b][1], rhs)
+            rhs = R(rx, a, b, b, a) / shx * (diag[a, b][1] - diag[b, a][0])
+            record("TT3", off[a, b][0] - off[a, b][1], rhs)
+        del diag, off, rhs      # one pair's products alive at a time
 
     return out

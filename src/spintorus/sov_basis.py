@@ -124,15 +124,16 @@ def right_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
 def _grown_rows(labels, spec: ChainSpec, bra: bool) -> np.ndarray:
     """Left (``bra``) or right states of ``enumerate_basis`` labels stacked
     as rows: each extends the row of its label minus the last step by one
-    entry, in one sweep per level and last step."""
+    entry, in one sweep per last step (flavor, site); in sorted order, a
+    parent's last step comes before its children's."""
     rows = np.empty((len(labels), spec.dim), dtype=complex)
     rows[0] = vacuum_bra(spec) if bra else vacuum_ket(spec)
     row = {_steps(idx): r for r, idx in enumerate(labels)}
-    groups: dict = {}       # labels come level by level, so parents grow first
+    groups: dict = {}
     for steps, r in list(row.items())[1:]:
-        groups.setdefault((len(steps), steps[-1]), []).append((r, row[steps[:-1]]))
+        groups.setdefault(steps[-1], []).append((r, row[steps[:-1]]))
     rs = [_site_matrices(u, spec, bra) for u in spec.theta]
-    for (_, (f, p)), pairs in groups.items():
+    for (f, p), pairs in sorted(groups.items()):
         grown, parents = np.array(pairs).T
         rows[grown] = _sweep(rs[p - 1], *((f, 1) if bra else (1, f)), rows[parents], spec)
     return rows

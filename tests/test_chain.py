@@ -43,6 +43,19 @@ def test_dense_budget_enforced():
         ChainSpec(n=3, N=7, eta=0.5, theta=theta)
 
 
+@pytest.mark.parametrize("n, N", [(5, 6), (8, 6), (20, 3), (4, 5), (28, 2),
+                                  (730, 1)])
+def test_dense_budget_counts_dimensions(n, N):
+    # refused at construction, before any operator of dimension n^N exists
+    with pytest.raises(DenseBudgetError, match=r"n\^N <= 729"):
+        ChainSpec(n=n, N=N, eta=0.5, theta=default_theta(N))
+
+
+@pytest.mark.parametrize("n, N", [(3, 6), (2, 6), (4, 4), (9, 3), (27, 2)])
+def test_dense_budget_accepts_up_to_the_rank_three_chain(n, N):
+    assert ChainSpec(n=n, N=N, eta=0.5, theta=default_theta(N)).dim <= 3 ** 6
+
+
 def test_wrong_theta_count_rejected():
     with pytest.raises(NonGenericSpecError, match="expected 2"):
         ChainSpec(n=3, N=2, eta=0.5, theta=(0.1,))

@@ -120,6 +120,18 @@ def test_render_json_pair_lists_match_the_generic_walk(items):
     nested = {"state": items}
     assert render_json(nested) == ('{\n  "state": '
                                    + _reference_render(items, 1) + "\n}")
+    if not all(len(v) == 2 and all(isinstance(x, float) for x in v)
+               for v in items):
+        return
+    # a complex number, builtin or numpy, renders as the pair [re, im] of
+    # its parts, alone, in a list or tuple, and nested
+    for kind in (complex, np.complex128):
+        values = [kind(complex(re, im)) for re, im in items]
+        for indent in (0, 2):
+            for seq in (values, tuple(values)):
+                assert render_json(seq, indent) == _reference_render(items, indent)
+        assert render_json({"z": values[0], "zs": [values]}) == render_json(
+            {"z": items[0], "zs": [items]})
 
 
 def test_render_json_preserves_key_order():
@@ -129,7 +141,7 @@ def test_render_json_preserves_key_order():
 
 def test_render_json_rejects_unsupported_types():
     with pytest.raises(TypeError):
-        render_json({"z": 1 + 2j})
+        render_json({"z": object()})
 
 
 def test_verify_report_and_exit(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import spintorus.monodromy as monodromy
+import spintorus.sov_basis as sov_basis
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.cli import load_config, run
 from spintorus.eigenstate import Reconstructor, closed_form_two_site
@@ -53,11 +55,21 @@ def test_empty_label_gives_reference_states(spec2):
 
 @pytest.mark.parametrize("n, N", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
                                   (2, 4), (4, 3)])
-def test_basis_states_match_per_label_states(n, N):
-    # the level-by-level stacks repeat the per-label products operation by
-    # operation, so the rows are bit-identical to them
+def test_basis_states_match_per_label_states(n, N, monkeypatch):
+    # the stacked sweeps repeat the per-label products operation by
+    # operation, so the rows are bit-identical to them; one sweep per last
+    # step (flavor, site) and side
     spec = default_spec(n=n, N=N)
+    entries = []
+
+    def counted(rs, i, j, rows, spec):
+        entries.append((i, j))
+        return monodromy._sweep(rs, i, j, rows, spec)
+
+    monkeypatch.setattr(sov_basis, "_sweep", counted)
     labels, bras, kets = basis_states(spec)
+    bra_sweeps = sum(j == 1 for _, j in entries)   # bras apply C^f = T_f1
+    assert bra_sweeps == len(entries) - bra_sweeps == (n - 1) * N
     assert labels == enumerate_basis(spec)
     assert bras.shape == kets.shape == (spec.dim, spec.dim)
     for row, idx in enumerate(labels):
