@@ -100,45 +100,79 @@ def _vector(sol: TQSolution) -> np.ndarray:
                     dtype=complex)
 
 
-def _residuals(z: np.ndarray, spec: ChainSpec) -> np.ndarray:
+def _root_factors(z: np.ndarray, spec: ChainSpec, family=None) -> dict:
+    """The root-dependent factors of the constraint system for rows z laid
+    out as ``_vector``, each (B, N): its 13 sinh-table products (q1e2 is
+    q(l1 + eta, l2)) and each family's exponentials; with ``family`` given,
+    only those that read root family ``family`` (0..3)."""
+    eta, N = spec.eta, spec.N
+    theta = np.asarray(spec.theta)
+    lam = z[:, :4 * N].reshape(-1, 4, N)
+    l1, l2, l3, l4 = (lam[:, i, :] for i in range(4))
+    fams = {0, 1, 2, 3} if family is None else {family}
+
+    def pair(x, y):
+        # q(x, y) and q(y, x) from one table (sinh is odd); a product over
+        # the strided transpose would round differently, so it is copied
+        s = np.sinh(x[..., :, None] - y[..., None, :])
+        return (np.prod(s, axis=-1),
+                np.prod(-np.ascontiguousarray(s.swapaxes(-1, -2)), axis=-1))
+
+    g = {}
+    if fams & {0, 1}:
+        g["q1e2"], g["q2e1"] = _q(l1 + eta, l2), _q(l2 - eta, l1)
+        g["q12"], g["q21"] = pair(l1, l2)
+    if fams & {0, 3}:
+        g["q14"], g["q41"] = pair(l1, l4)
+    if fams & {1, 2}:
+        g["q2e3"], g["q3e2"] = _q(l2 - eta, l3), _q(l3 + eta, l2)
+    if fams & {2, 3}:
+        g["q3e4"], g["q4e3"] = _q(l3 + eta, l4), _q(l4 - eta, l3)
+        g["q34"], g["q43"] = pair(l3, l4)
+    if 0 in fams:
+        g["a1"], g["g1"] = _a(l1, theta, eta), np.exp(-l1 - 2 * eta / 3)
+        g["e1"], g["em1"] = np.exp(l1), np.exp(-l1)
+    if 1 in fams:
+        g["d2"], g["e2"], g["em2"] = _q(l2, theta), np.exp(l2), np.exp(-l2)
+    if 2 in fams:
+        g["a3"], g["g3"] = _a(l3, theta, eta), np.exp(-l3 - 4 * eta / 3)
+        g["em3"] = np.exp(-l3)
+    if 3 in fams:
+        g["a4"], g["g4"] = _a(l4, theta, eta), np.exp(-l4 - 2 * eta / 3)
+        g["em4"] = np.exp(-l4)
+    return g
+
+
+def _residuals(z: np.ndarray, spec: ChainSpec, g=None) -> np.ndarray:
     """Constraint values for a batch of unknown rows laid out as ``_vector``:
     (B, 4N + 4) complex in, (B, 4N + 4) complex out.
 
-    One array sweep per call, so the differenced Jacobian costs a single
-    call for all of its columns.
+    ``g(name)`` reads the rows' ``_root_factors``, each built once per row;
+    the differenced Jacobian (``_difference_residuals``) passes its own.
     """
     eta = spec.eta
     N = spec.N
     theta = np.asarray(spec.theta)
+    g = _root_factors(z, spec).__getitem__ if g is None else g
     lam = z[:, :4 * N].reshape(-1, 4, N)                  # (B, 4, N)
     f1p, f1m, f2m, phi = (z[:, 4 * N + i] for i in range(4))
     ephi = np.exp(phi)
-    l1, l2, l3, l4 = (lam[:, i, :] for i in range(4))     # (B, N) each
 
-    def a(x):
-        return _a(x, theta, eta)
+    def f1(e, em):   # f1(x) from e^x and e^-x
+        return f1p[:, None] * e + f1m[:, None] * em
 
-    def d(x):
-        return _q(x, theta)
-
-    def f1(x):
-        return f1p[:, None] * np.exp(x) + f1m[:, None] * np.exp(-x)
-
-    def f2(x):
-        return f2m[:, None] * np.exp(-x)
+    def f2(em):
+        return f2m[:, None] * em
 
     out = np.empty((z.shape[0], 4 * N + 4), dtype=complex)
-    out[:, 0:N] = (OMEGA / ephi[:, None] * np.exp(-l1 - 2 * eta / 3)
-                   * _q(l1 + eta, l2) / _q(l1, l4)
-                   + a(l1) * f1(l1) / _q(l1, l2))
-    out[:, N:2 * N] = (ephi[:, None] * np.exp(l2) * _q(l2 - eta, l1)
-                       + d(l2) * _q(l2 - eta, l3) * f1(l2) / _q(l2, l1))
-    out[:, 2 * N:3 * N] = (OMEGA ** 2 * np.exp(-l3 - 4 * eta / 3)
-                           * _q(l3 + eta, l4)
-                           + a(l3) * _q(l3 + eta, l2) * f2(l3) / _q(l3, l4))
-    out[:, 3 * N:4 * N] = (OMEGA / ephi[:, None] * np.exp(-l4 - 2 * eta / 3)
-                           * _q(l4 - eta, l3) / _q(l4, l1)
-                           + a(l4) * f2(l4) / _q(l4, l3))
+    out[:, 0:N] = (OMEGA / ephi[:, None] * g("g1") * g("q1e2") / g("q14")
+                   + g("a1") * f1(g("e1"), g("em1")) / g("q12"))
+    out[:, N:2 * N] = (ephi[:, None] * g("e2") * g("q2e1")
+                       + g("d2") * g("q2e3") * f1(g("e2"), g("em2")) / g("q21"))
+    out[:, 2 * N:3 * N] = (OMEGA ** 2 * g("g3") * g("q3e4")
+                           + g("a3") * g("q3e2") * f2(g("em3")) / g("q34"))
+    out[:, 3 * N:4 * N] = (OMEGA / ephi[:, None] * g("g4") * g("q4e3") / g("q41")
+                           + g("a4") * f2(g("em4")) / g("q43"))
     ts = np.sum(theta)
     c1, c2, c3, c4 = (np.sum(lam[:, i, :], axis=1) for i in range(4))
     out[:, 4 * N] = (ephi * np.exp(-ts - c1 + c2)
@@ -224,8 +258,9 @@ def _full_space_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
 
     The oracle of ``brute_force_spectrum``, and the spectrum that
     ``homogeneous_limit_study`` reads: the homog N=2 golden pins the last
-    bits of this arithmetic, so homog stays on it until the SoV precision
-    work (ROADMAP item 3) re-derives that golden.
+    bits of this arithmetic, so homog stays on it until homog moves to the
+    charge sectors (ROADMAP item 2) and that golden is re-derived against
+    the SoV precision oracle (ROADMAP item 1).
     """
     require_three_flavors("brute_force_spectrum", spec.n)
     records_raw, _, wmat, resid = simultaneous_eigen(
@@ -410,6 +445,39 @@ def _chunked_residuals(z: np.ndarray, spec: ChainSpec) -> np.ndarray:
                                for lo in range(0, len(z), RESIDUAL_CHUNK)])
 
 
+def _difference_residuals(z: np.ndarray, spec: ChainSpec) -> np.ndarray:
+    """``_residuals`` at z[s] + NEWTON_FD_STEP e_j for every row s and unknown
+    j, (S, 4N + 4, 4N + 4), bit-identical to full evaluations.  The rows of a
+    start share its unshifted factors; a family's rows rebuild only the 5 or
+    6 sinh tables that read it, the coefficient rows none.  Chunks hold
+    3 * RESIDUAL_CHUNK values (85 starts at N=2), which with their factors
+    keeps the memory of the plain difference rows of 180 starts."""
+    S, dim = z.shape
+    N = spec.N
+    per_chunk = max(1, 3 * RESIDUAL_CHUNK // dim ** 2)
+    out = np.empty((S, dim, dim), dtype=complex)
+    with np.errstate(all="ignore"):
+        for lo in range(0, S, per_chunk):
+            zc = z[lo:lo + per_chunk]
+            zs = zc[:, None, :] + NEWTON_FD_STEP * np.eye(dim)
+            # off its shift a row holds zc + 0.0: a -0.0 there is +0.0, and
+            # the sign can show in a residual that is exactly zero
+            base = _root_factors(zc + 0.0, spec)
+            rebuilt = [_root_factors(zs[:, k * N:(k + 1) * N].reshape(-1, dim),
+                                     spec, family=k) for k in range(4)]
+
+            def spread(name):   # built when read, so few copies live at once
+                v = np.repeat(base[name], dim, axis=0).reshape(-1, dim, N)
+                for k, fam in enumerate(rebuilt):
+                    if name in fam:
+                        v[:, k * N:(k + 1) * N] = fam[name].reshape(-1, N, N)
+                return v.reshape(-1, N)
+
+            out[lo:lo + per_chunk] = _residuals(
+                zs.reshape(-1, dim), spec, spread).reshape(-1, dim, dim)
+    return out
+
+
 def _max_norm(f: np.ndarray) -> np.ndarray:
     """Largest |Re| or |Im| over each row of a complex stack."""
     return np.maximum(np.abs(f.real), np.abs(f.imag)).max(axis=1)
@@ -438,7 +506,8 @@ def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int):
 
     Each start runs the arithmetic it would run alone: a forward-difference
     Jacobian with one column per unknown (the residuals are holomorphic, so
-    a step of ``NEWTON_FD_STEP`` along the real axis gives dF/dz), a full step
+    a step of ``NEWTON_FD_STEP`` along the real axis gives dF/dz; see
+    ``_difference_residuals`` for the factors its rows share), a full step
     halved up to 14 times until the residual max-norm drops by the factor
     (1 - 1e-4 t), and a stop below 1e-13.  The max-norm is the largest |Re|
     or |Im| of any component.  A start leaves the batch when it stops.
@@ -446,7 +515,6 @@ def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int):
     start) and each start's exit class from ``NEWTON_EXITS``.
     """
     z = np.array(z0, dtype=complex)
-    dim = z.shape[1]
     f = _chunked_residuals(z, spec)
     fnorm = _max_norm(f)
     exits = np.full(len(z), "max_iter", dtype=object)
@@ -454,7 +522,6 @@ def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int):
     fnorm[~finite] = np.inf
     exits[~finite] = "nonfinite_start"
     active = np.flatnonzero(finite)
-    shifts = NEWTON_FD_STEP * np.eye(dim)
     for _ in range(max_iter):
         done = fnorm[active] < 1e-13
         exits[active[done]] = "converged"
@@ -462,8 +529,7 @@ def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int):
         if not active.size:
             break
         fa = f[active]
-        fp = _chunked_residuals((z[active][:, None, :] + shifts).reshape(-1, dim),
-                                spec).reshape(-1, dim, dim)
+        fp = _difference_residuals(z[active], spec)
         ok = np.isfinite(fp).all(axis=(1, 2))
         exits[active[~ok]] = "nonfinite_jacobian"
         active, fa, fp = active[ok], fa[ok], fp[ok]

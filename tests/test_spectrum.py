@@ -7,10 +7,12 @@ import spintorus.spectrum as spectrum_module
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.errors import (InconsistencyError, NonGenericSpecError,
                               UnsupportedRankError)
-from spintorus.monodromy import _a_product, scalar_a, transfer, twist_operator
-from spintorus.spectrum import (NEWTON_EXITS, OMEGA, RESIDUAL_CHUNK,
-                                TQSolution, U_PROBES, _canonical,
-                                _chunked_residuals, _full_space_spectrum,
+from spintorus.monodromy import (_a, _a_product, _q, scalar_a, transfer,
+                                 twist_operator)
+from spintorus.spectrum import (NEWTON_EXITS, NEWTON_FD_STEP, OMEGA,
+                                RESIDUAL_CHUNK, TQSolution, U_PROBES,
+                                _canonical, _chunked_residuals,
+                                _difference_residuals, _full_space_spectrum,
                                 _newton, _newton_steps, _residuals,
                                 _roots_separated, _same_solution,
                                 _twist_charge, _twist_orbits, _vector,
@@ -359,6 +361,126 @@ def test_lockstep_newton_is_batch_independent(N, rng):
         assert_array_equal(xs[k], x1[0])
         assert_array_equal(fnorms[k], fnorm1[0])
         assert exits[k] == exit1[0]
+
+
+def _residuals_oracle(z, spec):
+    """The constraint values written out term by term, every sinh table and
+    exponential built where it is read: the bit-identity oracle of
+    ``_residuals``, which builds each of them once per row."""
+    eta, N = spec.eta, spec.N
+    theta = np.asarray(spec.theta)
+    lam = z[:, :4 * N].reshape(-1, 4, N)
+    f1p, f1m, f2m, phi = (z[:, 4 * N + i] for i in range(4))
+    ephi = np.exp(phi)
+    l1, l2, l3, l4 = (lam[:, i, :] for i in range(4))
+
+    def a(x):
+        return _a(x, theta, eta)
+
+    def d(x):
+        return _q(x, theta)
+
+    def f1(x):
+        return f1p[:, None] * np.exp(x) + f1m[:, None] * np.exp(-x)
+
+    def f2(x):
+        return f2m[:, None] * np.exp(-x)
+
+    out = np.empty((z.shape[0], 4 * N + 4), dtype=complex)
+    out[:, 0:N] = (OMEGA / ephi[:, None] * np.exp(-l1 - 2 * eta / 3)
+                   * _q(l1 + eta, l2) / _q(l1, l4)
+                   + a(l1) * f1(l1) / _q(l1, l2))
+    out[:, N:2 * N] = (ephi[:, None] * np.exp(l2) * _q(l2 - eta, l1)
+                       + d(l2) * _q(l2 - eta, l3) * f1(l2) / _q(l2, l1))
+    out[:, 2 * N:3 * N] = (OMEGA ** 2 * np.exp(-l3 - 4 * eta / 3)
+                           * _q(l3 + eta, l4)
+                           + a(l3) * _q(l3 + eta, l2) * f2(l3) / _q(l3, l4))
+    out[:, 3 * N:4 * N] = (OMEGA / ephi[:, None] * np.exp(-l4 - 2 * eta / 3)
+                           * _q(l4 - eta, l3) / _q(l4, l1)
+                           + a(l4) * f2(l4) / _q(l4, l3))
+    ts = np.sum(theta)
+    c1, c2, c3, c4 = (np.sum(lam[:, i, :], axis=1) for i in range(4))
+    out[:, 4 * N] = (ephi * np.exp(-ts - c1 + c2)
+                     + np.exp(-2 * ts + c1 + c2 - c3) * f1p)
+    out[:, 4 * N + 1] = (OMEGA / ephi * np.exp(-2 * eta / 3 + ts - c1 + c2 + c3 - c4)
+                         + OMEGA ** 2 * np.exp(-4 * eta / 3 + ts - c3 + c4 - N * eta)
+                         + np.exp(2 * ts - N * eta)
+                         * (np.exp(-c1 - c2 + c3 + N * eta) * f1m
+                            + np.exp(c2 - c3 - c4 - N * eta) * f2m))
+    out[:, 4 * N + 2] = (OMEGA * np.exp(-ts - c3 + c4)
+                         + OMEGA ** 2 * ephi
+                         * np.exp(-2 * eta / 3 - ts - c1 + c2 + c3 - c4 + N * eta)
+                         + np.exp(-2 * ts + N * eta)
+                         * (OMEGA ** 2 * np.exp(-2 * eta / 3 + c1 + c2 - c4) * f1p
+                            + ephi * np.exp(2 * eta / 3 - c1 + c3 + c4 + N * eta) * f2m))
+    out[:, 4 * N + 3] = (np.exp(-4 * eta / 3 + ts - c1 + c2 - N * eta) / ephi
+                         + OMEGA ** 2
+                         * np.exp(-2 * eta / 3 + 2 * ts - c1 - c2 + c4 - N * eta) * f1m)
+    return out
+
+
+def _assert_same_bits(got, want):
+    # finite parts equal bit for bit, non-finite parts in the same places; a
+    # NaN's sign and payload are not compared (a negated table may flip them)
+    g, w = got.view(float), want.view(float)
+    finite = np.isfinite(w)
+    assert_array_equal(np.isfinite(g), finite)
+    assert_array_equal(g[finite].view(np.int64), w[finite].view(np.int64))
+
+
+# (Re, Im) of rows whose constraint values hold exact zeros, with signs that
+# follow the zero signs of the row: found by a search over the lattice
+# {0, -0, 1, -1, 0.5} at N = 1, 2
+_SIGNED_ZERO_ROWS = {
+    1: ((1, 0), (0.5, -0.0), (0, -0.0), (-0.0, 0.5), (-1, 1), (0, 0.5),
+        (0, 0.5), (0.5, -0.0)),
+    2: ((-1, 0.5), (1, 1), (0, 0.5), (-0.0, -1), (1, 0.5), (0, -0.0), (0, 1),
+        (0.5, 0), (-1, 0), (0.5, -0.0), (0, 0), (0, 0)),
+}
+
+
+def _hard_rows(spec, count, rng):
+    """Starts of order one, a quarter of them blown up 400-fold so that sinh
+    and the products overflow, with collided roots planted (family 2 on
+    family 1, so q(l1, l2) = 0; family 4 on family 1; two roots of family 1
+    on each other) and one row of signed zeros."""
+    N = spec.N
+    z = _random_starts(spec, count, rng)
+    z[::4] *= 400
+    z[1::7, N] = z[1::7, 0]
+    z[2::9, 3 * N] = z[2::9, 0]
+    z[3::5, N - 1] = z[3::5, 0]
+    z[5] = [complex(*x) for x in _SIGNED_ZERO_ROWS[N]]
+    return z
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_residuals_keep_the_bits_of_the_term_by_term_formula(N, rng):
+    spec = default_spec(N=N)
+    z = _hard_rows(spec, 400, rng)
+    with np.errstate(all="ignore"):
+        got, want = _residuals(z, spec), _residuals_oracle(z, spec)
+    finite = np.isfinite(want).all(axis=1)
+    assert 0 < finite.sum() < len(z) - 100
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_difference_rows_equal_full_evaluations(N, rng):
+    # the Jacobian's shifted rows reuse the factors their shift leaves alone;
+    # each still equals the full _residuals of its row, here over a stack of
+    # more than RESIDUAL_CHUNK rows, so over several chunks of either route
+    spec = default_spec(N=N)
+    dim = 4 * N + 4
+    count = RESIDUAL_CHUNK // dim + 40
+    z = _hard_rows(spec, count, rng)
+    got = _difference_residuals(z, spec)
+    shifted = (z[:, None, :] + NEWTON_FD_STEP * np.eye(dim)).reshape(-1, dim)
+    want = _chunked_residuals(shifted, spec).reshape(-1, dim, dim)
+    ok = np.isfinite(want).all(axis=(1, 2))
+    assert 0 < ok.sum() < count - 100
+    assert_array_equal(np.isfinite(got).all(axis=(1, 2)), ok)
+    _assert_same_bits(got, want)
 
 
 def test_singular_newton_system_fails_alone(rng):
