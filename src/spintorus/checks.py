@@ -11,18 +11,20 @@ byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .chain import DEFAULT_SEED, ChainSpec
 from .errors import require_three_flavors
-from .monodromy import (_Sparse, _sparse_blocks, conjugate_vacuum_ket,
-                        exchange_relation_residuals, product_identity_residual,
-                        scalar_a, scalar_d, transfer, vacuum_ket)
+from .monodromy import (_Tiles, _tiled_blocks, _tiled_transfer, _weights,
+                        conjugate_vacuum_ket, exchange_relation_residuals,
+                        product_identity_residual, scalar_a, scalar_d,
+                        vacuum_ket)
 from .rmatrix import (crossing_residual, fusion_rank,
                       initial_condition_residual, qybe_residual,
                       twist_invariance_residual, unitarity_residual)
-from .sov_basis import (_grown_rows, decomposition_residual, enumerate_basis,
+from .sov_basis import (basis_states, decomposition_residual,
                         identity_resolution_residual, verify_orthogonality)
 from .tensor_core import _rel_resid, _worst
 
@@ -45,7 +47,7 @@ def _points(rng: np.random.Generator, count: int):
     return [complex(a, b) for a, b in zip(re, im)]
 
 
-def _check_qybe(spec: ChainSpec, rng: np.random.Generator):
+def _check_qybe(spec: ChainSpec, rng: np.random.Generator, basis):
     pts = _points(rng, 15)
     worst = _worst([initial_condition_residual(spec.n, spec.eta)]
                    + [qybe_residual(spec.n, spec.eta, u1, u2, u3)
@@ -53,39 +55,39 @@ def _check_qybe(spec: ChainSpec, rng: np.random.Generator):
     return worst, "three-space relation at 5 random point triples plus the u = 0 permutation limit"
 
 
-def _check_unitarity(spec: ChainSpec, rng: np.random.Generator):
+def _check_unitarity(spec: ChainSpec, rng: np.random.Generator, basis):
     worst = _worst(unitarity_residual(u, spec.n, spec.eta) for u in _points(rng, 6))
     return worst, "R(u) R_swapped(-u) proportional to the identity at 6 random points"
 
 
-def _check_crossing(spec: ChainSpec, rng: np.random.Generator):
+def _check_crossing(spec: ChainSpec, rng: np.random.Generator, basis):
     worst = _worst(crossing_residual(u, spec.n, spec.eta) for u in _points(rng, 6))
     return worst, "partial-transpose inversion identity at 6 random points"
 
 
-def _check_fusion_rank(spec: ChainSpec, rng: np.random.Generator):
+def _check_fusion_rank(spec: ChainSpec, rng: np.random.Generator, basis):
     expected = spec.n * (spec.n - 1) // 2
     rank = fusion_rank(spec.n, spec.eta)
     return float(abs(rank - expected)), (
         f"rank of R(-eta) is {rank}, antisymmetriser dimension is {expected}")
 
 
-def _check_twist_invariance(spec: ChainSpec, rng: np.random.Generator):
+def _check_twist_invariance(spec: ChainSpec, rng: np.random.Generator, basis):
     worst = _worst(twist_invariance_residual(u, spec.n, spec.eta)
                    for u in _points(rng, 6))
     return worst, "conjugation by the cyclic twist on both factors at 6 random points"
 
 
-def _check_commuting_transfer(spec: ChainSpec, rng: np.random.Generator):
+def _check_commuting_transfer(spec: ChainSpec, rng: np.random.Generator, basis):
     resids = []
     pts = _points(rng, 6)
     for u, v in zip(pts[0::2], pts[1::2]):
-        tu, tv = transfer(u, spec), transfer(v, spec)
+        tu, tv = _tiled_transfer(u, spec), _tiled_transfer(v, spec)
         resids.append(_rel_resid(tu @ tv, tv @ tu))
     return _worst(resids), "commutator of transfer matrices at 3 random spectral pairs"
 
 
-def _check_exchange_relations(spec: ChainSpec, rng: np.random.Generator):
+def _check_exchange_relations(spec: ChainSpec, rng: np.random.Generator, basis):
     resids = []
     families: set = set()
     pts = _points(rng, 4)
@@ -97,17 +99,19 @@ def _check_exchange_relations(spec: ChainSpec, rng: np.random.Generator):
                             "dense operator identities at 2 random spectral pairs")
 
 
-def _check_vacuum_actions(spec: ChainSpec, rng: np.random.Generator):
+def _check_vacuum_actions(spec: ChainSpec, rng: np.random.Generator, basis):
+    weights = _weights(spec.n, spec.N)
+
     def projector(vec):     # |v><v| of a one-entry reference state
         (at,) = np.flatnonzero(vec)
-        return _Sparse(np.array([at * (spec.dim + 1)]), vec[[at]], spec.dim)
+        return _Tiles.group(np.array([at * (spec.dim + 1)]), vec[[at]], *weights)
 
     # T @ P keeps the column T|v> of a block, P @ T the row <v|T
     k0 = b0 = projector(vacuum_ket(spec))
     kc = bc = projector(conjugate_vacuum_ket(spec))
     resids = []
     for u in _points(rng, 4):
-        blocks = _sparse_blocks(u, spec.n, spec.eta, spec.theta)
+        blocks = _tiled_blocks(u, spec)
         a, d = scalar_a(u, spec), scalar_d(u, spec)
         scale = max(_worst(abs(b).max() for row in blocks for b in row), 1.0)
         gaps = [blocks[0][0] @ k0 - a * k0, b0 @ blocks[0][0] - a * b0,
@@ -128,39 +132,41 @@ def _check_vacuum_actions(spec: ChainSpec, rng: np.random.Generator):
                             "conjugate product states at 4 random points")
 
 
-def _check_orthogonality(spec: ChainSpec, rng: np.random.Generator):
-    report = verify_orthogonality(spec)
+def _check_orthogonality(spec: ChainSpec, rng: np.random.Generator, basis):
+    report = verify_orthogonality(spec, basis())
     worst = _worst((report["diag_rel_err"], report["offdiag_resid"]))
     return worst, ("Gram matrix of the separated basis: diagonal against the "
                    "closed-form norms, off-diagonal leakage against zero")
 
 
-def _check_identity_resolution(spec: ChainSpec, rng: np.random.Generator):
-    worst = identity_resolution_residual(spec)
+def _check_identity_resolution(spec: ChainSpec, rng: np.random.Generator, basis):
+    worst = identity_resolution_residual(spec, basis())
     return worst, "Frobenius distance of the weighted outer-product sum from the identity"
 
 
-def _check_decompositions(spec: ChainSpec, rng: np.random.Generator):
-    basis = enumerate_basis(spec)
-    bras = dict(zip(basis, _grown_rows(basis, spec, bra=True)))
+def _check_decompositions(spec: ChainSpec, rng: np.random.Generator, basis):
+    labels, rows, _ = basis()
+    bras = dict(zip(labels, rows))
     if spec.N > 3:
-        picks = sorted(rng.choice(len(basis), size=12, replace=False))
-        basis = [basis[int(i)] for i in picks]
+        picks = sorted(rng.choice(len(labels), size=12, replace=False))
+        labels = [labels[int(i)] for i in picks]
     pts = _points(rng, 2)
     worst = _worst(decomposition_residual(op, u, idx, bras, spec)
                    for op in ("D33", "D23", "D32", "B3", "C3")
-                   for idx in basis for u in pts)
+                   for idx in labels for u in pts)
     return worst, (f"coefficient expansions of 5 monodromy entries on "
-                   f"{len(basis)} basis bras at 2 random points")
+                   f"{len(labels)} basis bras at 2 random points")
 
 
-def _check_product_identity(spec: ChainSpec, rng: np.random.Generator):
+def _check_product_identity(spec: ChainSpec, rng: np.random.Generator, basis):
     worst = product_identity_residual(spec)
     return worst, ("product of transfer matrices over the inhomogeneity "
                    "points against the scalar-weighted twist operator")
 
 
 # Registry: name -> (function, default tolerance).  Order is the report order.
+# A check is called as function(spec, rng, basis): ``basis()`` returns the
+# ``basis_states`` of the chain, built once per ``run_checks`` call.
 CHECKS = (
     ("QYBE", _check_qybe, 1e-11),
     ("unitarity", _check_unitarity, 1e-11),
@@ -188,10 +194,11 @@ def run_checks(spec: ChainSpec, tolerances=None, rng_seed: int = DEFAULT_SEED):
     """
     require_three_flavors("run_checks", spec.n)
     tolerances = dict(tolerances or {})
+    basis = cache(lambda: basis_states(spec))      # lives for this call
     results = []
     for position, (name, func, default_tol) in enumerate(CHECKS):
         rng = np.random.default_rng((rng_seed, position))
-        residual, detail = func(spec, rng)
+        residual, detail = func(spec, rng, basis)
         tol = float(tolerances.get(name, default_tol))
         results.append(CheckResult(name=name, residual=float(residual),
                                    tolerance=tol, passed=residual < tol,

@@ -17,8 +17,8 @@ import numpy as np
 from .chain import ChainSpec
 from .errors import (DegenerateNormalizationError, PoleProximityError,
                      require_three_flavors)
-from .monodromy import (FD4_STEP, _a_product, _sparse_blocks, fd4_derivative,
-                        homogeneous_transfer)
+from .monodromy import (FD4_STEP, _a_product, _dense, _sparse_blocks,
+                        fd4_derivative, homogeneous_transfer)
 from .rmatrix import twist_matrix
 from .sov_basis import (POLE_TOL, _grown_rows, _norms, _site_tuple,
                         enumerate_basis, f_factor)
@@ -241,7 +241,7 @@ def closed_form_two_site(lam0: complex, dlam0: complex, n: int,
     """Closed-form homogeneous two-site eigenvector from the eigenvalue and
     its derivative at the origin."""
     require_three_flavors("closed_form_two_site", n)
-    row = lambda u: np.stack([b.dense() for b in _sparse_blocks(u, n, eta, (0.0, 0.0))[0]])
+    row = lambda u: np.stack([_dense(*b, n * n) for b in _sparse_blocks(u, n, eta, (0.0, 0.0))[0]])
     _, b2, b3 = row(0.0)
     _, db2, db3 = fd4_derivative(row, 0.0)
     vac = np.zeros(n ** 2, dtype=complex)

@@ -2,13 +2,18 @@
 
 The monodromy matrix is the ordered product of R-matrices over sites N..1
 acting on auxiliary x quantum space; it is held as the n x n array of its
-auxiliary blocks, each as its nonzero entries (``_Sparse``).  The blocks are
-built by appending one site per step: the site being appended is a fresh
-(fastest) tensor factor, and each new entry is an old entry times one of
-the R-matrix's nonzero weights, so no Kronecker product and no
-n^(N+1)-dimensional object is ever materialized.  The transfer matrix and
-the dense blocks are scatters of that one build.  ``apply_entry`` acts with
-one entry on a vector site by site, as a matrix product operator, unbuilt.
+auxiliary blocks, each as the flat keys and values of its nonzero entries.
+The blocks are built by appending one site per step: the site being
+appended is a fresh (fastest) tensor factor, and each new entry is an old
+entry times one of the R-matrix's nonzero weights, so no Kronecker product
+and no n^(N+1)-dimensional object is ever materialized.  The transfer
+matrix and the dense blocks are scatters of that one build.  The R-matrix
+conserves flavor, so a block sends each weight (flavor-content) sector of
+the chain to one other sector: the monodromy-algebra checks group each
+block's entries once into dense tiles keyed by (row weight, column weight)
+(``_Tiles``), where a product is one small GEMM per pair of tiles that meet
+on the middle weight.  ``apply_entry`` acts with one entry on a vector site
+by site, as a matrix product operator, unbuilt.
 
 Entry naming: A = block (1,1), B_i = block (1,i), C^i = block (i,1),
 D^i_j = block (i,j) for i, j >= 2.  The antiperiodic transfer matrix is the
@@ -16,7 +21,9 @@ twisted auxiliary trace; for rank 3 it reads B_2(u) + D^2_3(u) + C^3(u).
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import matmul
 
 import numpy as np
 
@@ -69,64 +76,10 @@ def _pairs(keys: np.ndarray, ptr: np.ndarray):
     return p, q
 
 
-class _Sparse:
-    """A dim x dim operator held as unique flat keys row * dim + col, in
-    increasing order, and their values; entries given with equal keys are
-    added once, in the order given.
-
-    It has what the checks use of a dense array: ``@``, ``+``, ``-``, scalar
-    ``*`` and ``/``, ``sum()`` and ``abs(x).max()``.  A sum or product stores
-    every entry its terms reach: every other entry is an exact 0.
-    """
-
-    __array_ufunc__ = None      # numpy scalars defer to the methods below
-
-    def __init__(self, keys: np.ndarray, vals: np.ndarray, dim: int):
-        if np.any(np.diff(keys) <= 0):      # not yet sorted and unique
-            order = np.argsort(keys, kind="stable")
-            keys, vals = keys[order], vals[order]
-            first = np.flatnonzero(np.diff(keys, prepend=-1))
-            keys, vals = keys[first], np.add.reduceat(vals, first)
-        self.keys, self.vals, self.dim = keys, vals, dim
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.dim * self.dim, dtype=complex)
-        out[self.keys] += self.vals
-        return out.reshape(self.dim, self.dim)
-
-    def __matmul__(self, other: "_Sparse") -> "_Sparse":
-        rows, cols = np.divmod(self.keys, self.dim)
-        ptr = np.searchsorted(other.keys, np.arange(self.dim + 1) * self.dim)
-        p, q = _pairs(cols, ptr)
-        return _Sparse(rows[p] * self.dim + other.keys[q] % self.dim,
-                       self.vals[p] * other.vals[q], self.dim)
-
-    def __add__(self, other: "_Sparse") -> "_Sparse":
-        return _Sparse(np.concatenate((self.keys, other.keys)),
-                       np.concatenate((self.vals, other.vals)), self.dim)
-
-    def __radd__(self, zero):   # sum() starts from 0
-        return self if zero == 0 else NotImplemented
-
-    def __sub__(self, other: "_Sparse") -> "_Sparse":
-        return self + _Sparse(other.keys, -other.vals, other.dim)
-
-    def __mul__(self, scalar) -> "_Sparse":
-        return _Sparse(self.keys, self.vals * scalar, self.dim)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "_Sparse":
-        return _Sparse(self.keys, self.vals / scalar, self.dim)
-
-    def __abs__(self) -> np.ndarray:
-        # the moduli of the stored entries and of one 0: their max is the dense one
-        return np.abs(np.append(self.vals, 0))
-
-
 def _sparse_blocks(u: complex, n: int, eta: complex, thetas) -> list:
     """Auxiliary blocks of R_{0N}(u - theta_N) ... R_{01}(u - theta_1), each
-    a ``_Sparse`` of its nonzero entries.
+    as the flat keys row * dim + col of its nonzero entries, in increasing
+    order, and their values.
 
     The build starts from the identity on no sites.  Appending a site gives
     block T_ij the entries T_kj[r, s] * <i c|R|k d> at row r n + c and
@@ -146,14 +99,129 @@ def _sparse_blocks(u: complex, n: int, eta: complex, thetas) -> list:
     block = a * n + b
     order = np.argsort(block * dim * dim + keys)
     bounds = np.searchsorted(block[order], np.arange(n * n + 1))
-    blocks = [_Sparse(keys[order[lo:hi]], vals[order[lo:hi]], dim)
+    blocks = [(keys[order[lo:hi]], vals[order[lo:hi]])
               for lo, hi in zip(bounds, bounds[1:])]
     return [blocks[row * n:(row + 1) * n] for row in range(n)]
 
 
+def _dense(keys: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
+    """The dim x dim array holding vals at the flat keys, 0 elsewhere."""
+    out = np.zeros(dim * dim, dtype=complex)
+    out[keys] += vals
+    return out.reshape(dim, dim)
+
+
 def monodromy_blocks(u: complex, spec: ChainSpec) -> list:
     """All n^2 auxiliary blocks at u: the dense oracle for ``apply_entry``."""
-    return [[b.dense() for b in row]
+    return [[_dense(keys, vals, spec.dim) for keys, vals in row]
+            for row in _sparse_blocks(complex(u), spec.n, spec.eta, spec.theta)]
+
+
+def _weights(n: int, N: int):
+    """The weight (flavor content) of each of the n^N basis states as an
+    index, each state's place among the states of its weight, and the states
+    of each weight in increasing order."""
+    digits = np.indices((n,) * N).reshape(N, -1)
+    code = sum((digits == f).sum(axis=0) * (N + 1) ** f for f in range(n))
+    _, weight, sizes = np.unique(code, return_inverse=True, return_counts=True)
+    order = np.argsort(weight, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return weight, place, np.split(order, np.cumsum(sizes)[:-1])
+
+
+class _Tiles:
+    """A dim x dim operator held as dense tiles keyed by (weight of row,
+    weight of column); ``sectors[w]`` lists the states of weight w, so tile
+    (r, c) is the operator's submatrix on sectors[r] x sectors[c].  Every
+    entry outside the tiles is an exact 0.
+
+    It has what the checks use of a dense array: ``@``, ``+``, ``-``, scalar
+    ``*`` and ``/``, ``sum()`` and ``abs(x).max()``.  A product joins tiles
+    on the middle weight, one GEMM per pair; a sum merges tiles by key.
+    """
+
+    __array_ufunc__ = None      # numpy scalars defer to the methods below
+
+    def __init__(self, tiles: dict, sectors: list):
+        self.tiles, self.sectors = tiles, sectors
+
+    @classmethod
+    def group(cls, keys: np.ndarray, vals: np.ndarray, weight: np.ndarray,
+              place: np.ndarray, sectors: list) -> "_Tiles":
+        """The entries at distinct flat keys, each in the tile of its row's
+        and its column's weight, so an entry that breaks a block's weight
+        rule lands in a tile of its own.  The tiles are consecutive slices
+        of one buffer, filled by one scatter."""
+        rows, cols = np.divmod(keys, len(weight))
+        ids, at = np.unique(weight[rows] * len(sectors) + weight[cols],
+                            return_inverse=True)
+        r, c = np.divmod(ids, len(sectors))
+        sizes = np.array([len(states) for states in sectors])
+        height, width = sizes[r], sizes[c]
+        start = np.cumsum(height * width) - height * width
+        buf = np.zeros(np.sum(height * width), dtype=complex)
+        buf[start[at] + place[rows] * width[at] + place[cols]] = vals
+        tiles = {(int(i), int(j)): buf[s:s + h * w].reshape(h, w)
+                 for i, j, h, w, s in zip(r, c, height, width, start)}
+        return cls(tiles, sectors)
+
+    def dense(self) -> np.ndarray:
+        dim = sum(len(states) for states in self.sectors)
+        out = np.zeros((dim, dim), dtype=complex)
+        for (r, c), t in self.tiles.items():
+            out[np.ix_(self.sectors[r], self.sectors[c])] = t
+        return out
+
+    def _new(self, tiles: dict) -> "_Tiles":
+        return _Tiles(tiles, self.sectors)
+
+    def __matmul__(self, other: "_Tiles") -> "_Tiles":
+        right: dict = {}        # other's tiles by their row weight
+        for (m, c), t in other.tiles.items():
+            right.setdefault(m, []).append((c, t))
+        out: dict = {}
+        for (r, m), s in self.tiles.items():
+            for c, t in right.get(m, ()):
+                p = s @ t
+                out[r, c] = out[r, c] + p if (r, c) in out else p
+        return self._new(out)
+
+    def _merge(self, other: "_Tiles", both, alone) -> "_Tiles":
+        out = dict(self.tiles)
+        for key, t in other.tiles.items():
+            out[key] = both(out[key], t) if key in out else alone(t)
+        return self._new(out)
+
+    def __add__(self, other: "_Tiles") -> "_Tiles":
+        return self._merge(other, np.add, lambda t: t)
+
+    def __radd__(self, zero):   # sum() starts from 0
+        return self if zero == 0 else NotImplemented
+
+    def __sub__(self, other: "_Tiles") -> "_Tiles":
+        return self._merge(other, np.subtract, np.negative)
+
+    def __mul__(self, scalar) -> "_Tiles":
+        return self._new({key: t * scalar for key, t in self.tiles.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "_Tiles":
+        return self._new({key: t / scalar for key, t in self.tiles.items()})
+
+    def __abs__(self) -> "_Tiles":
+        return self._new({key: np.abs(t) for key, t in self.tiles.items()})
+
+    def max(self) -> float:
+        """Largest entry, NaN when any entry is NaN; 0 outside the tiles."""
+        return _worst([0.0, *(t.max() for t in self.tiles.values())])
+
+
+def _tiled_blocks(u: complex, spec: ChainSpec) -> list:
+    """All n^2 auxiliary blocks at u, each grouped into ``_Tiles`` once."""
+    weights = _weights(spec.n, spec.N)
+    return [[_Tiles.group(keys, vals, *weights) for keys, vals in row]
             for row in _sparse_blocks(complex(u), spec.n, spec.eta, spec.theta)]
 
 
@@ -197,16 +265,36 @@ def apply_entry_bra(u: complex, i: int, j: int, vec: np.ndarray,
     return _sweep(_site_matrices(u, spec, True), i, j, np.asarray(vec)[None], spec)[0]
 
 
-def _twisted_trace(u: complex, n: int, eta: complex, thetas) -> np.ndarray:
-    """sum_{i,k} g[i, k] T[k][i] over the monodromy blocks T, g the cyclic twist."""
+def _trace_terms(n: int) -> list:
+    """(i, k, g[i, k]) at the nonzero entries of the cyclic twist g: the
+    twisted trace is the sum of g[i, k] T[k][i] over them."""
     g = twist_matrix(n)
-    blocks = _sparse_blocks(u, n, eta, thetas)
-    return sum(g[i, k] * blocks[k][i] for i, k in zip(*np.nonzero(g))).dense()
+    return [(i, k, g[i, k]) for i, k in zip(*np.nonzero(g))]
+
+
+def _twisted_trace(u: complex, n: int, eta: complex, thetas) -> np.ndarray:
+    """sum_{i,k} g[i, k] T[k][i] over the monodromy blocks T, g the cyclic
+    twist, scattered block by block into one dense array."""
+    blocks, dim = _sparse_blocks(u, n, eta, thetas), n ** len(thetas)
+    out = np.zeros(dim * dim, dtype=complex)
+    for i, k, g in _trace_terms(n):
+        keys, vals = blocks[k][i]
+        out[keys] += vals * g
+    return out.reshape(dim, dim)
 
 
 def transfer(u: complex, spec: ChainSpec) -> np.ndarray:
     """Antiperiodic transfer matrix: twisted trace of the monodromy blocks."""
     return _twisted_trace(complex(u), spec.n, spec.eta, spec.theta)
+
+
+def _tiled_transfer(u: complex, spec: ChainSpec) -> _Tiles:
+    """``transfer`` as ``_Tiles``: the twisted trace of the blocks it reads,
+    each grouped into tiles."""
+    blocks = _sparse_blocks(complex(u), spec.n, spec.eta, spec.theta)
+    weights = _weights(spec.n, spec.N)
+    return sum(_Tiles.group(*blocks[k][i], *weights) * g
+               for i, k, g in _trace_terms(spec.n))
 
 
 def twist_operator(spec: ChainSpec) -> np.ndarray:
@@ -233,13 +321,15 @@ vacuum_bra, conjugate_vacuum_bra = vacuum_ket, conjugate_vacuum_ket
 
 
 def product_identity_residual(spec: ChainSpec) -> float:
-    """prod_j t(theta_j) = prod_j scalar_a(theta_j) * twist_operator."""
-    prod = np.eye(spec.dim, dtype=complex)
-    for t in spec.theta:
-        prod = prod @ transfer(t, spec)
-    rhs = complex(_a_product(spec)) * twist_operator(spec)
-    scale = max(float(np.abs(prod).max()), float(np.abs(rhs).max()), 1e-30)
-    return float(np.abs(prod - rhs).max()) / scale
+    """prod_j t(theta_j) = prod_j scalar_a(theta_j) * twist_operator, with
+    both sides as ``_Tiles``."""
+    prod = reduce(matmul, (_tiled_transfer(t, spec) for t in spec.theta))
+    twist = twist_operator(spec).ravel()
+    keys = np.flatnonzero(twist)
+    rhs = complex(_a_product(spec)) * _Tiles.group(keys, twist[keys],
+                                                   *_weights(spec.n, spec.N))
+    scale = max(float(abs(prod).max()), float(abs(rhs).max()), 1e-30)
+    return float(abs(prod - rhs).max()) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +391,17 @@ def exchange_relation_residuals(u: complex, v: complex, spec: ChainSpec) -> dict
     Every relation is instantiated as an operator identity for all valid
     index combinations; the value reported per family is the worst elementwise
     residual divided by max(|LHS|, |RHS|, 1).  The products are formed on the
-    blocks' nonzero entries, and a product stores every entry it reaches, so
-    the maximum over all entries is the dense one.
+    blocks' weight tiles, and every entry outside the tiles is an exact 0,
+    so the maximum over the tiles is the dense one.
     """
-    Tu, Tv = (_sparse_blocks(complex(at), spec.n, spec.eta, spec.theta)
-              for at in (u, v))
+    Tu, Tv = (_tiled_blocks(at, spec) for at in (u, v))
     return _relation_residuals(Tu, Tv, u - v, spec)
 
 
 def _relation_residuals(Tu, Tv, x: complex, spec: ChainSpec) -> dict:
     """Worst residual per relation family of the blocks Tu, Tv at u - v = x.
 
-    A block is a dense array or a ``_Sparse``: the relations use only the
+    A block is a dense array or a ``_Tiles``: the relations use only the
     operations the two share.
     """
     n, eta = spec.n, spec.eta

@@ -221,9 +221,10 @@ def _norms(labels, spec: ChainSpec) -> np.ndarray:
     return np.array(out)
 
 
-def verify_orthogonality(spec: ChainSpec) -> dict:
-    """Gram diagnostics: diagonal vs closed form, off-diagonal leakage."""
-    labels, bras, kets = basis_states(spec)
+def verify_orthogonality(spec: ChainSpec, states=None) -> dict:
+    """Gram diagnostics: diagonal vs closed form, off-diagonal leakage, of
+    ``states``, the ``basis_states`` of the chain (built when not given)."""
+    labels, bras, kets = states or basis_states(spec)
     gram = bras @ kets.T
     expected = _norms(labels, spec)
     diag = np.diagonal(gram)
@@ -239,9 +240,10 @@ def verify_orthogonality(spec: ChainSpec) -> dict:
     }
 
 
-def identity_resolution_residual(spec: ChainSpec) -> float:
-    """Frobenius residual of sum_idx |idx><idx| / G_idx against the identity."""
-    labels, bras, kets = basis_states(spec)
+def identity_resolution_residual(spec: ChainSpec, states=None) -> float:
+    """Frobenius residual of sum_idx |idx><idx| / G_idx against the identity,
+    over ``states`` as in ``verify_orthogonality``."""
+    labels, bras, kets = states or basis_states(spec)
     norms = _norms(labels, spec)
     return float(np.linalg.norm((kets / norms[:, None]).T @ bras - np.eye(spec.dim)))
 

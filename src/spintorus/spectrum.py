@@ -308,8 +308,10 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     Eigenvectors and duals are mapped back to the site basis; the duals are
     rows of the inverse eigenvector matrix, so bilinear pairings with the
     eigenvectors are Kronecker deltas.  ``residual`` is the full-space
-    relative residual over t(u_1), t(u_2) and the twist, and records come in
-    ``eigen_order`` of (mu_1, mu_2, twist eigenvalue), as from
+    relative residual over t(u_1), t(u_2) and the twist; t(u_i) acts on a
+    sector's vectors as its sector columns over every row of t, the orbit
+    gathers summed with their phases, times the sector's eigenvectors.
+    Records come in ``eigen_order`` of (mu_1, mu_2, twist eigenvalue), as from
     ``_full_space_spectrum``, the oracle.  A probe that does not commute
     with the twist raises ``NonGenericSpecError``; other ranks than n = 3
     are refused up front.
@@ -322,13 +324,13 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     back[orbits] = np.roll(orbits, 1, axis=0)
     phases = [OMEGA ** (-z * np.arange(3) % 3) for z in range(3)]
 
-    def sector_blocks(t):
-        cols = [t[:size, orbit] for orbit in orbits]
+    def sector_blocks(t, rows=size):
+        cols = [t[:rows, orbit] for orbit in orbits]
         return [sum(p * c for p, c in zip(phase, cols)) for phase in phases]
 
-    probes = [transfer(u, spec) for u in U_PROBES]
-    blocks = []
-    for i, t in enumerate(probes):
+    probes = []     # (scale, the sector columns over every row) per probe
+    for i, u in enumerate(U_PROBES):
+        t = transfer(u, spec)
         # t g^k = g^k t iff t[g^k a, g^k b] = t[a, b]; the rows a may stay
         # on the representatives, since every row is g^j of one of them
         leak = _worst(np.abs(t[np.ix_(perm[:size], perm)] - t[:size]).max()
@@ -338,11 +340,12 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
             raise NonGenericSpecError(
                 f"probe {i} does not commute with the twist: largest "
                 f"entry change {leak:.3e} vs scale {scale:.3e}")
-        blocks.append(sector_blocks(t))
+        probes.append((scale, sector_blocks(t, dim)))
+    del t
     # per sector: (records, vmat, wmat, residuals) in the orbit basis
-    solved = [simultaneous_eigen([b[z] for b in blocks], rng_seed=rng_seed)
+    solved = [simultaneous_eigen([cols[z][:size] for _, cols in probes],
+                                 rng_seed=rng_seed)
               for z in range(3)]
-    del blocks
     # sector z holds rows z * size .. (z + 1) * size - 1 until the sort
     rows = [slice(z * size, (z + 1) * size) for z in range(3)]
     mus = np.empty((dim, 3), dtype=complex)
@@ -367,9 +370,13 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
             wmat_site[np.ix_(place[row], orbit)] = p.conjugate() / 3 * wmat
     mus, lam = mus[order], lam[order]
     resid = relative_residual(vmat_site[back], mus[:, 2], vmat_site, 1.0)
-    for i, t in enumerate(probes):
-        resid = np.maximum(resid, relative_residual(
-            t @ vmat_site, mus[:, i], vmat_site, _operator_scale(t)))
+    # t @ vmat_site on sector z's records is its sector columns @ vmat
+    for z, (row, (_, vmat, _, _)) in enumerate(zip(rows, solved)):
+        at = place[row]
+        vecs = vmat_site[:, at]
+        for i, (scale, cols) in enumerate(probes):
+            resid[at] = np.maximum(resid[at], relative_residual(
+                cols[z] @ vmat, mus[at, i], vecs, scale))
     del probes
     records = [SpectralRecord(vector=vmat_site[:, k].copy(), dual=wmat_site[k],
                               mu=tuple(mus[k]),

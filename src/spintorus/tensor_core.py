@@ -73,8 +73,9 @@ def embed_two_site(op: np.ndarray, i: int, j: int, n: int, N: int) -> np.ndarray
     return out
 
 
-def _operator_scale(op: np.ndarray) -> float:
-    return max(float(np.abs(op).max()), 1.0)
+def _operator_scale(op) -> float:
+    """max(|op|_inf, 1) of a dense array or of any operator with ``abs``."""
+    return max(float(abs(op).max()), 1.0)
 
 
 def _worst(values) -> float:
@@ -83,9 +84,9 @@ def _worst(values) -> float:
     return float(np.max(np.fromiter(values, dtype=float)))
 
 
-def _rel_resid(lhs: np.ndarray, rhs: np.ndarray) -> float:
+def _rel_resid(lhs, rhs) -> float:
     """|lhs - rhs|_inf / max(|lhs|_inf, 1)."""
-    return float(np.abs(lhs - rhs).max()) / _operator_scale(lhs)
+    return float(abs(lhs - rhs).max()) / _operator_scale(lhs)
 
 
 def relative_residual(ov: np.ndarray, mu, v: np.ndarray, scale: float):

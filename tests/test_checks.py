@@ -64,6 +64,23 @@ def test_other_ranks_refused_up_front(n, monkeypatch):
         run_checks(default_spec(n=n, N=2))
 
 
+def test_one_basis_build_per_run(monkeypatch):
+    # orthogonality, identity-resolution and decompositions share one
+    # basis_states build, a bra stack and a ket stack, made anew per call
+    calls = []
+    grown_rows = sov_basis._grown_rows
+
+    def counted(labels, spec, bra):
+        calls.append((spec.N, bra))
+        return grown_rows(labels, spec, bra)
+
+    monkeypatch.setattr(sov_basis, "_grown_rows", counted)
+    for N in (2, 3, 2):
+        assert all(r.passed for r in run_checks(default_spec(N=N)))
+    assert calls == [(2, True), (2, False), (3, True), (3, False),
+                     (2, True), (2, False)]
+
+
 def test_checks_build_no_bra_label_by_label(monkeypatch):
     # the decompositions check reads its basis bras from the stacked rows
     calls = []
@@ -82,15 +99,18 @@ def _nan(value):
     return float("nan")
 
 
-def _nan_entry(matrix):
-    matrix = matrix.copy()
-    matrix[0, -1] = np.nan
-    return matrix
-
-
 def _nan_product(product):
-    return monodromy._Sparse(product.keys, np.full_like(product.vals, np.nan),
-                             product.dim)
+    return monodromy._Tiles({key: np.full_like(tile, np.nan)
+                             for key, tile in product.tiles.items()},
+                            product.sectors)
+
+
+def _nan_tile_entry(tiled):
+    # the last entry of the last tile
+    *_, (key, tile) = tiled.tiles.items()
+    tile = tile.copy()
+    tile.flat[-1] = np.nan
+    return monodromy._Tiles({**tiled.tiles, key: tile}, tiled.sectors)
 
 
 def _nan_last_family(table):
@@ -100,10 +120,10 @@ def _nan_last_family(table):
 
 def _nan_block_entry(blocks):
     # D^2_2, a block that the twisted trace does not read
-    d22 = blocks[1][1]
-    vals = d22.vals.copy()
+    keys, vals = blocks[1][1]
+    vals = vals.copy()
     vals[-1] = np.nan
-    blocks[1][1] = monodromy._Sparse(d22.keys, vals, d22.dim)
+    blocks[1][1] = (keys, vals)
     return blocks
 
 
@@ -128,8 +148,10 @@ NAN_PLANTS = [
     ("commuting-transfer", checks, "_rel_resid", 2, _nan),
     ("exchange-relations", checks, "exchange_relation_residuals", 2,
      _nan_last_family),
-    # one relation's right-hand side, a later instance of its family
-    ("exchange-relations", monodromy._Sparse, "__matmul__", 2, _nan_product),
+    # one relation's right-hand side, a later instance of its family: the six
+    # tile products before it are commuting-transfer's, so the count starts
+    # after them
+    ("exchange-relations", monodromy._Tiles, "__matmul__", 6 + 2, _nan_product),
     # the blocks at v of the first spectral pair: the six builds before it
     # are commuting-transfer's transfers, so the count starts after them
     ("exchange-relations", monodromy, "_sparse_blocks", 6 + 2,
@@ -140,7 +162,7 @@ NAN_PLANTS = [
     # the second label's norm; orthogonality takes the N=2 chain's norms first
     ("identity-resolution", sov_basis, "_norms", 1 + 1, _nan_second),
     # the second transfer of the product, read inside monodromy
-    ("product-identity", monodromy, "transfer", 2, _nan_entry),
+    ("product-identity", monodromy, "_tiled_transfer", 2, _nan_tile_entry),
 ]
 
 

@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 import spintorus.monodromy as monodromy
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.checks import _points, run_checks
-from spintorus.monodromy import (_Sparse, _relation_residuals, _site_matrices,
-                                 _sparse_blocks, _sweep, apply_entry, apply_entry_bra,
+from spintorus.monodromy import (_a_product, _relation_residuals, _site_matrices,
+                                 _sparse_blocks, _sweep, _tiled_blocks,
+                                 _tiled_transfer, _weights, apply_entry, apply_entry_bra,
                                  conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  exchange_relation_residuals, fd4_derivative,
                                  global_hamiltonian, homogeneous_transfer,
@@ -19,7 +20,7 @@ from spintorus.monodromy import (_Sparse, _relation_residuals, _site_matrices,
 from spintorus.rmatrix import (local_hamiltonian, permutation_matrix, r_matrix,
                                twist_matrix)
 from spintorus.sov_basis import _d_cancelled
-from spintorus.tensor_core import kron_chain, site_matrix_unit
+from spintorus.tensor_core import _rel_resid, kron_chain, site_matrix_unit
 
 SINH_05 = 0.52109530549374736      # 50-digit sinh(0.5)
 
@@ -215,6 +216,17 @@ def test_exchange_relations_families(spec2, rng):
         assert max(table.values()) < 1e-11
 
 
+def _assert_tiles_hold_the_nonzeros(tiled, dense, spec):
+    """``tiled`` scatters back to ``dense``, with one tile of the sector
+    shape per (row weight, column weight) that a nonzero of ``dense`` has."""
+    weight, _, sectors = _weights(spec.n, spec.N)
+    assert np.array_equal(tiled.dense(), dense)
+    rows, cols = np.nonzero(dense)
+    assert set(tiled.tiles) == set(zip(weight[rows].tolist(), weight[cols].tolist()))
+    for (r, c), tile in tiled.tiles.items():
+        assert tile.shape == (len(sectors[r]), len(sectors[c]))
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_blocks_conserve_flavor_and_store_their_nonzeros(N):
     # auxiliary plus chain flavor is conserved: entry (r, c) of T_ij is
@@ -225,26 +237,57 @@ def test_blocks_conserve_flavor_and_store_their_nonzeros(N):
     content = np.stack([(digits == f).sum(axis=0) for f in range(3)], axis=1)
     e = np.eye(3, dtype=int)
     sparse = _sparse_blocks(u, 3, spec.eta, spec.theta)
+    tiled = _tiled_blocks(u, spec)
     for i, row in enumerate(monodromy_blocks(u, spec)):
         for j, block in enumerate(row):
             allowed = np.all((content + e[i])[:, None]
                              == (content + e[j])[None, :], axis=-1)
             assert not np.any(block[~allowed])
-            assert np.array_equal(sparse[i][j].keys, np.flatnonzero(block))
+            assert np.array_equal(sparse[i][j][0], np.flatnonzero(block))
+            _assert_tiles_hold_the_nonzeros(tiled[i][j], block, spec)
 
 
-@pytest.mark.parametrize("N", [3, 4])
-def test_sparse_products_equal_dense_products(N):
-    spec = default_spec(N=N)
-    u, v = _points(np.random.default_rng((20240229, 7)), 2)
-    blocks = [b for at in (u, v)
-              for row in _sparse_blocks(at, 3, spec.eta, spec.theta) for b in row]
-    assert len(blocks) == 18
+def _assert_tile_algebra_is_dense_algebra(blocks):
+    """Products of the tiled blocks within 1e-14 of the dense products, and
+    sums, differences, scalar multiples and abs-max exactly the dense ones."""
     for a in blocks:
         for b in blocks:
             want = a.dense() @ b.dense()
             got = (a @ b).dense()
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert float(abs(a).max()) == np.abs(a.dense()).max()
+    a, b = blocks[0], blocks[-1]
+    assert np.array_equal((a + b).dense(), a.dense() + b.dense())
+    assert np.array_equal((a - b).dense(), a.dense() - b.dense())
+    assert np.array_equal((sum([a, b]) / 3).dense(), (a.dense() + b.dense()) / 3)
+    assert np.array_equal((2j * a).dense(), 2j * a.dense())
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_tile_products_equal_dense_products(N):
+    spec = default_spec(N=N)
+    u, v = _points(np.random.default_rng((20240229, 7)), 2)
+    blocks = [b for at in (u, v) for row in _tiled_blocks(at, spec) for b in row]
+    assert len(blocks) == 18
+    _assert_tile_algebra_is_dense_algebra(blocks)
+
+
+@pytest.mark.parametrize("n, N", [(2, 3), (2, 4), (4, 2)])
+def test_tiles_match_dense_blocks_for_other_ranks(n, N):
+    spec = default_spec(n=n, N=N)
+    u, v = _points(np.random.default_rng((20240229, 10)), 2)
+    tiled = _tiled_blocks(u, spec)
+    for trow, drow in zip(tiled, monodromy_blocks(u, spec)):
+        for t, d in zip(trow, drow):
+            _assert_tiles_hold_the_nonzeros(t, d, spec)
+    _assert_tile_algebra_is_dense_algebra(
+        [b for at in (u, v) for row in _tiled_blocks(at, spec) for b in row])
+    got = exchange_relation_residuals(u, v, spec)
+    dense = _relation_residuals(monodromy_blocks(u, spec),
+                                monodromy_blocks(v, spec), u - v, spec)
+    assert list(got) == list(dense)
+    for family, value in dense.items():
+        assert abs(got[family] - value) <= 1e-15, family
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -262,21 +305,52 @@ def test_exchange_residuals_equal_dense_product_evaluation(N):
             assert abs(got[family] - value) <= 1e-15, family
 
 
+@pytest.mark.parametrize("n, N", [(2, 3), (3, 1), (3, 2), (3, 3), (3, 4),
+                                  (4, 2)])
+def test_commuting_transfer_on_tiles_equals_dense_evaluation(n, N):
+    # the tiled transfer holds the dense transfer's bits, and the commutator
+    # residual on tiles is the dense one within 1e-15
+    spec = default_spec(n=n, N=N)
+    pts = _points(np.random.default_rng((20240229, 11)), 6)
+    for u, v in zip(pts[0::2], pts[1::2]):
+        tu, tv = _tiled_transfer(u, spec), _tiled_transfer(v, spec)
+        du, dv = transfer(u, spec), transfer(v, spec)
+        assert np.array_equal(tu.dense(), du)
+        assert np.array_equal(tv.dense(), dv)
+        assert abs(_rel_resid(tu @ tv, tv @ tu) - _rel_resid(du @ dv, dv @ du)) <= 1e-15
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_product_identity_on_tiles_equals_dense_evaluation(N):
+    spec = default_spec(N=N)
+    prod = np.eye(spec.dim, dtype=complex)
+    for t in spec.theta:
+        prod = prod @ transfer(t, spec)
+    rhs = complex(_a_product(spec)) * twist_operator(spec)
+    scale = max(float(np.abs(prod).max()), float(np.abs(rhs).max()), 1e-30)
+    dense = float(np.abs(prod - rhs).max()) / scale
+    assert abs(product_identity_residual(spec) - dense) <= 1e-15
+
+
 def test_exchange_relations_fail_on_an_entry_outside_a_move(spec2,
                                                             monkeypatch):
     # T_11 maps the all-flavor-1 class to itself; an entry in its row that
-    # reaches the all-flavor-3 state breaks flavor conservation, and the
-    # products carry it into the relations
+    # reaches the all-flavor-3 state breaks flavor conservation, lands in a
+    # tile of its own, and the products carry it into the relations
     build = monodromy._sparse_blocks
 
-    def leaky(*args):
-        blocks = build(*args)
-        dim = blocks[0][0].dim
-        blocks[0][0] = blocks[0][0] + _Sparse(np.array([dim - 1]),
-                                              np.array([1e-6 + 0j]), dim)
+    def leaky(u, n, eta, thetas):
+        blocks = build(u, n, eta, thetas)
+        keys, vals = blocks[0][0]
+        blocks[0][0] = (np.append(keys, n ** len(thetas) - 1),
+                        np.append(vals, 1e-6 + 0j))
         return blocks
 
     monkeypatch.setattr(monodromy, "_sparse_blocks", leaky)
+    weight, _, _ = _weights(3, 2)
+    leak = (int(weight[0]), int(weight[-1]))
+    tiles = _tiled_blocks(0.3, spec2)[0][0].tiles
+    assert leak in tiles and tiles[leak][0, -1] == 1e-6
     u, v = _points(np.random.default_rng((20240229, 9)), 2)
     assert max(exchange_relation_residuals(u, v, spec2).values()) > 1e-7
     result = {r.name: r for r in run_checks(spec2)}["exchange-relations"]
