@@ -17,10 +17,9 @@ import numpy as np
 
 from .chain import DEFAULT_SEED, ChainSpec
 from .errors import require_three_flavors
-from .monodromy import (_Tiles, _tiled_blocks, _tiled_transfer, _weights,
-                        conjugate_vacuum_ket, exchange_relation_residuals,
-                        product_identity_residual, scalar_a, scalar_d,
-                        vacuum_ket)
+from .monodromy import (_sparse_blocks, _tiled_transfer, conjugate_vacuum_ket,
+                        exchange_relation_residuals, product_identity_residual,
+                        scalar_a, scalar_d, vacuum_ket)
 from .rmatrix import (crossing_residual, fusion_rank,
                       initial_condition_residual, qybe_residual,
                       twist_invariance_residual, unitarity_residual)
@@ -100,34 +99,38 @@ def _check_exchange_relations(spec: ChainSpec, rng: np.random.Generator, basis):
 
 
 def _check_vacuum_actions(spec: ChainSpec, rng: np.random.Generator, basis):
-    weights = _weights(spec.n, spec.N)
+    dim = spec.dim
+    k0, kc = vacuum_ket(spec), conjugate_vacuum_ket(spec)
+    (v0,), (vc,) = np.flatnonzero(k0), np.flatnonzero(kc)
 
-    def projector(vec):     # |v><v| of a one-entry reference state
-        (at,) = np.flatnonzero(vec)
-        return _Tiles.group(np.array([at * (spec.dim + 1)]), vec[[at]], *weights)
+    def act(block, at, ket):    # T|v> (column at) or <v|T (row at), v = e_at
+        rows, cols = np.divmod(block[0], dim)
+        hit, to = (cols == at, rows) if ket else (rows == at, cols)
+        out = np.zeros(dim, dtype=complex)
+        out[to[hit]] = block[1][hit]
+        return out
 
-    # T @ P keeps the column T|v> of a block, P @ T the row <v|T
-    k0 = b0 = projector(vacuum_ket(spec))
-    kc = bc = projector(conjugate_vacuum_ket(spec))
     resids = []
     for u in _points(rng, 4):
-        blocks = _tiled_blocks(u, spec)
+        blocks = _sparse_blocks(complex(u), spec.n, spec.eta, spec.theta)
         a, d = scalar_a(u, spec), scalar_d(u, spec)
-        scale = max(_worst(abs(b).max() for row in blocks for b in row), 1.0)
-        gaps = [blocks[0][0] @ k0 - a * k0, b0 @ blocks[0][0] - a * b0,
-                blocks[0][0] @ kc - d * kc, bc @ blocks[0][0] - d * bc]
+        scale = max(_worst(np.abs(vals).max(initial=0.0)
+                           for row in blocks for _, vals in row), 1.0)
+        t00 = blocks[0][0]
+        gaps = [act(t00, v0, True) - a * k0, act(t00, v0, False) - a * k0,
+                act(t00, vc, True) - d * kc, act(t00, vc, False) - d * kc]
         for i in range(1, spec.n):
-            gaps.append(blocks[i][0] @ k0)    # annihilation on the reference ket
-            gaps.append(b0 @ blocks[0][i])    # and on the reference bra
+            gaps.append(act(blocks[i][0], v0, True))   # annihilation on the reference ket
+            gaps.append(act(blocks[0][i], v0, False))  # and on the reference bra
             for j in range(1, spec.n):
                 delta = d if i == j else 0.0
-                gaps.append(blocks[i][j] @ k0 - delta * k0)
-                gaps.append(b0 @ blocks[i][j] - delta * b0)
-        last = spec.n - 1
-        gaps += [blocks[last][last] @ kc - a * kc, bc @ blocks[last][last] - a * bc,
-                 blocks[0][last] @ kc,        # annihilation on the conjugate ket
-                 bc @ blocks[last][0]]        # and on the conjugate bra
-        resids.extend(float(abs(g).max()) / scale for g in gaps)
+                gaps.append(act(blocks[i][j], v0, True) - delta * k0)
+                gaps.append(act(blocks[i][j], v0, False) - delta * k0)
+        tll = blocks[-1][-1]
+        gaps += [act(tll, vc, True) - a * kc, act(tll, vc, False) - a * kc,
+                 act(blocks[0][-1], vc, True),    # annihilation on the conjugate ket
+                 act(blocks[-1][0], vc, False)]   # and on the conjugate bra
+        resids.extend(float(np.abs(g).max()) / scale for g in gaps)
     return _worst(resids), ("triangular monodromy action on the reference and "
                             "conjugate product states at 4 random points")
 

@@ -42,12 +42,12 @@ __all__ = [
 
 def _q(x: np.ndarray, fam: np.ndarray) -> np.ndarray:
     """prod_k sinh(x - fam_k) at every point of x: (..., M) by (..., K) -> (..., M)."""
-    return np.prod(np.sinh(x[..., :, None] - fam[..., None, :]), axis=-1)
+    return np.sinh(x[..., :, None] - fam[..., None, :]).prod(axis=-1)
 
 
 def _a(x: np.ndarray, theta: np.ndarray, eta: complex) -> np.ndarray:
     """Vacuum eigenvalue a(x) = prod_l sinh(x - theta_l + eta) at every point of x."""
-    return np.prod(np.sinh(x[..., :, None] - theta + eta), axis=-1)
+    return np.sinh(x[..., :, None] - theta + eta).prod(axis=-1)
 
 
 def _a_product(spec: ChainSpec) -> complex:

@@ -115,8 +115,8 @@ def _root_factors(z: np.ndarray, spec: ChainSpec, family=None) -> dict:
         # q(x, y) and q(y, x) from one table (sinh is odd); a product over
         # the strided transpose would round differently, so it is copied
         s = np.sinh(x[..., :, None] - y[..., None, :])
-        return (np.prod(s, axis=-1),
-                np.prod(-np.ascontiguousarray(s.swapaxes(-1, -2)), axis=-1))
+        return (s.prod(axis=-1),
+                np.negative(s.swapaxes(-1, -2), order="C").prod(axis=-1))
 
     g = {}
     if fams & {0, 1}:
@@ -174,7 +174,7 @@ def _residuals(z: np.ndarray, spec: ChainSpec, g=None) -> np.ndarray:
     out[:, 3 * N:4 * N] = (OMEGA / ephi[:, None] * g("g4") * g("q4e3") / g("q41")
                            + g("a4") * f2(g("em4")) / g("q43"))
     ts = np.sum(theta)
-    c1, c2, c3, c4 = (np.sum(lam[:, i, :], axis=1) for i in range(4))
+    c1, c2, c3, c4 = lam.sum(axis=2).T
     out[:, 4 * N] = (ephi * np.exp(-ts - c1 + c2)
                      + np.exp(-2 * ts + c1 + c2 - c3) * f1p)
     out[:, 4 * N + 1] = (OMEGA / ephi * np.exp(-2 * eta / 3 + ts - c1 + c2 + c3 - c4)
@@ -456,12 +456,12 @@ def _difference_residuals(z: np.ndarray, spec: ChainSpec) -> np.ndarray:
     """``_residuals`` at z[s] + NEWTON_FD_STEP e_j for every row s and unknown
     j, (S, 4N + 4, 4N + 4), bit-identical to full evaluations.  The rows of a
     start share its unshifted factors; a family's rows rebuild only the 5 or
-    6 sinh tables that read it, the coefficient rows none.  Chunks hold
-    3 * RESIDUAL_CHUNK values (85 starts at N=2), which with their factors
-    keeps the memory of the plain difference rows of 180 starts."""
+    6 sinh tables that read it, the coefficient rows none.  A chunk holds
+    RESIDUAL_CHUNK // (4N + 4) starts (341 at N=2), so each ``_residuals``
+    call reads at most ``RESIDUAL_CHUNK`` rows."""
     S, dim = z.shape
     N = spec.N
-    per_chunk = max(1, 3 * RESIDUAL_CHUNK // dim ** 2)
+    per_chunk = max(1, RESIDUAL_CHUNK // dim)
     out = np.empty((S, dim, dim), dtype=complex)
     with np.errstate(all="ignore"):
         for lo in range(0, S, per_chunk):
@@ -517,7 +517,10 @@ def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int):
     ``_difference_residuals`` for the factors its rows share), a full step
     halved up to 14 times until the residual max-norm drops by the factor
     (1 - 1e-4 t), and a stop below 1e-13.  The max-norm is the largest |Re|
-    or |Im| of any component.  A start leaves the batch when it stops.
+    or |Im| of any component.  The line search evaluates two halvings, t
+    and t/2, in one stacked residual call; a start takes the first that
+    passes, so it follows the path of one halving per call.  A start leaves
+    the batch when it stops.
     Returns the final rows, their residual max-norms (inf for a non-finite
     start) and each start's exit class from ``NEWTON_EXITS``.
     """
@@ -544,22 +547,26 @@ def _newton(spec: ChainSpec, z0: np.ndarray, max_iter: int):
         step, solved = _newton_steps(jac, -fa)
         exits[active[~solved]] = "singular_jacobian"
         active, step = active[solved], step[solved]
-        # backtracking line search, one batched trial per halving
+        # backtracking line search: each batched call tries two halvings, t
+        # and t/2, and a start takes the first of them that passes
         searching = np.arange(len(active))
         t = 1.0
-        for _ in range(14):
-            rows = active[searching]
-            zn = z[rows] + t * step[searching]
-            fn = _chunked_residuals(zn, spec)
-            fn_norm = _max_norm(fn)
-            good = np.isfinite(fn).all(axis=1)
-            good[good] = fn_norm[good] < (1 - 1e-4 * t) * fnorm[rows[good]]
-            z[rows[good]], f[rows[good]] = zn[good], fn[good]
-            fnorm[rows[good]] = fn_norm[good]
-            searching = searching[~good]
+        for _ in range(7):
             if not searching.size:
                 break
-            t *= 0.5
+            rows = active[searching]
+            trials = [z[rows] + s * step[searching] for s in (t, t / 2)]
+            fns = _chunked_residuals(np.concatenate(trials), spec)
+            took = np.zeros(len(rows), dtype=bool)
+            for s, zn, fn in zip((t, t / 2), trials, fns.reshape(2, len(rows), -1)):
+                fn_norm = _max_norm(fn)
+                good = ~took & np.isfinite(fn).all(axis=1)
+                good[good] = fn_norm[good] < (1 - 1e-4 * s) * fnorm[rows[good]]
+                z[rows[good]], f[rows[good]] = zn[good], fn[good]
+                fnorm[rows[good]] = fn_norm[good]
+                took |= good
+            searching = searching[~took]
+            t /= 4
         exits[active[searching]] = "stalled"
         active = np.delete(active, searching)
     exits[active[fnorm[active] < 1e-13]] = "converged"

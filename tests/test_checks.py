@@ -157,6 +157,9 @@ NAN_PLANTS = [
     ("exchange-relations", monodromy, "_sparse_blocks", 6 + 2,
      _nan_block_entry),
     ("vacuum-actions", checks, "scalar_d", 2, _nan),
+    # D^2_2 at the second point: the check reads its row and column of the
+    # reference state, not this entry, so only the scale meets the NaN
+    ("vacuum-actions", checks, "_sparse_blocks", 2, _nan_block_entry),
     ("orthogonality", checks, "verify_orthogonality", 1, _nan_offdiag),
     ("decompositions", checks, "decomposition_residual", 2, _nan),
     # the second label's norm; orthogonality takes the N=2 chain's norms first

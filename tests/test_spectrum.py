@@ -13,7 +13,7 @@ from spintorus.spectrum import (NEWTON_EXITS, NEWTON_FD_STEP, OMEGA,
                                 RESIDUAL_CHUNK, TQSolution, U_PROBES,
                                 _canonical, _chunked_residuals,
                                 _difference_residuals, _full_space_spectrum,
-                                _newton, _newton_steps, _residuals,
+                                _max_norm, _newton, _newton_steps, _residuals,
                                 _roots_separated, _same_solution,
                                 _twist_charge, _twist_orbits, _vector,
                                 _z_charge, bae_residuals, brute_force_spectrum,
@@ -493,6 +493,115 @@ def test_singular_newton_system_fails_alone(rng):
     assert_array_equal(solved, [True, True, False, True])
     for k in (0, 1, 3):
         assert_array_equal(steps[k], np.linalg.solve(jac[k], rhs[k]))
+
+
+def _newton_oracle(spec, z0, max_iter):
+    """``_newton`` written plainly: the Jacobian from full evaluations of the
+    shifted rows and one halving of the line search per residual call.  The
+    bit-identity oracle of ``_newton``, which stacks its rows differently."""
+    dim = z0.shape[1]
+    z = np.array(z0, dtype=complex)
+    f = _chunked_residuals(z, spec)
+    fnorm = _max_norm(f)
+    exits = np.full(len(z), "max_iter", dtype=object)
+    finite = np.isfinite(f).all(axis=1)
+    fnorm[~finite] = np.inf
+    exits[~finite] = "nonfinite_start"
+    active = np.flatnonzero(finite)
+    for _ in range(max_iter):
+        done = fnorm[active] < 1e-13
+        exits[active[done]] = "converged"
+        active = active[~done]
+        if not active.size:
+            break
+        fa = f[active]
+        shifted = z[active][:, None, :] + NEWTON_FD_STEP * np.eye(dim)
+        fp = _chunked_residuals(shifted.reshape(-1, dim), spec).reshape(-1, dim, dim)
+        ok = np.isfinite(fp).all(axis=(1, 2))
+        exits[active[~ok]] = "nonfinite_jacobian"
+        active, fa, fp = active[ok], fa[ok], fp[ok]
+        jac = (fp - fa[:, None, :]).transpose(0, 2, 1) / NEWTON_FD_STEP
+        step, solved = _newton_steps(jac, -fa)
+        exits[active[~solved]] = "singular_jacobian"
+        active, step = active[solved], step[solved]
+        searching = np.arange(len(active))
+        t = 1.0
+        for _ in range(14):
+            if not searching.size:
+                break
+            rows = active[searching]
+            zn = z[rows] + t * step[searching]
+            fn = _chunked_residuals(zn, spec)
+            fn_norm = _max_norm(fn)
+            good = np.isfinite(fn).all(axis=1)
+            good[good] = fn_norm[good] < (1 - 1e-4 * t) * fnorm[rows[good]]
+            z[rows[good]], f[rows[good]] = zn[good], fn[good]
+            fnorm[rows[good]] = fn_norm[good]
+            searching = searching[~good]
+            t *= 0.5
+        exits[active[searching]] = "stalled"
+        active = np.delete(active, searching)
+    exits[active[fnorm[active] < 1e-13]] = "converged"
+    return z, fnorm, exits
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_newton_oracle_keeps_its_bits_in_fewer_calls(N, rng, monkeypatch):
+    # two halvings per line-search call and Jacobian chunks of
+    # RESIDUAL_CHUNK rows regroup the rows, not a start's arithmetic; with a
+    # chunk of 5 starts' rows the Jacobian and line search span several
+    spec = default_spec(N=N)
+    dim = 4 * N + 4
+    z0 = _hard_rows(spec, 48, rng)
+    z0[6, 4 * N] = 1e12     # f1_plus beyond the step's ulp: a singular Jacobian
+    want = _newton_oracle(spec, z0, 25)
+    assert {"nonfinite_start", "singular_jacobian", "stalled"} <= set(want[2])
+    log = []
+    for name in ("_difference_residuals", "_chunked_residuals", "_residuals"):
+        def counted(z, *args, _name=name, _inner=getattr(spectrum_module, name)):
+            log.append((_name, len(z)))
+            return _inner(z, *args)
+
+        monkeypatch.setattr(spectrum_module, name, counted)
+    for chunk in (RESIDUAL_CHUNK, 5 * dim):
+        monkeypatch.setattr(spectrum_module, "RESIDUAL_CHUNK", chunk)
+        log.clear()
+        z, fnorm, exits = _newton(spec, z0, 25)
+        _assert_same_bits(z, want[0])
+        _assert_same_bits(fnorm, want[1])
+        assert_array_equal(exits, want[2])
+        assert max(rows for name, rows in log if name == "_residuals") <= chunk
+        # an iteration: one difference Jacobian over its starts and that
+        # Jacobian's _residuals calls, then the line-search calls
+        iterations, in_jacobian = [], False
+        for name, rows in log:
+            if name == "_difference_residuals":
+                iterations.append([rows, 0, 0])
+                in_jacobian = True
+            elif name == "_chunked_residuals":
+                if iterations:
+                    iterations[-1][2] += 1
+                in_jacobian = False
+            elif in_jacobian:
+                iterations[-1][1] += 1
+        assert len(iterations) > 10
+        for starts, assembly, searches in iterations:
+            assert 1 <= assembly <= -(-starts * dim // chunk)
+            assert 1 <= searches <= 7
+
+
+def test_lone_singular_start_exits_with_its_class(rng):
+    # f1_plus = 1e12 puts the Jacobian's shift below its ulp, so the system
+    # is singular; alone the start leaves an empty batch for the line search
+    spec = default_spec(N=1)
+    z0 = _random_starts(spec, 2, rng)
+    z0[0, 4] = 1e12
+    alone, pair = _newton(spec, z0[:1], 60), _newton(spec, z0, 60)
+    assert alone[2][0] == pair[2][0] == "singular_jacobian"
+    assert pair[2][1] != "singular_jacobian"
+    assert_array_equal(alone[0][0], z0[0])
+    for a, p in zip(alone, pair):
+        assert_array_equal(a[0], p[0])
 
 
 def test_newton_exit_counts(bae1, bae2):
