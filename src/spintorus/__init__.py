@@ -1,11 +1,12 @@
 """Exact verification and construction engine for the antiperiodic
 trigonometric three-flavor spin chain at desk scale.
 
-The package builds the two-site scattering matrix and the chain monodromy
-as dense complex arrays, certifies their algebraic identities numerically,
-enumerates the separated basis, solves the eigenvalue parametrization by
-root search, and reconstructs transfer eigenvectors from eigenvalue data,
-cross-checking every construction against brute-force diagonalization.
+The package builds the two-site scattering matrix, the chain monodromy as
+the sparse entries of its blocks and the transfer matrix as a dense complex
+array, certifies their algebraic identities numerically, enumerates the
+separated basis, solves the eigenvalue parametrization by root search, and
+reconstructs transfer eigenvectors from eigenvalue data, cross-checking
+every construction against brute-force diagonalization.
 """
 import os as _os
 import sys as _sys

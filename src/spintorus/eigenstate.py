@@ -19,12 +19,9 @@ from .errors import (DegenerateNormalizationError, PoleProximityError,
                      require_three_flavors)
 from .monodromy import (FD4_STEP, _a_product, _dense, _sparse_blocks,
                         fd4_derivative, homogeneous_transfer)
-from .rmatrix import twist_matrix
 from .sov_basis import (POLE_TOL, _grown_rows, _norms, _site_tuple,
                         enumerate_basis, f_factor)
-from .spectrum import (U_PROBES, _eigenvalue_of, _full_space_spectrum,
-                       _twist_charge)
-from .tensor_core import kron_chain, simultaneous_eigen
+from .spectrum import _sector_spectrum, _twist_charge, brute_force_spectrum
 
 
 def _lambda_tuple(lambda_at_theta, N: int) -> tuple:
@@ -356,31 +353,26 @@ def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
     """
     direction = tuple(complex(x) for x in direction)
     N = len(direction)
+    # the chains first: a direction they refuse builds no dense transfer
+    specs = [ChainSpec(n=3, N=N, eta=eta, theta=tuple(eps * x for x in direction))
+             for eps in EPS_SEQUENCE]
 
-    # homogeneous reference spectrum, and t(u) at the points fd4 samples
-    t_hom = lambda u: homogeneous_transfer(u, 3, N, eta)
-    u_op = kron_chain([twist_matrix(3)] * N)
-    hom_records, _, hom_dual, _ = simultaneous_eigen(
-        [t_hom(U_PROBES[0]), t_hom(U_PROBES[1]), u_op])
+    # homogeneous reference spectrum, with lambda at the points fd4 samples
     h = FD4_STEP
-    t_at = {u: t_hom(u) for u in (0.0, 2 * h, h, -h, -2 * h)}
-
-    families = []
-    for k, (vec, mus) in enumerate(hom_records):
-        lam0 = _eigenvalue_of(hom_dual[k], vec, t_at[0.0] @ vec)
-        dlam0 = fd4_derivative(
-            lambda u: _eigenvalue_of(hom_dual[k], vec, t_at[u] @ vec), 0.0)
-        families.append(HomogFamily(hom_index=k, z_charge=_twist_charge(mus[2]),
-                                    lam0=lam0, dlam0=dlam0))
+    points = (0.0, 2 * h, h, -h, -2 * h)
+    hom_mus, hom_lam, hom_vecs, _, _ = _sector_spectrum(
+        lambda u: homogeneous_transfer(u, 3, N, eta), N, points)
+    lam_at = dict(zip(points, hom_lam.T))
+    dlam0 = fd4_derivative(lambda u: lam_at[u], 0.0)
+    families = [HomogFamily(hom_index=k, z_charge=_twist_charge(mus[2]),
+                            lam0=complex(lam_at[0.0][k]), dlam0=complex(dlam0[k]))
+                for k, mus in enumerate(hom_mus)]
 
     # reconstructed, gauge-fixed states per eps, matched to the homogeneous
     # families through the probe eigenvalues
     tracked = {k: [] for k in range(len(families))}
-    hom_mus = np.array([mus for _, mus in hom_records])
-    for eps in EPS_SEQUENCE:
-        spec = ChainSpec(n=3, N=N, eta=eta,
-                         theta=tuple(eps * x for x in direction))
-        records = _full_space_spectrum(spec)
+    for spec in specs:
+        records = brute_force_spectrum(spec)
         mus = np.array([rec.mu for rec in records])
         cost = np.abs(hom_mus[:, None] - mus[None]).sum(axis=2)
         rows, cols = _min_cost_matching(cost)
@@ -404,7 +396,7 @@ def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
                            zip(fam.distances, fam.distances[1:]))
         extrapolated = normalize_gauge(
             _neville_at_zero(np.array(EPS_SEQUENCE), np.array(states)))
-        hom_vec = normalize_gauge(hom_records[fam.hom_index][0])
+        hom_vec = normalize_gauge(hom_vecs[:, fam.hom_index])
         fam.angle_eigenvector = _hermitian_angle(extrapolated, hom_vec)
         if N == 2 and abs(fam.lam0) > 1e-12:
             ref = closed_form_two_site(fam.lam0, fam.dlam0, 3, eta)

@@ -16,7 +16,7 @@ import numpy as np
 from .chain import DEFAULT_SEED, ChainSpec
 from .errors import (InconsistencyError, NonGenericSpecError,
                      PoleProximityError, require_three_flavors)
-from .monodromy import _a, _a_product, _q, transfer, twist_operator
+from .monodromy import _a, _a_product, _q, transfer
 from .tensor_core import (COMMUTE_TOL, _operator_scale, _worst, eigen_order,
                           relative_residual, simultaneous_eigen)
 
@@ -219,12 +219,6 @@ class SpectralRecord:
     residual: float
 
 
-def _eigenvalue_of(dual: np.ndarray, vec: np.ndarray, tv: np.ndarray) -> complex:
-    """Eigenvalue of an operator t on its eigenvector vec, read through the
-    dual row from the product tv = t @ vec."""
-    return complex((dual @ tv) / (dual @ vec))
-
-
 def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL,
                   what: str = "twist eigenvalue") -> int:
     """Exponent z of mu_u = OMEGA**z, read within tol: the Z3 charge of a
@@ -251,37 +245,6 @@ def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
     return z_twist
 
 
-def _full_space_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
-    """All 3^N transfer eigenstates by one joint diagonalization of
-    {t(u_1), t(u_2), twist} on the full space, each lambda(theta_j) read by
-    its own matvec.
-
-    The oracle of ``brute_force_spectrum``, and the spectrum that
-    ``homogeneous_limit_study`` reads: the homog N=2 golden pins the last
-    bits of this arithmetic, so homog stays on it until homog moves to the
-    charge sectors (ROADMAP item 2) and that golden is re-derived against
-    the SoV precision oracle (ROADMAP item 1).
-    """
-    require_three_flavors("brute_force_spectrum", spec.n)
-    records_raw, _, wmat, resid = simultaneous_eigen(
-        [transfer(U_PROBES[0], spec), transfer(U_PROBES[1], spec),
-         twist_operator(spec)], rng_seed=rng_seed)
-    lam_theta = [[] for _ in records_raw]
-    for theta in spec.theta:
-        tt = transfer(theta, spec)  # one dense t(theta_j) alive at a time
-        for k, (vec, _) in enumerate(records_raw):
-            lam_theta[k].append(_eigenvalue_of(wmat[k], vec, tt @ vec))
-        del tt
-    records = [SpectralRecord(vector=vec, dual=wmat[k], mu=mu,
-                              lambda_theta=tuple(lam_theta[k]), z_charge=-1,
-                              residual=float(resid[k]))
-               for k, (vec, mu) in enumerate(records_raw)]
-    a_prod = _a_product(spec)
-    for rec in records:
-        rec.z_charge = _z_charge(rec, a_prod)
-    return records
-
-
 def _twist_orbits(N: int) -> np.ndarray:
     """Orbits of the global twist g|k> = |k+1> (labels mod 3 on every site),
     as 3 rows of 3^(N-1) basis indices: row m holds g^m applied to the
@@ -292,9 +255,10 @@ def _twist_orbits(N: int) -> np.ndarray:
                      for m in range(3)])
 
 
-def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
-    """All 3^N transfer eigenstates, diagonalized one Z3 charge sector at a
-    time.
+def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
+    """All 3^N joint eigenstates of {build(u_1), build(u_2), twist},
+    diagonalized one Z3 charge sector at a time; build(u) is a dense 3^N
+    transfer matrix that commutes with the twist.
 
     The twist g permutes the basis in orbits g^m|r>, m = 0, 1, 2, of the
     representatives r (``_twist_orbits``).  The states
@@ -302,22 +266,23 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     commutes with g, so its block there is T_z = sum_m OMEGA^(-z m)
     t[r, g^m r']: three column gathers of t.  Each sector's blocks of
     t(u_1), t(u_2) at the fixed probe points are jointly diagonalized, which
-    separates the spectrum for generic chains; z is the sector's label
-    (cross-checked against prod_j lambda(theta_j) by ``_z_charge``), and
-    lambda(theta_j) is read with one GEMM per sector on T_z(theta_j).
-    Eigenvectors and duals are mapped back to the site basis; the duals are
-    rows of the inverse eigenvector matrix, so bilinear pairings with the
-    eigenvectors are Kronecker deltas.  ``residual`` is the full-space
-    relative residual over t(u_1), t(u_2) and the twist; t(u_i) acts on a
-    sector's vectors as its sector columns over every row of t, the orbit
-    gathers summed with their phases, times the sector's eigenvectors.
-    Records come in ``eigen_order`` of (mu_1, mu_2, twist eigenvalue), as from
-    ``_full_space_spectrum``, the oracle.  A probe that does not commute
-    with the twist raises ``NonGenericSpecError``; other ranks than n = 3
-    are refused up front.
+    separates the spectrum for generic chains, and the twist eigenvalue is
+    the sector's OMEGA^z.  The eigenvalue of t(u) at each of ``points`` is
+    read with one GEMM per sector on T_z(u).  Eigenvectors and duals are
+    mapped back to the site basis; the duals are rows of the inverse
+    eigenvector matrix, so bilinear pairings with the eigenvectors are
+    Kronecker deltas.  The residual is the full-space relative residual over
+    t(u_1), t(u_2) and the twist; t(u_i) acts on a sector's vectors as its
+    sector columns over every row of t, the orbit gathers summed with their
+    phases, times the sector's eigenvectors.  A probe that does not commute
+    with the twist raises ``NonGenericSpecError``.
+
+    Returns ``(mus, lam, vmat, wmat, resid)``, sorted by ``eigen_order`` of
+    the rows of ``mus`` = (mu_1, mu_2, twist eigenvalue): ``lam[k, j]`` is
+    record k's eigenvalue at ``points[j]``, ``vmat`` holds the eigenvectors
+    as columns and ``wmat`` the duals as rows.
     """
-    require_three_flavors("brute_force_spectrum", spec.n)
-    N, dim = spec.N, spec.dim
+    dim = 3 ** N
     size = dim // 3
     orbits = _twist_orbits(N)
     back = np.empty(dim, dtype=int)        # (twist @ v) = v[back]
@@ -330,7 +295,7 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
 
     probes = []     # (scale, the sector columns over every row) per probe
     for i, u in enumerate(U_PROBES):
-        t = transfer(u, spec)
+        t = build(u)
         # t g^k = g^k t iff t[g^k a, g^k b] = t[a, b]; the rows a may stay
         # on the representatives, since every row is g^j of one of them
         leak = _worst(np.abs(t[np.ix_(perm[:size], perm)] - t[:size]).max()
@@ -352,13 +317,13 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     for z, (row, (recs, *_)) in enumerate(zip(rows, solved)):
         mus[row, :2] = [mu for _, mu in recs]
         mus[row, 2] = OMEGA ** z
-    lam = np.empty((dim, N), dtype=complex)
-    for j, theta in enumerate(spec.theta):
-        tz = sector_blocks(transfer(theta, spec))
+    lam = np.empty((dim, len(points)), dtype=complex)
+    for j, u in enumerate(points):
+        tz = sector_blocks(build(u))
         lam[:, j] = np.concatenate([
             (wmat * (block @ vmat).T).sum(axis=1)
             for block, (_, vmat, wmat, _) in zip(tz, solved)])
-        del tz  # no block of t(theta_j) alive while t(theta_j+1) is built
+        del tz  # no block of t(points[j]) alive while the next one is built
     order = eigen_order(mus)
     place = np.empty(dim, dtype=int)
     place[order] = np.arange(dim)
@@ -377,15 +342,34 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
         for i, (scale, cols) in enumerate(probes):
             resid[at] = np.maximum(resid[at], relative_residual(
                 cols[z] @ vmat, mus[at, i], vecs, scale))
-    del probes
-    records = [SpectralRecord(vector=vmat_site[:, k].copy(), dual=wmat_site[k],
-                              mu=tuple(mus[k]),
-                              lambda_theta=tuple(complex(x) for x in lam[k]),
-                              z_charge=-1, residual=float(resid[k]))
-               for k in range(dim)]
+    return mus, lam, vmat_site, wmat_site, resid
+
+
+def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
+    """All 3^N transfer eigenstates, diagonalized one Z3 charge sector at a
+    time by ``_sector_spectrum`` on ``transfer``, with lambda read at the
+    inhomogeneity points theta_j.
+
+    Each record's charge z is its sector's label, cross-checked against
+    prod_j lambda(theta_j) by ``_z_charge``.  Records come in
+    ``eigen_order`` of (mu_1, mu_2, twist eigenvalue).  The tests' oracle
+    is ``tests/oracles.py``'s ``_full_space_spectrum``, one joint
+    diagonalization on the full space with each lambda(theta_j) read by its
+    own matvec.  A probe that does not commute with the twist raises
+    ``NonGenericSpecError``; other ranks than n = 3 are refused up front.
+    """
+    require_three_flavors("brute_force_spectrum", spec.n)
+    mus, lam, vmat, wmat, resid = _sector_spectrum(
+        lambda u: transfer(u, spec), spec.N, spec.theta, rng_seed)
     a_prod = _a_product(spec)
-    for rec in records:
+    records = []
+    for k in range(spec.dim):
+        rec = SpectralRecord(vector=vmat[:, k].copy(), dual=wmat[k],
+                             mu=tuple(mus[k]),
+                             lambda_theta=tuple(complex(x) for x in lam[k]),
+                             z_charge=-1, residual=float(resid[k]))
         rec.z_charge = _z_charge(rec, a_prod)
+        records.append(rec)
     return records
 
 

@@ -14,7 +14,9 @@ import pytest
 
 from spintorus.chain import default_spec
 from spintorus.monodromy import transfer
-from spintorus.spectrum import _eigenvalue_of, brute_force_spectrum, solve_bae
+from spintorus.spectrum import brute_force_spectrum, solve_bae
+
+from oracles import _eigenvalue_of
 
 
 @pytest.fixture(scope="session")

@@ -11,15 +11,15 @@ from scipy.optimize import linear_sum_assignment
 
 import spintorus.eigenstate as eigenstate
 import spintorus.sov_basis as sov_basis
-from spintorus.chain import ChainSpec, default_spec
+from spintorus.chain import ChainSpec, default_spec, default_theta
 from spintorus.eigenstate import (Reconstructor, _kernel,
                                   _min_cost_matching, _pairings,
                                   closed_form_two_site, f_factor,
                                   g_m_function, homogeneous_limit_study,
                                   normalize_gauge, scalar_F)
-from spintorus.errors import (DegenerateNormalizationError, InconsistencyError,
-                              NonGenericSpecError, PoleProximityError,
-                              UnsupportedRankError)
+from spintorus.errors import (DegenerateNormalizationError, DenseBudgetError,
+                              InconsistencyError, NonGenericSpecError,
+                              PoleProximityError, UnsupportedRankError)
 from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
                                  homogeneous_transfer, monodromy_blocks,
                                  scalar_a, transfer, vacuum_bra)
@@ -428,18 +428,29 @@ def test_uniform_limit_study_reads_charge_with_the_cube_root_check(mu, monkeypat
     # the twist eigenvalues of the n = 2 (-1) and n = 4 (i) chains carry no
     # Z3 charge: the homogeneous family readout refuses them like the
     # spectrum does instead of rounding their angle to a sector
-    def off_rank(ops, **kwargs):
-        records, *rest = simultaneous_eigen(ops, **kwargs)
-        return ([(vec, mus[:2] + (mu,)) for vec, mus in records], *rest)
+    exact = eigenstate._sector_spectrum
 
-    monkeypatch.setattr(eigenstate, "simultaneous_eigen", off_rank)
+    def off_rank(*args):
+        mus, *rest = exact(*args)
+        mus[:, 2] = mu
+        return (mus, *rest)
+
+    monkeypatch.setattr(eigenstate, "_sector_spectrum", off_rank)
     with pytest.raises(InconsistencyError, match="not a cube root of unity"):
         homogeneous_limit_study((0.13 + 0.07j,), 0.5)
 
 
-def test_uniform_limit_study_rejects_degenerate_direction():
+def test_uniform_limit_study_rejects_degenerate_direction(monkeypatch):
+    # the shrunk chains are refused before any uniform transfer is built:
+    # coinciding inhomogeneities, and seven sites past the dense budget
+    def unbuilt(*args):
+        raise AssertionError("homogeneous_transfer built for a refused chain")
+
+    monkeypatch.setattr(eigenstate, "homogeneous_transfer", unbuilt)
     with pytest.raises(NonGenericSpecError):
         homogeneous_limit_study((0.3, 0.3), 0.5)
+    with pytest.raises(DenseBudgetError):
+        homogeneous_limit_study(default_theta(7), 0.5)
 
 
 def test_min_cost_matching_equals_scipy_on_random_costs(rng):

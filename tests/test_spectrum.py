@@ -7,19 +7,22 @@ import spintorus.spectrum as spectrum_module
 from spintorus.chain import ChainSpec, default_spec
 from spintorus.errors import (InconsistencyError, NonGenericSpecError,
                               UnsupportedRankError)
-from spintorus.monodromy import (_a, _a_product, _q, scalar_a, transfer,
+from spintorus.monodromy import (FD4_STEP, _a, _a_product, _q,
+                                 homogeneous_transfer, scalar_a, transfer,
                                  twist_operator)
 from spintorus.spectrum import (NEWTON_EXITS, NEWTON_FD_STEP, OMEGA,
                                 RESIDUAL_CHUNK, TQSolution, U_PROBES,
                                 _canonical, _chunked_residuals,
-                                _difference_residuals, _full_space_spectrum,
-                                _max_norm, _newton, _newton_steps, _residuals,
-                                _roots_separated, _same_solution,
+                                _difference_residuals, _max_norm, _newton,
+                                _newton_steps, _residuals, _roots_separated,
+                                _same_solution, _sector_spectrum,
                                 _twist_charge, _twist_orbits, _vector,
                                 _z_charge, bae_residuals, brute_force_spectrum,
                                 solve_bae, tq_lambda)
 from spintorus.tensor_core import (EIGEN_RESID_TOL, _operator_scale,
                                    relative_residual)
+
+from oracles import _full_space_spectrum, full_space_eigen
 
 SINH_05 = 0.52109530549374736
 
@@ -42,9 +45,8 @@ def test_reference_spectrum_residuals(records2, records3):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_spectrum_readout_matches_per_vector_formulas(N, request):
-    # the full-space spectrum that homog reads keeps lambda(theta_j) as the
-    # one-vector pairing bit for bit; mu and the residual match their
-    # one-vector formulas
+    # the full-space oracle keeps lambda(theta_j) as the one-vector pairing
+    # bit for bit; mu and the residual match their one-vector formulas
     spec = request.getfixturevalue(f"spec{N}")
     records = _full_space_spectrum(spec)
     t_theta = [transfer(t, spec) for t in spec.theta]
@@ -82,6 +84,26 @@ def test_sector_spectrum_matches_full_space_oracle(N):
     vecs = np.column_stack([r.vector for r in records])
     duals = np.array([r.dual for r in records])
     assert np.abs(duals @ vecs - np.eye(3 ** N)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_sector_spectrum_of_uniform_transfer_matches_full_space_oracle(N):
+    # homog's reference spectrum: the uniform chain's transfer, with lambda
+    # read at the points its fourth-order derivative samples
+    h = FD4_STEP
+    points = (0.0, 2 * h, h, -h, -2 * h)
+    build = lambda u: homogeneous_transfer(u, 3, N, 0.5)
+    mus, lam, vmat, wmat, resid = _sector_spectrum(build, N, points)
+    ref_mus, ref_lam, ref_vmat, _, _ = full_space_eigen(build, N, points)
+    assert ([_twist_charge(m) for m in mus[:, 2]]
+            == [_twist_charge(m) for m in ref_mus[:, 2]])
+    assert_allclose(mus, ref_mus, rtol=1e-13, atol=0)
+    assert_allclose(lam, ref_lam, rtol=1e-13, atol=0)
+    cos = (np.abs((vmat.conj() * ref_vmat).sum(axis=0))
+           / (np.linalg.norm(vmat, axis=0) * np.linalg.norm(ref_vmat, axis=0)))
+    assert (1 - cos).max() <= 1e-13
+    assert resid.max() <= EIGEN_RESID_TOL
+    assert np.abs(wmat @ vmat - np.eye(3 ** N)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
