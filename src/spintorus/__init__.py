@@ -37,23 +37,19 @@ from .errors import (DegenerateNormalizationError, DegeneracyError,
                      NonGenericSpecError, PoleProximityError, SpinTorusError,
                      UnsupportedRankError)
 from .monodromy import (apply_entry, apply_entry_bra,
-                        exchange_relation_residuals, global_hamiltonian,
-                        homogeneous_transfer, monodromy_blocks,
+                        exchange_relation_residuals, homogeneous_transfer,
                         product_identity_residual, scalar_a, scalar_d,
                         transfer, twist_operator)
-from .rmatrix import (crossing_residual, fusion_rank, local_hamiltonian,
-                      permutation_matrix, qybe_residual, r_matrix,
-                      twist_invariance_residual, twist_matrix,
-                      unitarity_residual)
+from .rmatrix import (crossing_residual, fusion_rank, permutation_matrix,
+                      qybe_residual, r_matrix, twist_invariance_residual,
+                      twist_matrix, unitarity_residual)
 from .sov_basis import (BasisIndex, act_on_bra, basis_states,
                         decomposition_residual, enumerate_basis, f_factor,
-                        g_factor, identity_resolution_residual, left_state,
-                        right_state, verify_orthogonality)
+                        identity_resolution_residual, verify_orthogonality)
 from .spectrum import (BaeSolveResult, SpectralRecord, TQSolution,
                        bae_residuals, brute_force_spectrum, solve_bae,
                        tq_lambda)
-from .tensor_core import (embed_site_operator, kron_chain, simultaneous_eigen,
-                          site_matrix_unit)
+from .tensor_core import kron_chain, simultaneous_eigen, site_matrix_unit
 
 __version__ = "1.0.0"
 
@@ -66,13 +62,11 @@ __all__ = [
     "act_on_bra", "apply_entry", "apply_entry_bra", "bae_residuals",
     "basis_states", "brute_force_spectrum", "closed_form_two_site",
     "crossing_residual", "decomposition_residual", "default_spec",
-    "embed_site_operator", "enumerate_basis", "exchange_relation_residuals",
-    "f_factor", "fusion_rank", "g_factor", "g_m_function",
-    "global_hamiltonian", "homogeneous_limit_study",
+    "enumerate_basis", "exchange_relation_residuals", "f_factor",
+    "fusion_rank", "g_m_function", "homogeneous_limit_study",
     "homogeneous_transfer", "identity_resolution_residual", "kron_chain",
-    "left_state", "local_hamiltonian", "monodromy_blocks", "normalize_gauge",
-    "permutation_matrix", "product_identity_residual", "qybe_residual",
-    "r_matrix", "right_state", "run_checks", "scalar_F",
+    "normalize_gauge", "permutation_matrix", "product_identity_residual",
+    "qybe_residual", "r_matrix", "run_checks", "scalar_F",
     "scalar_a", "scalar_d",
     "simultaneous_eigen", "site_matrix_unit", "solve_bae", "tq_lambda",
     "transfer", "twist_invariance_residual", "twist_matrix", "twist_operator",

@@ -21,7 +21,7 @@ from .monodromy import (FD4_STEP, _a_product, _dense, _sparse_blocks,
                         fd4_derivative, homogeneous_transfer)
 from .sov_basis import (POLE_TOL, _grown_rows, _norms, _site_tuple,
                         enumerate_basis, f_factor)
-from .spectrum import _sector_spectrum, _twist_charge, brute_force_spectrum
+from .spectrum import _sector_spectrum, brute_force_spectrum
 
 
 def _lambda_tuple(lambda_at_theta, N: int) -> tuple:
@@ -360,13 +360,13 @@ def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
     # homogeneous reference spectrum, with lambda at the points fd4 samples
     h = FD4_STEP
     points = (0.0, 2 * h, h, -h, -2 * h)
-    hom_mus, hom_lam, hom_vecs, _, _ = _sector_spectrum(
+    hom_mus, hom_lam, hom_vecs, _, _, sector = _sector_spectrum(
         lambda u: homogeneous_transfer(u, 3, N, eta), N, points)
     lam_at = dict(zip(points, hom_lam.T))
     dlam0 = fd4_derivative(lambda u: lam_at[u], 0.0)
-    families = [HomogFamily(hom_index=k, z_charge=_twist_charge(mus[2]),
+    families = [HomogFamily(hom_index=k, z_charge=int(z),
                             lam0=complex(lam_at[0.0][k]), dlam0=complex(dlam0[k]))
-                for k, mus in enumerate(hom_mus)]
+                for k, z in enumerate(sector)]
 
     # reconstructed, gauge-fixed states per eps, matched to the homogeneous
     # families through the probe eigenvalues

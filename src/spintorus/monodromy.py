@@ -7,7 +7,7 @@ The blocks are built by appending one site per step: the site being
 appended is a fresh (fastest) tensor factor, and each new entry is an old
 entry times one of the R-matrix's nonzero weights, so no Kronecker product
 and no n^(N+1)-dimensional object is ever materialized.  The transfer
-matrix and the dense blocks are scatters of that one build.  The R-matrix
+matrix is a scatter of that one build.  The R-matrix
 conserves flavor, so a block sends each weight (flavor-content) sector of
 the chain to one other sector: the monodromy-algebra checks group each
 block's entries once into dense tiles keyed by (row weight, column weight)
@@ -28,16 +28,8 @@ from operator import matmul
 import numpy as np
 
 from .chain import ChainSpec
-from .rmatrix import local_hamiltonian, r_matrix, twist_matrix
-from .tensor_core import _rel_resid, _worst, embed_two_site, kron_chain
-
-__all__ = [
-    "scalar_a", "scalar_d", "monodromy_blocks", "apply_entry", "apply_entry_bra",
-    "transfer", "twist_operator",
-    "vacuum_ket", "vacuum_bra", "conjugate_vacuum_ket", "conjugate_vacuum_bra",
-    "product_identity_residual", "global_hamiltonian", "fd4_derivative",
-    "transfer_log_derivative_residual", "exchange_relation_residuals",
-]
+from .rmatrix import r_matrix, twist_matrix
+from .tensor_core import _worst, kron_chain
 
 
 def _q(x: np.ndarray, fam: np.ndarray) -> np.ndarray:
@@ -111,12 +103,6 @@ def _dense(keys: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def monodromy_blocks(u: complex, spec: ChainSpec) -> list:
-    """All n^2 auxiliary blocks at u: the dense oracle for ``apply_entry``."""
-    return [[_dense(keys, vals, spec.dim) for keys, vals in row]
-            for row in _sparse_blocks(complex(u), spec.n, spec.eta, spec.theta)]
-
-
 def _weights(n: int, N: int):
     """The weight (flavor content) of each of the n^N basis states as an
     index, each state's place among the states of its weight, and the states
@@ -165,13 +151,6 @@ class _Tiles:
         tiles = {(int(i), int(j)): buf[s:s + h * w].reshape(h, w)
                  for i, j, h, w, s in zip(r, c, height, width, start)}
         return cls(tiles, sectors)
-
-    def dense(self) -> np.ndarray:
-        dim = sum(len(states) for states in self.sectors)
-        out = np.zeros((dim, dim), dtype=complex)
-        for (r, c), t in self.tiles.items():
-            out[np.ix_(self.sectors[r], self.sectors[c])] = t
-        return out
 
     def _new(self, tiles: dict) -> "_Tiles":
         return _Tiles(tiles, self.sectors)
@@ -332,28 +311,6 @@ def product_identity_residual(spec: ChainSpec) -> float:
     return float(abs(prod - rhs).max()) / scale
 
 
-# ---------------------------------------------------------------------------
-# Hamiltonian at the homogeneous point
-# ---------------------------------------------------------------------------
-
-def global_hamiltonian(n: int, N: int, eta: complex) -> np.ndarray:
-    """Nearest-neighbour Hamiltonian with the twisted closure bond.
-
-    Bulk bonds embed the two-site density directly; the closure bond couples
-    site N to the twist-conjugated site 1.  Defined at the homogeneous point
-    (all inhomogeneities zero), which is where the transfer-matrix
-    log-derivative reproduces it.
-    """
-    h2 = local_hamiltonian(n, eta)
-    ham = np.zeros((n ** N, n ** N), dtype=complex)
-    for j in range(1, N):
-        ham += embed_two_site(h2, j, j + 1, n, N)
-    g = twist_matrix(n)
-    h_twisted = kron_chain([np.eye(n, dtype=complex), g]) @ h2 @ \
-        kron_chain([np.eye(n, dtype=complex), np.linalg.inv(g)])
-    return ham + embed_two_site(h_twisted, N, 1, n, N)
-
-
 # Step of fd4_derivative: f is sampled at u0 +- FD4_STEP and u0 +- 2 FD4_STEP.
 FD4_STEP = 1e-4
 
@@ -367,18 +324,6 @@ def fd4_derivative(f, u0: complex):
 def homogeneous_transfer(u: complex, n: int, N: int, eta: complex) -> np.ndarray:
     """Transfer matrix of the homogeneous chain (all theta = 0)."""
     return _twisted_trace(complex(u), n, eta, (0.0,) * N)
-
-
-def transfer_log_derivative_residual(n: int, N: int, eta: complex) -> float:
-    """Check H = sinh(eta) t'(0) t(0)^{-1} at the homogeneous point.
-
-    t'(0) comes from the fourth-order difference oracle so the comparison is
-    independent of the analytic derivative inside local_hamiltonian.
-    """
-    t0 = homogeneous_transfer(0.0, n, N, eta)
-    tp = fd4_derivative(lambda u: homogeneous_transfer(u, n, N, eta), 0.0)
-    lhs = np.sinh(eta) * tp @ np.linalg.inv(t0)
-    return _rel_resid(global_hamiltonian(n, N, eta), lhs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Trigonometric rank-n R-matrix in the principal gradation, with the cyclic
-twist and the derived two-site Hamiltonian density.
+twist and the residuals of its algebraic identities.
 
 Entry layout on V x V follows the site ordering of tensor_core: basis
 |a b> with the first factor slowest, so R[(a-1)n + (b-1), (c-1)n + (d-1)]
@@ -78,31 +78,6 @@ def unitarity_scalar(u: complex, eta: complex) -> complex:
 def crossing_scalar(u: complex, n: int, eta: complex) -> complex:
     """rho_2(u) = -sinh(u) sinh(u + n eta)."""
     return -np.sinh(u) * np.sinh(u + n * eta)
-
-
-def local_hamiltonian(n: int, eta: complex) -> np.ndarray:
-    """Two-site Hamiltonian density h = d/du [P R(u)] at u = 0, analytically.
-
-    Diagonal |a b> entries differentiate to cosh-type terms; the exchange
-    entries differentiate the exponential dressing only, since sinh(eta) is
-    constant in u.
-    """
-    rp = np.zeros((n * n, n * n), dtype=complex)
-    sh_eta = np.sinh(eta)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            row = (a - 1) * n + (b - 1)
-            if a == b:
-                rp[row, row] = np.cosh(eta)
-                continue
-            rp[row, row] = 1.0  # d/du sinh(u) at 0
-            col = (b - 1) * n + (a - 1)
-            if a < b:
-                alpha = (n - 2 * (b - a)) / n
-            else:
-                alpha = -(n - 2 * (a - b)) / n
-            rp[row, col] = alpha * sh_eta
-    return permutation_matrix(n) @ rp
 
 
 # ---------------------------------------------------------------------------

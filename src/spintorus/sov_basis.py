@@ -24,8 +24,8 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import PoleProximityError, require_three_flavors
-from .monodromy import (_q, _site_matrices, _sweep, apply_entry,
-                        apply_entry_bra, scalar_a, vacuum_bra, vacuum_ket)
+from .monodromy import (_q, _site_matrices, _sweep, apply_entry_bra,
+                        scalar_a, vacuum_bra, vacuum_ket)
 from .tensor_core import _rel_resid
 
 POLE_TOL = 1e-12
@@ -105,22 +105,6 @@ def _steps(idx: BasisIndex) -> tuple:
                  for p in block)
 
 
-def left_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
-    """Bra <0| C^2(theta_p) ... (flavor-2 block) C^3(...) ... C^n(...) as a row."""
-    bra = vacuum_bra(spec)
-    for f, p in _steps(idx):
-        bra = apply_entry_bra(spec.theta[p - 1], f, 1, bra, spec)
-    return bra
-
-
-def right_state(idx: BasisIndex, spec: ChainSpec) -> np.ndarray:
-    """Ket B_n(...) ... B_3(...) B_2(theta_p) ... |0>, the mirrored product."""
-    ket = vacuum_ket(spec)
-    for f, p in _steps(idx):
-        ket = apply_entry(spec.theta[p - 1], 1, f, ket, spec)
-    return ket
-
-
 def _grown_rows(labels, spec: ChainSpec, bra: bool) -> np.ndarray:
     """Left (``bra``) or right states of ``enumerate_basis`` labels stacked
     as rows: each extends the row of its label minus the last step by one
@@ -141,7 +125,7 @@ def _grown_rows(labels, spec: ChainSpec, bra: bool) -> np.ndarray:
 
 def basis_states(spec: ChainSpec):
     """The labels of ``enumerate_basis`` with their left and right states
-    stacked as rows, equal to ``left_state``/``right_state``."""
+    stacked as rows."""
     labels = enumerate_basis(spec)
     return (labels, _grown_rows(labels, spec, bra=True),
             _grown_rows(labels, spec, bra=False))
@@ -198,17 +182,11 @@ def _one_flavor_norm(sites: tuple, spec: ChainSpec) -> complex:
     return complex(val)
 
 
-def g_factor(idx: BasisIndex, spec: ChainSpec) -> complex:
-    """Closed-form bi-orthogonal normalization <idx|idx> of a three-flavor
-    label: the one-flavor norms of both blocks times the cross term
-    sinh(theta_k - theta_l - eta) / sinh(theta_k - theta_l), k in block3,
-    l in block2."""
-    return complex(_norms([idx], spec)[0])
-
-
 def _norms(labels, spec: ChainSpec) -> np.ndarray:
-    """``g_factor`` of each label, with the one-flavor norm of each distinct
-    site block taken once, from a table that lives for this call."""
+    """Closed-form norm <idx|idx> of each three-flavor label: the one-flavor
+    norms of both blocks times the cross term sinh(theta_k - theta_l - eta)
+    / sinh(theta_k - theta_l), k in block3, l in block2, each distinct
+    block's norm taken once, from a table that lives for this call."""
     th, one, out = (lambda p: spec.theta[p - 1]), {}, []
     for idx in labels:
         require_three_flavors("the closed-form norm", spec.n, idx.blocks)
@@ -334,18 +312,12 @@ def act_on_bra(op: str, u: complex, idx: BasisIndex, spec: ChainSpec):
 OP_ENTRY = {"D33": (3, 3), "D23": (2, 3), "D32": (3, 2), "B3": (1, 3), "C3": (3, 1)}
 
 
-def act_on_bra_dense(op: str, u: complex, bra: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    """Oracle route: ``bra`` @ Op(u) by direct action of the monodromy entry."""
-    i, j = OP_ENTRY[op]
-    return apply_entry_bra(u, i, j, bra, spec)
-
-
 def decomposition_residual(op: str, u: complex, idx: BasisIndex, bras: dict,
                            spec: ChainSpec) -> float:
-    """Worst relative deviation between act_on_bra and the dense action;
-    ``bras`` maps every basis label to its left state."""
+    """Worst relative deviation between act_on_bra and the direct action of
+    the monodromy entry; ``bras`` maps every basis label to its left state."""
     require_three_flavors("decomposition_residual", spec.n, idx.blocks)
-    dense = act_on_bra_dense(op, u, bras[idx], spec)
+    dense = apply_entry_bra(u, *OP_ENTRY[op], bras[idx], spec)
     rebuilt = np.zeros(spec.dim, dtype=complex)
     for target, coeff in act_on_bra(op, u, idx, spec):
         rebuilt += coeff * bras[target]

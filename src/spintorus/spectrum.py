@@ -232,19 +232,6 @@ def _twist_charge(mu_u: complex, tol: float = Z_CHARGE_TOL,
     return z
 
 
-def _z_charge(record: SpectralRecord, a_prod, tol: float = Z_CHARGE_TOL) -> int:
-    """Z3 charge of the twist eigenvalue, cross-checked against the charge
-    of prod_j lambda(theta_j) / a_prod, where a_prod = prod_j a(theta_j)."""
-    z_twist = _twist_charge(record.mu[-1], tol)
-    ratio = complex(np.prod([lam for lam in record.lambda_theta]) / a_prod)
-    z_prod = _twist_charge(ratio, tol, "eigenvalue product ratio")
-    if z_twist != z_prod:
-        raise InconsistencyError(
-            f"charge mismatch: twist route gives {z_twist}, "
-            f"eigenvalue-product route gives {z_prod}")
-    return z_twist
-
-
 def _twist_orbits(N: int) -> np.ndarray:
     """Orbits of the global twist g|k> = |k+1> (labels mod 3 on every site),
     as 3 rows of 3^(N-1) basis indices: row m holds g^m applied to the
@@ -277,10 +264,11 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
     phases, times the sector's eigenvectors.  A probe that does not commute
     with the twist raises ``NonGenericSpecError``.
 
-    Returns ``(mus, lam, vmat, wmat, resid)``, sorted by ``eigen_order`` of
-    the rows of ``mus`` = (mu_1, mu_2, twist eigenvalue): ``lam[k, j]`` is
-    record k's eigenvalue at ``points[j]``, ``vmat`` holds the eigenvectors
-    as columns and ``wmat`` the duals as rows.
+    Returns ``(mus, lam, vmat, wmat, resid, sector)``, sorted by
+    ``eigen_order`` of the rows of ``mus`` = (mu_1, mu_2, twist eigenvalue):
+    ``lam[k, j]`` is record k's eigenvalue at ``points[j]``, ``vmat`` holds
+    the eigenvectors as columns, ``wmat`` the duals as rows and
+    ``sector[k]`` the charge z of the sector record k was solved in.
     """
     dim = 3 ** N
     size = dim // 3
@@ -342,7 +330,7 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
         for i, (scale, cols) in enumerate(probes):
             resid[at] = np.maximum(resid[at], relative_residual(
                 cols[z] @ vmat, mus[at, i], vecs, scale))
-    return mus, lam, vmat_site, wmat_site, resid
+    return mus, lam, vmat_site, wmat_site, resid, order // size
 
 
 def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
@@ -350,8 +338,8 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     time by ``_sector_spectrum`` on ``transfer``, with lambda read at the
     inhomogeneity points theta_j.
 
-    Each record's charge z is its sector's label, cross-checked against
-    prod_j lambda(theta_j) by ``_z_charge``.  Records come in
+    Each record's charge z is its sector's label, cross-checked against the
+    charge of prod_j lambda(theta_j) / prod_j a(theta_j).  Records come in
     ``eigen_order`` of (mu_1, mu_2, twist eigenvalue).  The tests' oracle
     is ``tests/oracles.py``'s ``_full_space_spectrum``, one joint
     diagonalization on the full space with each lambda(theta_j) read by its
@@ -359,7 +347,7 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
     ``NonGenericSpecError``; other ranks than n = 3 are refused up front.
     """
     require_three_flavors("brute_force_spectrum", spec.n)
-    mus, lam, vmat, wmat, resid = _sector_spectrum(
+    mus, lam, vmat, wmat, resid, sector = _sector_spectrum(
         lambda u: transfer(u, spec), spec.N, spec.theta, rng_seed)
     a_prod = _a_product(spec)
     records = []
@@ -367,8 +355,13 @@ def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):
         rec = SpectralRecord(vector=vmat[:, k].copy(), dual=wmat[k],
                              mu=tuple(mus[k]),
                              lambda_theta=tuple(complex(x) for x in lam[k]),
-                             z_charge=-1, residual=float(resid[k]))
-        rec.z_charge = _z_charge(rec, a_prod)
+                             z_charge=int(sector[k]), residual=float(resid[k]))
+        z_prod = _twist_charge(complex(np.prod(rec.lambda_theta) / a_prod),
+                               what="eigenvalue product ratio")
+        if z_prod != rec.z_charge:
+            raise InconsistencyError(
+                f"charge mismatch: sector {rec.z_charge}, "
+                f"eigenvalue-product route gives {z_prod}")
         records.append(rec)
     return records
 

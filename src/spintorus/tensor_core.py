@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .chain import DEFAULT_SEED, ChainSpec
+from .chain import DEFAULT_SEED
 from .errors import DegeneracyError, NonGenericSpecError
 
 # Condition of the joint eigenvector matrix above which results are suspect.
@@ -38,19 +38,6 @@ def site_matrix_unit(n: int, k: int, l: int) -> np.ndarray:
     e = np.zeros((n, n), dtype=complex)
     e[k - 1, l - 1] = 1.0
     return e
-
-
-def embed_site_operator(a: np.ndarray, site: int, spec: ChainSpec) -> np.ndarray:
-    """Embed a single-site operator at 1-indexed ``site``, identity elsewhere."""
-    n, N = spec.n, spec.N
-    if not (1 <= site <= N):
-        raise ValueError(f"site {site} outside 1..{N}")
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} site operator, got shape {a.shape}")
-    left = np.eye(n ** (site - 1), dtype=complex)
-    right = np.eye(n ** (N - site), dtype=complex)
-    return kron_chain([left, a, right])
 
 
 def embed_two_site(op: np.ndarray, i: int, j: int, n: int, N: int) -> np.ndarray:

@@ -14,18 +14,21 @@ from spintorus.chain import default_spec
 from spintorus.cli import load_config, run
 from spintorus.eigenstate import (Reconstructor, homogeneous_limit_study,
                                   normalize_gauge, scalar_F)
-from spintorus.monodromy import (conjugate_vacuum_bra, exchange_relation_residuals,
-                                 monodromy_blocks, product_identity_residual,
-                                 scalar_a, vacuum_bra)
+from spintorus.monodromy import (apply_entry_bra, conjugate_vacuum_bra,
+                                 exchange_relation_residuals,
+                                 product_identity_residual, scalar_a,
+                                 vacuum_bra)
 from spintorus.rmatrix import (crossing_residual, fusion_rank,
                                initial_condition_residual, qybe_residual,
                                twist_invariance_residual, unitarity_residual)
-from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
+from spintorus.sov_basis import (OP_ENTRY, BasisIndex, act_on_bra,
                                  basis_states, decomposition_residual,
-                                 identity_resolution_residual, left_state,
-                                 right_state, verify_orthogonality)
+                                 identity_resolution_residual,
+                                 verify_orthogonality)
 from spintorus.spectrum import (OMEGA, bae_residuals, brute_force_spectrum,
                                 tq_lambda)
+
+from oracles import left_state, monodromy_blocks, right_state
 
 
 def _points(rng, count):
@@ -100,8 +103,8 @@ def test_criterion_4_decomposition_certificate(spec2, spec3):
                 u = spec.theta[q - 1]
                 for op in ("D33", "B3"):
                     assert act_on_bra(op, u, idx, spec) == []
-                    assert np.abs(act_on_bra_dense(op, u, bras[idx], spec)).max() \
-                        < 1e-11 * op_scale
+                    dense = apply_entry_bra(u, *OP_ENTRY[op], bras[idx], spec)
+                    assert np.abs(dense).max() < 1e-11 * op_scale
                 blocks = blocks_at[q]
                 scale = max(np.abs(blocks[2][2]).max(), 1.0) \
                     * max(np.abs(rv).max(), 1.0)

@@ -82,17 +82,20 @@ def test_one_basis_build_per_run(monkeypatch):
 
 
 def test_checks_build_no_bra_label_by_label(monkeypatch):
-    # the decompositions check reads its basis bras from the stacked rows
+    # the decompositions check reads its basis bras from the stacked rows:
+    # one sweep per last step (flavor, site), (n - 1) N = 4 per side at
+    # N = 2, that together grow each of the 8 non-vacuum labels once
     calls = []
-    left_state = sov_basis.left_state
+    sweep = sov_basis._sweep
 
-    def counted(*args):
-        calls.append(args)
-        return left_state(*args)
+    def counted(rs, i, j, rows, spec):
+        calls.append(len(rows))
+        return sweep(rs, i, j, rows, spec)
 
-    monkeypatch.setattr(sov_basis, "left_state", counted)
+    monkeypatch.setattr(sov_basis, "_sweep", counted)
     assert all(r.passed for r in run_checks(default_spec(N=2)))
-    assert calls == []
+    assert len(calls) == 8
+    assert sum(calls) == 2 * 8
 
 
 def _nan(value):

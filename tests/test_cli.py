@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spintorus.cli as cli
+import spintorus.eigenstate as eigenstate
 import spintorus.spectrum as spectrum
 from spintorus.chain import DEFAULT_SEED, LOG_FLOAT_MAX
 from spintorus.cli import (ConfigError, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR,
@@ -242,6 +243,30 @@ def test_strict_flag_controls_diagnostic_exit(tmp_path, monkeypatch):
     report = _load_report(tmp_path / "reconstruct_report.json")
     assert report["failures"]
     assert all(r["one_minus_cos"] > 1e-8 for r in report["records"])
+
+
+@pytest.mark.parametrize("kernel", ["g_m_function", "f_factor"])
+def test_reconstruct_kills_a_one_point_kernel_defect(kernel, tmp_path,
+                                                     monkeypatch):
+    # a 1e-6 error in the kernel of the one-point sets only, which no gauge
+    # absorbs (a uniform scale of every kernel is one): each rebuilt state
+    # stays aligned with its eigenvector to 1e-12, but its transfer residual
+    # (about 4e-7) exceeds the 1e-8 gate on all 9 records
+    exact = getattr(eigenstate, kernel)
+
+    def planted(points, *rest):
+        value = exact(points, *rest)
+        return value * (1 + 1e-6) if len(points) == 1 else value
+
+    monkeypatch.setattr(eigenstate, kernel, planted)
+    assert run("reconstruct", load_config({}), strict=True,
+               out_dir=str(tmp_path)) == EXIT_CHECK_FAILURE
+    report = _load_report(tmp_path / "reconstruct_report.json")
+    assert len(report["failures"]) == 9
+    assert all("transfer residual" in f for f in report["failures"])
+    records = report["records"]
+    assert max(r["max_residual"] for r in records) > 1e-7
+    assert max(r["one_minus_cos"] for r in records) < 1e-12
 
 
 def test_csv_sidecar(tmp_path):

@@ -21,13 +21,15 @@ from spintorus.errors import (DegenerateNormalizationError, DenseBudgetError,
                               InconsistencyError, NonGenericSpecError,
                               PoleProximityError, UnsupportedRankError)
 from spintorus.monodromy import (conjugate_vacuum_bra, conjugate_vacuum_ket,
-                                 homogeneous_transfer, monodromy_blocks,
-                                 scalar_a, transfer, vacuum_bra)
-from spintorus.sov_basis import (BasisIndex, basis_states, enumerate_basis,
-                                 g_factor, left_state)
+                                 homogeneous_transfer, scalar_a, transfer,
+                                 vacuum_bra)
+from spintorus.sov_basis import (BasisIndex, _norms, basis_states,
+                                 enumerate_basis)
 from spintorus.spectrum import OMEGA, brute_force_spectrum
 from spintorus.tensor_core import kron_chain, simultaneous_eigen
 from spintorus.rmatrix import twist_matrix
+
+from oracles import left_state, monodromy_blocks
 
 SINH2_05 = 0.27154031740762189
 
@@ -294,7 +296,8 @@ def test_reconstructor_builds_chain_data_once(spec3, records3, monkeypatch):
                      "g_m_function": 20, "_one_flavor_norm": 8 + 20}
     labels, _, kets = basis_states(spec3)
     assert np.array_equal(rebuild.kets, kets)
-    assert np.array_equal(rebuild.norms, [g_factor(idx, spec3) for idx in labels])
+    assert np.array_equal(rebuild.norms, [_norms([idx], spec3)[0]
+                                          for idx in labels])
 
 
 def test_reconstructor_refuses_one_record_and_keeps_going(spec2, records2):
@@ -420,23 +423,6 @@ def test_uniform_limit_study_marks_only_typed_failures_degenerate(monkeypatch):
 
     monkeypatch.setattr(eigenstate.Reconstructor, "state", broken)
     with pytest.raises(ValueError, match="unrelated defect"):
-        homogeneous_limit_study((0.13 + 0.07j,), 0.5)
-
-
-@pytest.mark.parametrize("mu", [-1.0, 1j])
-def test_uniform_limit_study_reads_charge_with_the_cube_root_check(mu, monkeypatch):
-    # the twist eigenvalues of the n = 2 (-1) and n = 4 (i) chains carry no
-    # Z3 charge: the homogeneous family readout refuses them like the
-    # spectrum does instead of rounding their angle to a sector
-    exact = eigenstate._sector_spectrum
-
-    def off_rank(*args):
-        mus, *rest = exact(*args)
-        mus[:, 2] = mu
-        return (mus, *rest)
-
-    monkeypatch.setattr(eigenstate, "_sector_spectrum", off_rank)
-    with pytest.raises(InconsistencyError, match="not a cube root of unity"):
         homogeneous_limit_study((0.13 + 0.07j,), 0.5)
 
 

@@ -11,10 +11,11 @@ from numpy.testing import assert_allclose
 from spintorus.monodromy import fd4_derivative
 from spintorus.rmatrix import (crossing_residual, crossing_scalar,
                                fusion_rank, initial_condition_residual,
-                               local_hamiltonian, permutation_matrix,
-                               qybe_residual, r_matrix,
+                               permutation_matrix, qybe_residual, r_matrix,
                                twist_invariance_residual, twist_matrix,
                                unitarity_residual, unitarity_scalar)
+
+from oracles import local_hamiltonian
 
 ETA = 0.5
 

@@ -14,17 +14,18 @@ from spintorus.chain import ChainSpec, default_spec
 from spintorus.cli import load_config, run
 from spintorus.eigenstate import Reconstructor, closed_form_two_site
 from spintorus.errors import PoleProximityError, UnsupportedRankError
-from spintorus.monodromy import (apply_entry_bra, monodromy_blocks, scalar_d,
-                                 transfer, vacuum_bra, vacuum_ket)
+from spintorus.monodromy import (apply_entry_bra, scalar_d, transfer,
+                                 vacuum_bra, vacuum_ket)
 from spintorus.rmatrix import (crossing_residual, qybe_residual,
                                twist_invariance_residual, unitarity_residual)
-from spintorus.sov_basis import (BasisIndex, act_on_bra, act_on_bra_dense,
+from spintorus.sov_basis import (OP_ENTRY, BasisIndex, _norms, act_on_bra,
                                  basis_states, decomposition_residual,
-                                 enumerate_basis, g_factor,
-                                 identity_resolution_residual, left_state,
-                                 right_state, verify_orthogonality)
+                                 enumerate_basis, identity_resolution_residual,
+                                 verify_orthogonality)
 from spintorus.spectrum import brute_force_spectrum
 from spintorus.tensor_core import _rel_resid
+
+from oracles import left_state, monodromy_blocks, right_state
 
 SINH2_05 = 0.27154031740762189     # 50-digit sinh(0.5)^2
 
@@ -91,13 +92,13 @@ def test_single_site_states_closed_form():
 
 def test_norm_factor_closed_form(spec1, spec2):
     empty = BasisIndex((), ())
-    assert g_factor(empty, spec1) == 1
+    assert _norms([empty], spec1)[0] == 1
     for idx in enumerate_basis(spec1)[1:]:
-        assert abs(g_factor(idx, spec1) - SINH2_05) < 1e-15
+        assert abs(_norms([idx], spec1)[0] - SINH2_05) < 1e-15
     # N=2: closed form equals the direct bilinear pairing for every label
     for idx in enumerate_basis(spec2):
         direct = left_state(idx, spec2) @ right_state(idx, spec2)
-        assert abs(g_factor(idx, spec2) - direct) / abs(direct) < 1e-12
+        assert abs(_norms([idx], spec2)[0] - direct) / abs(direct) < 1e-12
 
 
 def test_gram_single_site(spec1):
@@ -158,8 +159,8 @@ def test_left_vanishing_relations(spec2):
             for op in ("D33", "B3"):
                 assert act_on_bra(op, u, idx, spec2) == []
                 bra = left_state(idx, spec2)
-                assert np.abs(act_on_bra_dense(op, u, bra, spec2)).max() \
-                    < 1e-11 * scale
+                dense = apply_entry_bra(u, *OP_ENTRY[op], bra, spec2)
+                assert np.abs(dense).max() < 1e-11 * scale
 
 
 def test_right_vanishing_relations(spec2):
@@ -182,13 +183,14 @@ def test_annihilation_expansion_via_projection(spec2, spec3, rng):
     # at a random u and at each u = theta_q, q inside and outside the label
     for spec in (spec2, spec3):
         labels, bras, kets = basis_states(spec)
-        norms = np.array([g_factor(ix, spec) for ix in labels])
+        norms = _norms(labels, spec)
         points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))] \
             + list(spec.theta)
         for op in OPS:
             for u in points:
                 for idx, bra in zip(labels, bras):
-                    projected = act_on_bra_dense(op, u, bra, spec) @ kets.T / norms
+                    dense = apply_entry_bra(u, *OP_ENTRY[op], bra, spec)
+                    projected = dense @ kets.T / norms
                     terms = act_on_bra(op, u, idx, spec)
                     expansion = dict(terms)
                     assert len(expansion) == len(terms)
@@ -278,7 +280,7 @@ def test_generic_specs(spec, seed):
     assert _rel_resid(tu @ tv, tv @ tu) < 1e-11
     _check_rank_n_basis(spec, rng)
     if n != 3:
-        for refused in (lambda: g_factor(enumerate_basis(spec)[0], spec),
+        for refused in (lambda: _norms(enumerate_basis(spec)[:1], spec),
                         lambda: brute_force_spectrum(spec),
                         lambda: closed_form_two_site(1.0, 0.0, n, eta)):
             with pytest.raises(UnsupportedRankError, match="n = 3"):
@@ -316,7 +318,7 @@ def test_three_flavor_labels_by_name():
     with pytest.raises(ValueError, match="disjoint"):
         BasisIndex((1,), (1,))
     with pytest.raises(ValueError, match="three-flavor"):
-        g_factor(BasisIndex((1,)), default_spec(n=2, N=2))
+        _norms([BasisIndex((1,))], default_spec(n=2, N=2))
 
 
 @pytest.mark.parametrize("spec", [
@@ -332,4 +334,4 @@ def test_closed_forms_refuse_other_ranks(spec):
         with pytest.raises(UnsupportedRankError, match="n = 3"):
             decomposition_residual("D33", 0.37 - 0.41j, idx, {}, spec)
         with pytest.raises(UnsupportedRankError, match="n = 3"):
-            g_factor(idx, spec)
+            _norms([idx], spec)

@@ -17,12 +17,12 @@ from spintorus.spectrum import (NEWTON_EXITS, NEWTON_FD_STEP, OMEGA,
                                 _newton_steps, _residuals, _roots_separated,
                                 _same_solution, _sector_spectrum,
                                 _twist_charge, _twist_orbits, _vector,
-                                _z_charge, bae_residuals, brute_force_spectrum,
+                                bae_residuals, brute_force_spectrum,
                                 solve_bae, tq_lambda)
 from spintorus.tensor_core import (EIGEN_RESID_TOL, _operator_scale,
                                    relative_residual)
 
-from oracles import _full_space_spectrum, full_space_eigen
+from oracles import _full_space_spectrum, _z_charge, full_space_eigen
 
 SINH_05 = 0.52109530549374736
 
@@ -93,10 +93,9 @@ def test_sector_spectrum_of_uniform_transfer_matches_full_space_oracle(N):
     h = FD4_STEP
     points = (0.0, 2 * h, h, -h, -2 * h)
     build = lambda u: homogeneous_transfer(u, 3, N, 0.5)
-    mus, lam, vmat, wmat, resid = _sector_spectrum(build, N, points)
+    mus, lam, vmat, wmat, resid, sector = _sector_spectrum(build, N, points)
     ref_mus, ref_lam, ref_vmat, _, _ = full_space_eigen(build, N, points)
-    assert ([_twist_charge(m) for m in mus[:, 2]]
-            == [_twist_charge(m) for m in ref_mus[:, 2]])
+    assert sector.tolist() == [_twist_charge(m) for m in ref_mus[:, 2]]
     assert_allclose(mus, ref_mus, rtol=1e-13, atol=0)
     assert_allclose(lam, ref_lam, rtol=1e-13, atol=0)
     cos = (np.abs((vmat.conj() * ref_vmat).sum(axis=0))
@@ -154,6 +153,15 @@ def test_charge_sectors_partition(spec2, records2):
         counts[_z_charge(rec, _a_product(spec2), tol=1e-7)] += 1
     assert sum(counts.values()) == 9
     assert min(counts.values()) >= 1
+
+
+def test_sector_label_disagreeing_with_the_product_route_is_refused(monkeypatch):
+    # prod_j a(theta_j) off by OMEGA moves every product-route charge by one
+    exact = spectrum_module._a_product
+    monkeypatch.setattr(spectrum_module, "_a_product",
+                        lambda spec: OMEGA * exact(spec))
+    with pytest.raises(InconsistencyError, match="charge mismatch: sector"):
+        brute_force_spectrum(default_spec(N=2))
 
 
 def test_eigenvalue_functional_consistency(spec2, records2, rng, eigenvalue_at):

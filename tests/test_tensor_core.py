@@ -8,9 +8,10 @@ import spintorus.tensor_core as tensor_core_module
 from spintorus.chain import default_spec
 from spintorus.errors import DegeneracyError, NonGenericSpecError
 from spintorus.rmatrix import twist_matrix
-from spintorus.tensor_core import (embed_site_operator, embed_two_site,
-                                   kron_chain, simultaneous_eigen,
-                                   site_matrix_unit)
+from spintorus.tensor_core import (embed_two_site, kron_chain,
+                                   simultaneous_eigen, site_matrix_unit)
+
+from oracles import embed_site_operator
 
 
 def test_embed_identity_any_site():
