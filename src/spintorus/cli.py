@@ -178,7 +178,13 @@ def render_json(obj, indent: int = 0) -> str:
         return "{\n" + body + "\n" + pad + "}"
     if all(isinstance(v, (int, float)) or v is None for v in obj):
         return "[" + ", ".join(map(_scalar, obj)) + "]"
-    body = (",\n" + inner_pad).join(render_json(v, indent + 1) for v in obj)
+    if all(isinstance(v, complex) and math.isfinite(v.real)
+           and math.isfinite(v.imag) for v in obj):
+        # "%.17g" writes what _scalar does, without its per-part dispatch
+        body = (",\n" + inner_pad).join(["[%.17g, %.17g]" % (v.real, v.imag)
+                                          for v in obj])
+    else:
+        body = (",\n" + inner_pad).join(render_json(v, indent + 1) for v in obj)
     return "[\n" + inner_pad + body + "\n" + pad + "]"
 
 

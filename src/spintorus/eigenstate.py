@@ -347,7 +347,8 @@ def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
     alone; families are matched across eps levels (and to the homogeneous
     model) by eigenvalue proximity at fixed probe points.  Reports per
     family the Cauchy distances of the gauge-fixed states, whether they
-    decrease monotonically, and for two sites the angle between the
+    decrease monotonically (a step to a distance of exactly 0 counts as a
+    decrease), and for two sites the angle between the
     extrapolated state and the closed-form homogeneous expression.
     Non-convergence is reported, never raised.
     """
@@ -392,7 +393,9 @@ def homogeneous_limit_study(direction, eta: complex) -> HomogStudy:
             continue
         fam.distances = [float(np.linalg.norm(states[k + 1] - states[k]))
                          for k in range(len(states) - 1)]
-        fam.monotone = all(d2 < d1 for d1, d2 in
+        # a distance of exactly 0 has reached the limit: it counts as a
+        # decrease (a one-site state does not depend on theta at all)
+        fam.monotone = all(d2 < d1 or d2 == 0 for d1, d2 in
                            zip(fam.distances, fam.distances[1:]))
         extrapolated = normalize_gauge(
             _neville_at_zero(np.array(EPS_SEQUENCE), np.array(states)))

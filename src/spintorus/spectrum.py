@@ -17,8 +17,8 @@ from .chain import DEFAULT_SEED, ChainSpec
 from .errors import (InconsistencyError, NonGenericSpecError,
                      PoleProximityError, require_three_flavors)
 from .monodromy import _a, _a_product, _q, transfer
-from .tensor_core import (COMMUTE_TOL, _operator_scale, _worst, eigen_order,
-                          relative_residual, simultaneous_eigen)
+from .tensor_core import (COMMUTE_TOL, _joint_eigen, _operator_scale, _worst,
+                          eigen_order, relative_residual)
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -259,9 +259,10 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
     mapped back to the site basis; the duals are rows of the inverse
     eigenvector matrix, so bilinear pairings with the eigenvectors are
     Kronecker deltas.  The residual is the full-space relative residual over
-    t(u_1), t(u_2) and the twist; t(u_i) acts on a sector's vectors as its
-    sector columns over every row of t, the orbit gathers summed with their
-    phases, times the sector's eigenvectors.  A probe that does not commute
+    t(u_1), t(u_2) and the twist, taken sector by sector on the sector's
+    site-basis eigenvectors; t(u_i) acts on them as its sector columns over
+    every row of t, the orbit gathers summed with their phases, times the
+    sector's eigenvectors.  A probe that does not commute
     with the twist raises ``NonGenericSpecError``.
 
     Returns ``(mus, lam, vmat, wmat, resid, sector)``, sorted by
@@ -286,7 +287,7 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
         t = build(u)
         # t g^k = g^k t iff t[g^k a, g^k b] = t[a, b]; the rows a may stay
         # on the representatives, since every row is g^j of one of them
-        leak = _worst(np.abs(t[np.ix_(perm[:size], perm)] - t[:size]).max()
+        leak = _worst(np.abs(t[perm[:size]][:, perm] - t[:size]).max()
                       for perm in (back, back[back]))
         scale = _operator_scale(t)
         if not leak <= COMMUTE_TOL * scale:
@@ -295,42 +296,43 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
                 f"entry change {leak:.3e} vs scale {scale:.3e}")
         probes.append((scale, sector_blocks(t, dim)))
     del t
-    # per sector: (records, vmat, wmat, residuals) in the orbit basis
-    solved = [simultaneous_eigen([cols[z][:size] for _, cols in probes],
-                                 rng_seed=rng_seed)
-              for z in range(3)]
     # sector z holds rows z * size .. (z + 1) * size - 1 until the sort
     rows = [slice(z * size, (z + 1) * size) for z in range(3)]
     mus = np.empty((dim, 3), dtype=complex)
-    for z, (row, (recs, *_)) in enumerate(zip(rows, solved)):
-        mus[row, :2] = [mu for _, mu in recs]
+    resid = np.empty(dim)
+    solved = []     # (vmat, wmat) per sector, in the orbit basis
+    for z, (row, phase) in enumerate(zip(rows, phases)):
+        mus[row, :2], vmat, wmat, _ = _joint_eigen(
+            [cols[z][:size] for _, cols in probes], rng_seed)
         mus[row, 2] = OMEGA ** z
+        solved.append((vmat, wmat))
+        # the sector's eigenvectors in the site basis, for its residuals
+        vecs = np.empty((dim, size), dtype=complex)
+        for p, orbit in zip(phase, orbits):
+            vecs[orbit] = p * vmat
+        resid[row] = relative_residual(vecs[back], mus[row, 2], vecs, 1.0)
+        for i, (scale, cols) in enumerate(probes):
+            resid[row] = np.maximum(resid[row], relative_residual(
+                cols[z] @ vmat, mus[row, i], vecs, scale))
+    del probes, cols, vecs
     lam = np.empty((dim, len(points)), dtype=complex)
     for j, u in enumerate(points):
         tz = sector_blocks(build(u))
         lam[:, j] = np.concatenate([
             (wmat * (block @ vmat).T).sum(axis=1)
-            for block, (_, vmat, wmat, _) in zip(tz, solved)])
+            for block, (vmat, wmat) in zip(tz, solved)])
         del tz  # no block of t(points[j]) alive while the next one is built
     order = eigen_order(mus)
     place = np.empty(dim, dtype=int)
     place[order] = np.arange(dim)
     vmat_site = np.empty((dim, dim), dtype=complex)
     wmat_site = np.empty((dim, dim), dtype=complex)
-    for row, phase, (_, vmat, wmat, _) in zip(rows, phases, solved):
+    for row, phase, (vmat, wmat) in zip(rows, phases, solved):
         for p, orbit in zip(phase, orbits):
             vmat_site[np.ix_(orbit, place[row])] = p * vmat
             wmat_site[np.ix_(place[row], orbit)] = p.conjugate() / 3 * wmat
-    mus, lam = mus[order], lam[order]
-    resid = relative_residual(vmat_site[back], mus[:, 2], vmat_site, 1.0)
-    # t @ vmat_site on sector z's records is its sector columns @ vmat
-    for z, (row, (_, vmat, _, _)) in enumerate(zip(rows, solved)):
-        at = place[row]
-        vecs = vmat_site[:, at]
-        for i, (scale, cols) in enumerate(probes):
-            resid[at] = np.maximum(resid[at], relative_residual(
-                cols[z] @ vmat, mus[at, i], vecs, scale))
-    return mus, lam, vmat_site, wmat_site, resid, order // size
+    return (mus[order], lam[order], vmat_site, wmat_site, resid[order],
+            order // size)
 
 
 def brute_force_spectrum(spec: ChainSpec, rng_seed: int = DEFAULT_SEED):

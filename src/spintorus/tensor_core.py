@@ -90,27 +90,20 @@ def eigen_order(mus: np.ndarray) -> np.ndarray:
         for key in (mus[:, oi].imag.round(9), mus[:, oi].real.round(9))))
 
 
-def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
-    """Joint eigenbasis of a commuting family of diagonalizable matrices.
+def _inverse_and_condition(vmat: np.ndarray):
+    """``(inv(vmat), |V|_F |V^-1|_F)``, the figure never below the 2-norm
+    condition number; ``(None, inf)`` when ``vmat`` cannot be inverted."""
+    try:
+        wmat = np.linalg.inv(vmat)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    return wmat, float(np.linalg.norm(vmat) * np.linalg.norm(wmat))
 
-    Diagonalizes one random complex linear combination of the family (fresh
-    combination on retry, up to ``EIGEN_RETRIES``); for a commuting family a
-    generic combination separates every joint eigenspace.  Eigenvalues of the
-    individual members are read off through the dual (inverse-transpose) rows,
-    so the pairing stays bilinear throughout.
 
-    Returns ``(records, vmat, wmat, residuals)`` where ``records`` is a list
-    of ``(eigenvector, eigenvalue_tuple)`` pairs, ``vmat`` has the
-    eigenvectors as columns, ``wmat = inv(vmat)`` holds the dual rows and
-    ``residuals[k]`` is the worst ``relative_residual`` of record k over the
-    family.  Each member's eigenvalues and residuals come from one product
-    ``O @ vmat``; every residual is at most ``EIGEN_RESID_TOL``.  Records
-    come in ``eigen_order``.
-
-    Raises ``ValueError`` for an empty, mis-shaped or non-finite family,
-    ``NonGenericSpecError`` if the family does not commute and
-    ``DegeneracyError`` if no random combination yields a clean eigenbasis.
-    """
+def _joint_eigen(family, rng_seed: int):
+    """``simultaneous_eigen`` without the per-record copies: returns
+    ``(mus, vmat, wmat, resid)`` with ``mus[k, oi]`` record k's eigenvalue
+    on member oi, all in ``eigen_order``."""
     ops = [np.asarray(o, dtype=complex) for o in family]
     if not ops:
         raise ValueError("empty operator family")
@@ -135,15 +128,14 @@ def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
         coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
         mix = sum(c * o for c, o in zip(coeff, ops))
         _, vmat = np.linalg.eig(mix)
-        cond = np.linalg.cond(vmat)
+        wmat, cond = _inverse_and_condition(vmat)
         if not np.isfinite(cond):
             last_failure = "singular eigenvector matrix"
             continue
         if cond > EIGENBASIS_COND_WARN:
             warnings.warn(
                 f"joint eigenbasis is ill-conditioned (cond = {cond:.3e}); "
-                "eigenvalues may lose accuracy", RuntimeWarning, stacklevel=2)
-        wmat = np.linalg.inv(vmat)
+                "eigenvalues may lose accuracy", RuntimeWarning, stacklevel=3)
         mus = np.empty((dim, len(ops)), dtype=complex)
         resid = np.zeros(dim)
         for oi, (o, scale) in enumerate(zip(ops, scales)):
@@ -158,10 +150,38 @@ def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
         else:
             order = eigen_order(mus)
             vmat = vmat[:, order]
-            wmat = np.linalg.inv(vmat)
-            mus = mus[order]
-            records = [(vmat[:, k].copy(), tuple(mus[k])) for k in range(dim)]
-            return records, vmat, wmat, resid[order]
+            return mus[order], vmat, np.linalg.inv(vmat), resid[order]
     raise DegeneracyError(
         f"no random combination produced a clean joint eigenbasis in "
         f"{EIGEN_RETRIES} attempts (last failure: {last_failure})")
+
+
+def simultaneous_eigen(family, rng_seed: int = DEFAULT_SEED):
+    """Joint eigenbasis of a commuting family of diagonalizable matrices.
+
+    Diagonalizes one random complex linear combination of the family (fresh
+    combination on retry, up to ``EIGEN_RETRIES``); for a commuting family a
+    generic combination separates every joint eigenspace.  Eigenvalues of the
+    individual members are read off through the dual (inverse-transpose) rows,
+    so the pairing stays bilinear throughout.  The eigenvector matrix V is
+    inverted first, and its condition is read as |V|_F |V^-1|_F from that
+    inverse; this figure is never below the 2-norm condition number, so
+    every basis whose 2-norm condition exceeds ``EIGENBASIS_COND_WARN``
+    warns.  A V that cannot be inverted, or whose figure is not finite, is
+    a singular eigenvector matrix and takes the next combination.
+
+    Returns ``(records, vmat, wmat, residuals)`` where ``records`` is a list
+    of ``(eigenvector, eigenvalue_tuple)`` pairs, ``vmat`` has the
+    eigenvectors as columns, ``wmat = inv(vmat)`` holds the dual rows and
+    ``residuals[k]`` is the worst ``relative_residual`` of record k over the
+    family.  Each member's eigenvalues and residuals come from one product
+    ``O @ vmat``; every residual is at most ``EIGEN_RESID_TOL``.  Records
+    come in ``eigen_order``.
+
+    Raises ``ValueError`` for an empty, mis-shaped or non-finite family,
+    ``NonGenericSpecError`` if the family does not commute and
+    ``DegeneracyError`` if no random combination yields a clean eigenbasis.
+    """
+    mus, vmat, wmat, resid = _joint_eigen(family, rng_seed)
+    records = [(vmat[:, k].copy(), tuple(mus[k])) for k in range(len(mus))]
+    return records, vmat, wmat, resid

@@ -114,6 +114,7 @@ def _reference_render(obj, indent=0):
     [[0.1, 0.2, 0.3], [0.1, 0.2]],
     [[np.float64(0.1), np.float64(float("nan"))], [0.25, 0.5]],
     [[0.1, 0.2], [1.5]],
+    [[5e-324, -1e300], [-0.0, 0.0], [0.1, -2.5], [1e16, 1e-5]],
 ])
 def test_render_json_pair_lists_match_the_generic_walk(items):
     for indent in (0, 2):
@@ -205,6 +206,20 @@ def test_homog_report(tmp_path):
         assert fam["angle_closed_form"] < 1e-4
         assert fam["angle_eigenvector"] < 1e-4
     assert report["eps"] == [0.1, 0.05, 0.025, 0.0125]
+
+
+def test_homog_strict_single_site_is_monotone(tmp_path):
+    # a one-site state does not depend on theta: every Cauchy distance is
+    # exactly 0, the limit is reached, and each family counts as monotone
+    cfg = _write_config(tmp_path, {"N": 1})
+    assert main(["homog", "--strict", "--csv", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    report = _load_report(tmp_path / "homog_report.json")
+    assert report["n_monotone"] == 3 and len(report["families"]) == 3
+    for fam in report["families"]:
+        assert fam["distances"] == [0.0, 0.0, 0.0]
+        assert fam["monotone"] is True
+    assert report["failures"] == []
 
 
 def test_bae_report_single_site(tmp_path):
@@ -445,7 +460,7 @@ def test_main_typed_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
         raise DegeneracyError("no random combination produced a clean joint "
                               "eigenbasis in 5 attempts (planted)")
 
-    monkeypatch.setattr(spectrum, "simultaneous_eigen", degenerate)
+    monkeypatch.setattr(spectrum, "_joint_eigen", degenerate)
     cfile = _write_config(tmp_path, {"N": 2})
     assert main([command, "--config", cfile,
                  "--out", str(tmp_path)]) == EXIT_CHECK_FAILURE

@@ -1,4 +1,6 @@
 """Reference spectra, eigenvalue parametrization, and the root search."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -84,6 +86,21 @@ def test_sector_spectrum_matches_full_space_oracle(N):
     vecs = np.column_stack([r.vector for r in records])
     duals = np.array([r.dual for r in records])
     assert np.abs(duals @ vecs - np.eye(3 ** N)).max() <= 1e-12
+
+
+def test_sector_spectrum_traced_peak_memory():
+    # each dense step on the spectral path runs once per sector and no
+    # full-space temporary outlives its use: at N=5 the traced peak stays
+    # within 6 dim x dim complex arrays (it returns about 2)
+    spec = default_spec(N=5)
+    tracemalloc.start()
+    try:
+        records = brute_force_spectrum(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == spec.dim
+    assert peak <= 6 * 16 * spec.dim ** 2
 
 
 @pytest.mark.parametrize("N", [2, 3])

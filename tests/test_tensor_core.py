@@ -147,3 +147,48 @@ def test_joint_eigen_warns_on_defective_input():
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
         simultaneous_eigen([jordan])
 
+
+@pytest.mark.parametrize("broken", ["zero", "nan"])
+def test_joint_eigen_retries_a_singular_eigenvector_matrix(broken, monkeypatch):
+    # a V that cannot be inverted (zero) or whose condition figure is not
+    # finite (NaN) takes the next random combination
+    a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    eig = np.linalg.eig
+    calls = []
+
+    def singular(mix, every_time):
+        w, vmat = eig(mix)
+        calls.append(mix)
+        if every_time or len(calls) == 1:
+            vmat = np.zeros_like(vmat) if broken == "zero" else vmat * np.nan
+        return w, vmat
+
+    monkeypatch.setattr(tensor_core_module.np.linalg, "eig",
+                        lambda mix: singular(mix, every_time=False))
+    records, _, _, _ = simultaneous_eigen([a])
+    assert len(calls) == 2
+    assert sorted(mu[0].real for _, mu in records) == pytest.approx([1, 2, 3])
+
+    calls.clear()
+    monkeypatch.setattr(tensor_core_module.np.linalg, "eig",
+                        lambda mix: singular(mix, every_time=True))
+    with pytest.raises(DegeneracyError, match="singular eigenvector matrix"):
+        simultaneous_eigen([a])
+    assert len(calls) == tensor_core_module.EIGEN_RETRIES
+
+
+def test_condition_figure_bounds_the_two_norm_condition(rng):
+    # |V|_F |V^-1|_F is never below cond_2(V), so the warning threshold
+    # still fires wherever the 2-norm condition exceeds it
+    cases = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+             for d in (2, 5, 17, 40)]
+    for delta in (1e-3, 1e-7, 1e-11):
+        # eigenvectors of a Jordan block split by delta: near-parallel
+        _, vmat = np.linalg.eig(np.array([[1.0, 1.0], [0.0, 1.0 + delta]]))
+        cases.append(vmat.astype(complex))
+    for vmat in cases:
+        wmat, cond = tensor_core_module._inverse_and_condition(vmat)
+        assert np.array_equal(wmat, np.linalg.inv(vmat))
+        assert cond >= np.linalg.cond(vmat)
+    assert tensor_core_module._inverse_and_condition(
+        np.zeros((3, 3), dtype=complex)) == (None, np.inf)
