@@ -17,10 +17,8 @@ from .chain import DEFAULT_SEED, ChainSpec
 from .errors import (InconsistencyError, NonGenericSpecError,
                      PoleProximityError, require_three_flavors)
 from .monodromy import _a, _a_product, _q, transfer
-from .tensor_core import (COMMUTE_TOL, _joint_eigen, _operator_scale, _worst,
-                          eigen_order, relative_residual)
-
-OMEGA = np.exp(2j * np.pi / 3)
+from .tensor_core import (COMMUTE_TOL, OMEGA, _joint_eigen, _operator_scale,
+                          _worst, eigen_order, relative_residual)
 
 # Fixed generic probe points whose transfer matrices are jointly diagonalized.
 U_PROBES = (0.377 + 0.511j, -0.291 + 0.173j)
@@ -242,6 +240,13 @@ def _twist_orbits(N: int) -> np.ndarray:
                      for m in range(3)])
 
 
+def _clock_charges(N: int) -> np.ndarray:
+    """Clock charge sum_k i_k mod 3 of each twist-orbit representative (the
+    first 3^(N-1) indices): the exponent of its eigenvalue OMEGA^c under the
+    clock H = diag(1, OMEGA, OMEGA^2) on every site."""
+    return np.indices((3,) * N).reshape(N, -1)[:, :3 ** (N - 1)].sum(axis=0) % 3
+
+
 def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
     """All 3^N joint eigenstates of {build(u_1), build(u_2), twist},
     diagonalized one Z3 charge sector at a time; build(u) is a dense 3^N
@@ -265,6 +270,16 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
     sector's eigenvectors.  A probe that does not commute
     with the twist raises ``NonGenericSpecError``.
 
+    The clock H = diag(1, OMEGA, OMEGA^2) on every site gives
+    H t H^-1 = OMEGA t and H g H^-1 = OMEGA^N g.  For N = 0 mod 3 it
+    commutes with the twist, every state of an orbit has its
+    representative's clock charge (``_clock_charges``), and each T_z maps
+    charge c to c + 1: it is block-cyclic over the three charge groups of
+    3^(N-2) representatives.  ``_joint_eigen`` then solves each sector
+    through the cyclic product of its three blocks (``grading``), and a
+    probe whose sector block is not zero off that cycle raises
+    ``NonGenericSpecError``.
+
     Returns ``(mus, lam, vmat, wmat, resid, sector)``, sorted by
     ``eigen_order`` of the rows of ``mus`` = (mu_1, mu_2, twist eigenvalue):
     ``lam[k, j]`` is record k's eigenvalue at ``points[j]``, ``vmat`` holds
@@ -282,6 +297,12 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
         cols = [t[:rows, orbit] for orbit in orbits]
         return [sum(p * c for p, c in zip(phase, cols)) for phase in phases]
 
+    grading = None
+    if N % 3 == 0:
+        charge = _clock_charges(N)
+        grading = [np.flatnonzero(charge == c) for c in range(3)]
+        off_cycle = (charge[:, None] - charge[None, :]) % 3 != 1
+
     probes = []     # (scale, the sector columns over every row) per probe
     for i, u in enumerate(U_PROBES):
         t = build(u)
@@ -295,6 +316,13 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
                 f"probe {i} does not commute with the twist: largest "
                 f"entry change {leak:.3e} vs scale {scale:.3e}")
         probes.append((scale, sector_blocks(t, dim)))
+        if grading is not None:
+            off = _worst(np.abs(cols[:size][off_cycle]).max()
+                         for cols in probes[-1][1])
+            if not off <= COMMUTE_TOL * scale:
+                raise NonGenericSpecError(
+                    f"probe {i} is not cyclic over the clock charge: largest "
+                    f"off-cycle entry {off:.3e} vs scale {scale:.3e}")
     del t
     # sector z holds rows z * size .. (z + 1) * size - 1 until the sort
     rows = [slice(z * size, (z + 1) * size) for z in range(3)]
@@ -303,7 +331,7 @@ def _sector_spectrum(build, N: int, points, rng_seed: int = DEFAULT_SEED):
     solved = []     # (vmat, wmat) per sector, in the orbit basis
     for z, (row, phase) in enumerate(zip(rows, phases)):
         mus[row, :2], vmat, wmat, _ = _joint_eigen(
-            [cols[z][:size] for _, cols in probes], rng_seed)
+            [cols[z][:size] for _, cols in probes], rng_seed, grading)
         mus[row, 2] = OMEGA ** z
         solved.append((vmat, wmat))
         # the sector's eigenvectors in the site basis, for its residuals

@@ -18,6 +18,8 @@ import numpy as np
 from .chain import DEFAULT_SEED
 from .errors import DegeneracyError, NonGenericSpecError
 
+OMEGA = np.exp(2j * np.pi / 3)
+
 # Condition of the joint eigenvector matrix above which results are suspect.
 EIGENBASIS_COND_WARN = 1e8
 
@@ -100,10 +102,71 @@ def _inverse_and_condition(vmat: np.ndarray):
     return wmat, float(np.linalg.norm(vmat) * np.linalg.norm(wmat))
 
 
-def _joint_eigen(family, rng_seed: int):
+def _refined(mix: np.ndarray, vmat: np.ndarray, wmat: np.ndarray):
+    """One first-order refinement step of an eigenvector matrix V of ``mix``
+    with inverse W (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20
+    (1983) 23): E = W mix V, F_ij = E_ij / (E_jj - E_ii) off the diagonal,
+    V <- V (1 + F)."""
+    e = wmat @ (mix @ vmat)
+    d = e.diagonal()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = e / (d[None, :] - d[:, None])
+        np.fill_diagonal(f, 0.0)
+        return vmat + vmat @ f
+
+
+def _cyclic_eigenvectors(mix: np.ndarray, grading):
+    """Eigenvector matrix of a mix that is block-cyclic over a grading: the
+    index groups ``grading[c]``, c = 0, 1, 2, of equal size, with ``mix``
+    zero except on the blocks a_c from group c to group c + 1 (mod 3).
+    ``None`` when a cube nu below is zero or not finite, or when a group's
+    block of V cannot be inverted.
+
+    An eigenpair (nu, x) of the cyclic product a_2 a_1 a_0 gives three
+    eigenvectors (x, a_0 x / lam, a_1 a_0 x / lam^2) on the groups, one per
+    cube root lam = nu^(1/3) OMEGA^k.  Column 3j + k holds the k-th of
+    eigenpair j, so V on group c is Y_c (x) P[c], with Y_c the group's block
+    for k = 0 and P[c, k] = OMEGA^(-ck), and the inverse on group c is
+    Y_c^-1 (x) conj(P[c]) / 3: three inverses of a third of the size.
+    With each eigenpair's three columns side by side, the inverse that
+    ``_joint_eigen`` takes next is about twice as accurate (|w_k v_k - 1|
+    at N=6) as with the columns grouped by k.
+    Forming the product costs accuracy, which one ``_refined`` step on the
+    whole mix restores.
+    """
+    g0, g1, g2 = grading
+    a0, a1, a2 = mix[np.ix_(g1, g0)], mix[np.ix_(g2, g1)], mix[np.ix_(g0, g2)]
+    nu, x = np.linalg.eig(a2 @ a1 @ a0)
+    if not np.all(np.isfinite(nu) & (nu != 0)):
+        return None
+    root = nu ** (1 / 3)
+    y1 = (a0 @ x) / root
+    blocks = (x, y1, (a1 @ y1) / root)
+    dim = mix.shape[0]
+    phases = OMEGA ** (-np.outer(np.arange(3), np.arange(3)) % 3)
+    vmat = np.empty((dim, dim), dtype=complex)
+    wmat = np.empty((dim, dim), dtype=complex)
+    for group, y, phase in zip(grading, blocks, phases):
+        yinv, _ = _inverse_and_condition(y)
+        if yinv is None:
+            return None
+        vmat[group] = np.kron(y, phase)
+        wmat[:, group] = np.kron(yinv, phase.conj()[:, None] / 3)
+    return _refined(mix, vmat, wmat)
+
+
+def _joint_eigen(family, rng_seed: int, grading=None):
     """``simultaneous_eigen`` without the per-record copies: returns
     ``(mus, vmat, wmat, resid)`` with ``mus[k, oi]`` record k's eigenvalue
-    on member oi, all in ``eigen_order``."""
+    on member oi, all in ``eigen_order``.
+
+    With ``grading``, three index groups over which every member is
+    block-cyclic, the random mix's eigenvectors come from
+    ``_cyclic_eigenvectors``, and the duals after the sort are the rows of
+    the inverse already in hand; everything else, the gate and the retries
+    included, is the same.  Without it, V is inverted again after the sort,
+    since the inverse of the permuted V is not bitwise the permuted inverse.
+    """
     ops = [np.asarray(o, dtype=complex) for o in family]
     if not ops:
         raise ValueError("empty operator family")
@@ -127,8 +190,12 @@ def _joint_eigen(family, rng_seed: int):
     for _ in range(EIGEN_RETRIES):
         coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
         mix = sum(c * o for c, o in zip(coeff, ops))
-        _, vmat = np.linalg.eig(mix)
-        wmat, cond = _inverse_and_condition(vmat)
+        if grading is None:
+            _, vmat = np.linalg.eig(mix)
+        else:
+            vmat = _cyclic_eigenvectors(mix, grading)
+        wmat, cond = ((None, np.inf) if vmat is None
+                      else _inverse_and_condition(vmat))
         if not np.isfinite(cond):
             last_failure = "singular eigenvector matrix"
             continue
@@ -150,7 +217,8 @@ def _joint_eigen(family, rng_seed: int):
         else:
             order = eigen_order(mus)
             vmat = vmat[:, order]
-            return mus[order], vmat, np.linalg.inv(vmat), resid[order]
+            wmat = np.linalg.inv(vmat) if grading is None else wmat[order]
+            return mus[order], vmat, wmat, resid[order]
     raise DegeneracyError(
         f"no random combination produced a clean joint eigenbasis in "
         f"{EIGEN_RETRIES} attempts (last failure: {last_failure})")

@@ -6,22 +6,24 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import spintorus.spectrum as spectrum_module
+import spintorus.tensor_core as tensor_core_module
 from spintorus.chain import ChainSpec, default_spec
-from spintorus.errors import (InconsistencyError, NonGenericSpecError,
-                              UnsupportedRankError)
+from spintorus.errors import (DegeneracyError, InconsistencyError,
+                              NonGenericSpecError, UnsupportedRankError)
 from spintorus.monodromy import (FD4_STEP, _a, _a_product, _q,
                                  homogeneous_transfer, scalar_a, transfer,
                                  twist_operator)
 from spintorus.spectrum import (NEWTON_EXITS, NEWTON_FD_STEP, OMEGA,
                                 RESIDUAL_CHUNK, TQSolution, U_PROBES,
-                                _canonical, _chunked_residuals,
+                                _canonical, _chunked_residuals, _clock_charges,
                                 _difference_residuals, _max_norm, _newton,
                                 _newton_steps, _residuals, _roots_separated,
                                 _same_solution, _sector_spectrum,
                                 _twist_charge, _twist_orbits, _vector,
                                 bae_residuals, brute_force_spectrum,
                                 solve_bae, tq_lambda)
-from spintorus.tensor_core import (EIGEN_RESID_TOL, _operator_scale,
+from spintorus.tensor_core import (EIGEN_RESID_TOL, EIGEN_RETRIES,
+                                   _operator_scale, kron_chain,
                                    relative_residual)
 
 from oracles import _full_space_spectrum, _z_charge, full_space_eigen
@@ -122,6 +124,13 @@ def test_sector_spectrum_of_uniform_transfer_matches_full_space_oracle(N):
     assert np.abs(wmat @ vmat - np.eye(3 ** N)).max() <= 1e-12
 
 
+def _sector_blocks(t, N):
+    """The three sector blocks sum_m OMEGA^(-z m) t[:size, orbit_m]."""
+    size = 3 ** (N - 1)
+    return [sum(OMEGA ** (-z * m % 3) * t[:size, orbit]
+                for m, orbit in enumerate(_twist_orbits(N))) for z in range(3)]
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_twist_orbits_split_transfer_into_sectors(N, rng):
     # the orbits partition the basis, the twist is the index map that moves
@@ -139,8 +148,7 @@ def test_twist_orbits_split_transfer_into_sectors(N, rng):
     assert_array_equal(v[back], twist_operator(spec) @ v)
     u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     t = transfer(u, spec)
-    sectors = [sum(OMEGA ** (-z * m % 3) * t[:size, orbit]
-                   for m, orbit in enumerate(orbits)) for z in range(3)]
+    sectors = _sector_blocks(t, N)
     want = np.sort_complex(np.linalg.eigvals(t))
     got = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in sectors]))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -162,6 +170,122 @@ def test_probe_leaking_out_of_its_sector_is_refused(monkeypatch, row, col):
     monkeypatch.setattr(spectrum_module, "transfer", leaky)
     with pytest.raises(NonGenericSpecError, match="probe 1 does not commute"):
         brute_force_spectrum(spec)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_graded_clock_operator_shifts_the_transfer_by_omega(N, rng):
+    # H = diag(1, OMEGA, OMEGA^2) on every site: H t H^-1 = OMEGA t for the
+    # chain's and the uniform chain's transfer, and H g H^-1 = OMEGA^N g
+    clock = kron_chain([np.diag(OMEGA ** np.arange(3))] * N)
+    spec = default_spec(N=N)
+    u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for t in (transfer(u, spec), homogeneous_transfer(u, 3, N, 0.5)):
+        graded = clock @ t @ clock.conj().T
+        assert np.abs(graded - OMEGA * t).max() <= 1e-14 * np.abs(t).max()
+    g = twist_operator(spec)
+    assert np.abs(clock @ g @ clock.conj().T - OMEGA ** N * g).max() <= 1e-14
+
+
+@pytest.mark.parametrize("N", [3, 6])
+def test_graded_probe_sector_blocks_vanish_off_the_cycle(N):
+    # for N = 0 mod 3 each sector block maps clock charge c to c + 1 only,
+    # with exact zeros elsewhere, for both probes of both transfers
+    charge = _clock_charges(N)
+    off_cycle = (charge[:, None] - charge[None, :]) % 3 != 1
+    assert [int((charge == c).sum()) for c in range(3)] == [3 ** (N - 2)] * 3
+    spec = default_spec(N=N)
+    for u in U_PROBES:
+        for t in (transfer(u, spec), homogeneous_transfer(u, 3, N, 0.5)):
+            for block in _sector_blocks(t, N):
+                assert not block[off_cycle].any()
+                assert block[~off_cycle].any()
+
+
+def test_graded_probe_with_an_off_cycle_entry_is_refused():
+    # 1e-6 on one orbit of entries of t(u_2), from clock charge 0 to charge
+    # 0: the probe still commutes with the twist but leaves the cycle
+    N = 3
+    spec = default_spec(N=N)
+    charge = _clock_charges(N)
+    a, b = np.flatnonzero(charge == 0)[:2]
+    orbits = _twist_orbits(N)
+
+    def leaky(u):
+        t = transfer(u, spec)
+        if u == U_PROBES[1]:
+            t[orbits[:, a], orbits[:, b]] += 1e-6
+        return t
+
+    with pytest.raises(NonGenericSpecError,
+                       match="probe 1 is not cyclic over the clock charge"):
+        _sector_spectrum(leaky, N, spec.theta)
+
+
+def test_graded_solve_matches_full_space_oracle(monkeypatch):
+    # at N=3 each sector's eigen-solve is one eig of a 3 x 3 cyclic product;
+    # records, order and charges are the full-space oracle's
+    eig = np.linalg.eig
+    shapes = []
+
+    def spy(mix):
+        shapes.append(mix.shape)
+        return eig(mix)
+
+    monkeypatch.setattr(tensor_core_module.np.linalg, "eig", spy)
+    spec = default_spec(N=3)
+    records = brute_force_spectrum(spec)
+    assert shapes == [(3, 3)] * 3
+    monkeypatch.setattr(tensor_core_module.np.linalg, "eig", eig)
+    oracle = _full_space_spectrum(spec)
+    assert [r.z_charge for r in records] == [r.z_charge for r in oracle]
+    for rec, ref in zip(records, oracle):
+        assert_allclose(rec.mu, ref.mu, rtol=1e-12, atol=0)
+        assert_allclose(rec.lambda_theta, ref.lambda_theta, rtol=1e-12, atol=0)
+
+
+def test_graded_solve_residuals_need_the_refinement_step(monkeypatch):
+    # at N=6 every record's residual stays within 1e-12 at eta = 0.5 and 1;
+    # the eigenvectors read off the cyclic product alone miss that bound
+    def worst(eta):
+        spec = default_spec(N=6, eta=eta)
+        return _sector_spectrum(lambda u: transfer(u, spec), 6, ())[4].max()
+
+    assert max(worst(0.5), worst(1.0)) <= 1e-12
+    monkeypatch.setattr(tensor_core_module, "_refined",
+                        lambda mix, vmat, wmat: vmat)
+    assert max(worst(0.5), worst(1.0)) > 1e-12
+
+
+@pytest.mark.parametrize("broken", ["zero", "nan"])
+def test_graded_solve_retries_a_zero_or_nan_cube(broken, monkeypatch):
+    # a cube with no finite nonzero root gives no eigenvector matrix: the
+    # "singular eigenvector matrix" retry, and DegeneracyError when it
+    # happens on every attempt
+    spec = default_spec(N=3)
+    eig = np.linalg.eig
+    calls = []
+
+    def cubes(mix, every_time):
+        nu, x = eig(mix)
+        calls.append(mix)
+        if every_time or len(calls) == 1:
+            nu = nu * (0 if broken == "zero" else np.nan)
+        return nu, x
+
+    monkeypatch.setattr(tensor_core_module.np.linalg, "eig",
+                        lambda mix: cubes(mix, every_time=False))
+    mus = _sector_spectrum(lambda u: transfer(u, spec), 3, spec.theta)[0]
+    assert len(calls) == 4          # one retry, then one solve per sector
+    monkeypatch.setattr(tensor_core_module.np.linalg, "eig", eig)
+    assert_allclose(mus, _sector_spectrum(
+        lambda u: transfer(u, spec), 3, spec.theta)[0], rtol=1e-12, atol=0)
+
+    calls.clear()
+    monkeypatch.setattr(tensor_core_module.np.linalg, "eig",
+                        lambda mix: cubes(mix, every_time=True))
+    with pytest.raises(DegeneracyError, match="singular eigenvector matrix"):
+        _sector_spectrum(lambda u: transfer(u, spec), 3, spec.theta)
+    assert len(calls) == EIGEN_RETRIES
 
 
 def test_charge_sectors_partition(spec2, records2):
